@@ -207,7 +207,7 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
 
     try:
         with open(paths["results"], "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {paths['results']}: {exc}") from exc

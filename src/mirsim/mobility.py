@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import MobilityParams, Region, ScenarioConfig, ValidationError
+from .scenario import ConfigError, MobilityParams, Region, ScenarioConfig, ValidationError
 
 TRACE_COLUMNS = ["slot", "user_id", "x", "y"]
 
@@ -130,31 +130,52 @@ def save_trace(trace: MobilityTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTrace:
-    """Read a trace CSV; validates completeness and (optionally) containment."""
+    """Read a trace CSV; validates completeness and (optionally) containment.
+
+    Every problem raises ConfigError naming the file and, for a bad row, its
+    1-based line.
+    """
     entries: dict[tuple[int, int], tuple[float, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_COLUMNS:
-            raise ValueError(f"{path}: expected header {TRACE_COLUMNS}, got {header}")
-        for row in reader:
-            slot, user = int(row[0]), int(row[1])
-            entries[(slot, user)] = (float(row[2]), float(row[3]))
+        try:
+            header = next(reader, None)
+            if header != TRACE_COLUMNS:
+                raise ConfigError(f"{path}: line 1: expected header {TRACE_COLUMNS}, got {header}")
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != len(TRACE_COLUMNS):
+                    raise ConfigError(f"{where}: expected {len(TRACE_COLUMNS)} fields, "
+                                      f"got {len(row)}")
+                try:
+                    slot, user, x, y = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {exc}") from exc
+                if slot < 0 or user < 0:
+                    raise ConfigError(f"{where}: slot and user_id must be >= 0")
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ConfigError(f"{where}: position ({x}, {y}) is not finite")
+                if (slot, user) in entries:
+                    raise ConfigError(f"{where}: duplicate entry for slot {slot}, user {user}")
+                entries[(slot, user)] = (x, y)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not a readable CSV text file: {exc}") from exc
     if not entries:
-        raise ValueError(f"{path}: empty trace")
+        raise ConfigError(f"{path}: empty trace")
     num_slots = max(s for s, _ in entries) + 1
     num_users = max(u for _, u in entries) + 1
-    positions = np.empty((num_slots, num_users, 2), dtype=float)
-    for slot in range(num_slots):
-        for user in range(num_users):
-            if (slot, user) not in entries:
-                raise ValueError(f"{path}: missing entry for slot {slot}, user {user}")
-            positions[slot, user] = entries[(slot, user)]
+    if len(entries) < num_slots * num_users:
+        # Entries are distinct, so a gap shows within the first len(entries) + 1 keys.
+        slot, user = next((slot, user) for slot in range(num_slots) for user in range(num_users)
+                          if (slot, user) not in entries)
+        raise ConfigError(f"{path}: missing entry for slot {slot}, user {user}")
+    positions = np.array([[entries[(slot, user)] for user in range(num_users)]
+                          for slot in range(num_slots)], dtype=float)
     if region is not None:
         for slot in range(num_slots):
             for user in range(num_users):
                 x, y = positions[slot, user]
                 if not region.contains(x, y):
-                    raise ValueError(
+                    raise ConfigError(
                         f"{path}: slot {slot} user {user} position ({x}, {y}) outside region")
     return MobilityTrace(positions=positions)

@@ -9,10 +9,22 @@ tournament, crossover single-point, mutation independent bit flips, and the
 top elitism_count genomes carry over unchanged, which makes the
 per-generation best fitness non-decreasing.
 
-Randomness is consumed in a fixed order (initial population bits, then per
-offspring pair: two tournaments, crossover coin and cut, two mutation
-masks), so a run is reproducible from its generator.  Fitness evaluation
-draws no randomness and is batched over the whole population.
+Randomness is consumed in a fixed order, so a run is reproducible from its
+generator.  With P the population size, E the elitism count, L the genome
+length and pairs = ceil((P - E) / 2), a search draws the initial population
+bits, then per generation, each step one array operation over the whole
+generation:
+
+1. tournaments: one uniform key per (tournament, genome), shape
+   (2 * pairs, P); the tournament_size smallest keys of a row pick its
+   distinct entrants;
+2. crossover coins: one uniform draw per pair;
+3. cuts: one integer in [1, L) per pair, drawn whatever the coin says;
+4. mutation: one uniform draw per bit of the P - E children, shape
+   (P - E, L), after a trailing odd child is dropped.
+
+Fitness evaluation draws no randomness and is batched over the whole
+population.
 """
 
 from __future__ import annotations
@@ -132,36 +144,56 @@ def fitness(genome: np.ndarray, users_xy, cfg: ScenarioConfig, *,
 
 
 def tournament_select(population: np.ndarray, fitnesses: np.ndarray,
-                      tournament_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw tournament_size distinct genomes; return the fittest (ties -> lowest index)."""
+                      tournament_size: int, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Run count tournaments of tournament_size distinct genomes each.
+
+    Returns the winners, shape (count, L); a winner is the fittest entrant,
+    ties going to the lowest index.
+    """
     n = len(population)
     if n == 0:
         raise ValueError("empty population")
-    drawn = np.sort(rng.choice(n, size=tournament_size, replace=False))
-    winner = drawn[np.argmax(fitnesses[drawn])]
-    return population[winner].copy()
+    keys = rng.random((count, n))
+    entrants = np.sort(np.argpartition(keys, tournament_size - 1, axis=1)[:, :tournament_size],
+                       axis=1)
+    best = np.argmax(fitnesses[entrants], axis=1)
+    return population[entrants[np.arange(count), best]]
 
 
-def crossover(parent_a: np.ndarray, parent_b: np.ndarray, crossover_prob: float,
+def crossover(parents_a: np.ndarray, parents_b: np.ndarray, crossover_prob: float,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point suffix swap with the given probability, else copies."""
-    if parent_a.shape != parent_b.shape:
-        raise ValueError("parent genomes must have equal length")
-    child_a = parent_a.copy()
-    child_b = parent_b.copy()
-    length = parent_a.size
-    if length >= 2 and rng.random() < crossover_prob:
-        cut = int(rng.integers(1, length))
-        child_a[cut:] = parent_b[cut:]
-        child_b[cut:] = parent_a[cut:]
-    return child_a, child_b
+    """Single-point suffix swap per row pair with the given probability, else copies."""
+    if parents_a.shape != parents_b.shape:
+        raise ValueError("parent genomes must have equal shape")
+    pairs, length = parents_a.shape
+    coin = rng.random(pairs) < crossover_prob
+    cut = rng.integers(1, length, pairs)
+    swap = coin[:, None] & (np.arange(length) >= cut[:, None])
+    return np.where(swap, parents_b, parents_a), np.where(swap, parents_a, parents_b)
 
 
-def mutate(genome: np.ndarray, mutation_prob_per_bit: float,
+def mutate(genomes: np.ndarray, mutation_prob_per_bit: float,
            rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with the given probability."""
-    flips = (rng.random(genome.size) < mutation_prob_per_bit).astype(np.uint8)
-    return genome ^ flips
+    flips = (rng.random(genomes.shape) < mutation_prob_per_bit).astype(np.uint8)
+    return genomes ^ flips
+
+
+def _breed(population: np.ndarray, fitnesses: np.ndarray, ga: scenario.GaParams,
+           mutation_prob_per_bit: float, rng: np.random.Generator) -> np.ndarray:
+    """Next generation: the elitism_count fittest genomes, then mutated children.
+
+    Children come in crossover pairs of tournament winners; a trailing odd
+    child is dropped so the generation keeps population_size genomes.
+    """
+    num_children = len(population) - ga.elitism_count
+    pairs = (num_children + 1) // 2
+    elites = population[np.argsort(-fitnesses, kind="stable")[:ga.elitism_count]]
+    parents = tournament_select(population, fitnesses, ga.tournament_size, 2 * pairs, rng)
+    child_a, child_b = crossover(parents[0::2], parents[1::2], ga.crossover_prob, rng)
+    children = np.stack([child_a, child_b], axis=1).reshape(2 * pairs, -1)[:num_children]
+    return np.concatenate([elites, mutate(children, mutation_prob_per_bit, rng)])
 
 
 def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator, *,
@@ -196,16 +228,7 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator, *,
     mean_per_gen = [float(fit.mean())]
 
     for _ in range(ga.max_iterations):
-        ranking = np.argsort(-fit, kind="stable")
-        next_pop = [population[i].copy() for i in ranking[:ga.elitism_count]]
-        while len(next_pop) < ga.population_size:
-            parent_a = tournament_select(population, fit, ga.tournament_size, rng)
-            parent_b = tournament_select(population, fit, ga.tournament_size, rng)
-            child_a, child_b = crossover(parent_a, parent_b, ga.crossover_prob, rng)
-            next_pop.append(mutate(child_a, mut_p, rng))
-            if len(next_pop) < ga.population_size:
-                next_pop.append(mutate(child_b, mut_p, rng))
-        population = np.array(next_pop, dtype=np.uint8)
+        population = _breed(population, fit, ga, mut_p, rng)
         fit = evaluate(population)
         evaluations += ga.population_size
         best_per_gen.append(float(fit.max()))

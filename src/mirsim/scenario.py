@@ -13,6 +13,7 @@ traces and results.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -237,7 +238,13 @@ def _cast(key: str, kind: str, value: Any) -> Any:
     if base == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"key {key!r}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise SchemaError(f"key {key!r}: expected a finite number, got {value!r}")
+        return number
     if base == "str":
         if isinstance(value, str):
             return value

@@ -156,6 +156,52 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "speed_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("uav_tx_power_dbm", ".nan"),
+    ("region_x_max", ".inf"),
+    ("region_x_max", "-.inf"),
+    ("noise_power_dbm", "1" + "0" * 400),
+])
+def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"{key}: {value}\n")
+    rc = cli.main(["run", "--config", str(bad), "--seeds", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("slot,user,x,y\n0,0,1.0,1.0\n", "line 1: expected header"),
+    ("slot,user_id,x,y\n0,0,1.0,abc\n", "line 2: could not convert"),
+    ("slot,user_id,x,y\n0,zero,1.0,1.0\n", "line 2: invalid literal"),
+    ("slot,user_id,x,y\n0,0,1.0,1.0\n0,1,2.0\n", "line 3: expected 4 fields, got 3"),
+    ("slot,user_id,x,y\n0,0,nan,1.0\n", "line 2: position (nan, 1.0) is not finite"),
+    ("slot,user_id,x,y\n0,0,1.0,inf\n", "line 2: position (1.0, inf) is not finite"),
+    ("slot,user_id,x,y\n-1,0,1.0,1.0\n", "line 2: slot and user_id must be >= 0"),
+    ("slot,user_id,x,y\n0,0,1.0,1.0\n0,0,2.0,2.0\n", "line 3: duplicate entry"),
+    ("slot,user_id,x,y\n0,0,1.0,1.0\n1000000000,0,1.0,1.0\n",
+     "missing entry for slot 1, user 0"),
+    ("slot,user_id,x,y\n0,0,600.0,10.0\n", "outside region"),
+    ("slot,user_id,x,y\n", "empty trace"),
+    ("slot,user_id,x,y\n0,0,\xff,1.0\n", "not a readable CSV text file"),
+    ("slot,user_id,x,y\n0,0,1.0," + "9" * 200_000 + "\n", "not a readable CSV text file"),
+])
+def test_cli_rejects_malformed_trace_csv(tmp_path, capsys, rows, message):
+    cfg_path = _write_small_config(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(rows.encode("latin-1"))
+    rc = cli.main(["run", "--config", str(cfg_path), "--seeds", "1",
+                   "--scenarios", "No-IRS-NOMA", "--trace", str(bad),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_with_external_trace(tmp_path):
     cfg_path = _write_small_config(tmp_path, num_slots=2)
     rc = cli.main(["trace", "--config", str(cfg_path), "--seed", "5",

@@ -109,90 +109,96 @@ def test_full_tournament_returns_global_best():
     rng = _ga_rng(0)
     population = np.eye(4, dtype=np.uint8)
     fitnesses = np.array([0.3, 2.0, 1.0, -1.0])
-    for _ in range(20):
-        winner = optimizer.tournament_select(population, fitnesses, 4, rng)
-        assert np.array_equal(winner, population[1])
+    winners = optimizer.tournament_select(population, fitnesses, 4, 20, rng)
+    assert winners.shape == (20, 4)
+    assert np.all(winners == population[1])
 
 
 def test_two_candidate_tournament_always_picks_the_fitter():
     rng = _ga_rng(1)
     population = np.array([[0, 0], [1, 1]], dtype=np.uint8)
     fitnesses = np.array([1.0, 2.0])
-    for _ in range(50):
-        assert np.array_equal(
-            optimizer.tournament_select(population, fitnesses, 2, rng),
-            population[1])
+    winners = optimizer.tournament_select(population, fitnesses, 2, 50, rng)
+    assert np.all(winners == population[1])
 
 
 def test_tournament_ties_break_to_lowest_index():
     rng = _ga_rng(2)
     population = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8)
     fitnesses = np.array([5.0, 5.0, 5.0])
-    for _ in range(20):
-        assert np.array_equal(
-            optimizer.tournament_select(population, fitnesses, 3, rng),
-            population[0])
+    winners = optimizer.tournament_select(population, fitnesses, 3, 20, rng)
+    assert np.all(winners == population[0])
+
+
+def test_tournament_entrants_are_distinct():
+    # With fitness equal to the index, a tournament of k distinct entrants
+    # can never be won by one of the k - 1 least fit genomes.
+    rng = _ga_rng(10)
+    n, k = 6, 4
+    population = np.arange(n, dtype=np.uint8)[:, None]
+    winners = optimizer.tournament_select(population, np.arange(n, dtype=float), k,
+                                          5_000, rng)[:, 0]
+    assert winners.min() == k - 1
+    assert set(winners.tolist()) == set(range(k - 1, n))
 
 
 def test_tournament_rejects_empty_population():
     with pytest.raises(ValueError):
-        optimizer.tournament_select(np.empty((0, 4)), np.empty(0), 1, _ga_rng())
+        optimizer.tournament_select(np.empty((0, 4)), np.empty(0), 1, 2, _ga_rng())
 
 
 def test_size_one_tournament_returns_a_member():
     rng = _ga_rng(3)
     population = np.array([[0, 0], [1, 1]], dtype=np.uint8)
     fitnesses = np.array([1.0, 2.0])
-    winner = optimizer.tournament_select(population, fitnesses, 1, rng)
-    assert any(np.array_equal(winner, row) for row in population)
+    winners = optimizer.tournament_select(population, fitnesses, 1, 10, rng)
+    assert all(any(np.array_equal(w, row) for row in population) for w in winners)
 
 
 class _ScriptedRng:
-    """Deterministic stand-in driving crossover to a chosen cut point."""
+    """Deterministic stand-in driving crossover to chosen cut points."""
 
-    def __init__(self, cut):
-        self.cut = cut
+    def __init__(self, cuts):
+        self.cuts = np.asarray(cuts)
 
-    def random(self):
-        return 0.0
+    def random(self, size):
+        return np.zeros(size)
 
-    def integers(self, low, high):
-        return self.cut
+    def integers(self, low, high, size):
+        return self.cuts[:size]
 
 
 def test_crossover_swaps_suffixes_at_the_cut():
-    a = np.array([0, 0, 0, 0], dtype=np.uint8)
-    b = np.array([1, 1, 1, 1], dtype=np.uint8)
-    child_a, child_b = optimizer.crossover(a, b, 1.0, _ScriptedRng(2))
-    assert child_a.tolist() == [0, 0, 1, 1]
-    assert child_b.tolist() == [1, 1, 0, 0]
+    a = np.zeros((2, 4), dtype=np.uint8)
+    b = np.ones((2, 4), dtype=np.uint8)
+    child_a, child_b = optimizer.crossover(a, b, 1.0, _ScriptedRng([2, 1]))
+    assert child_a.tolist() == [[0, 0, 1, 1], [0, 1, 1, 1]]
+    assert child_b.tolist() == [[1, 1, 0, 0], [1, 0, 0, 0]]
 
 
 def test_crossover_identity_cases():
     rng = _ga_rng(4)
-    a = np.array([0, 1, 0, 1], dtype=np.uint8)
-    b = a.copy()
-    child_a, child_b = optimizer.crossover(a, b, 1.0, rng)
+    a = np.array([[0, 1, 0, 1]] * 3, dtype=np.uint8)
+    child_a, child_b = optimizer.crossover(a, a.copy(), 1.0, rng)
     assert np.array_equal(child_a, a) and np.array_equal(child_b, a)
-    c = np.array([1, 1, 0, 0], dtype=np.uint8)
+    c = np.array([[1, 1, 0, 0]] * 3, dtype=np.uint8)
     child_a, child_b = optimizer.crossover(a, c, 0.0, rng)
     assert np.array_equal(child_a, a) and np.array_equal(child_b, c)
     with pytest.raises(ValueError):
-        optimizer.crossover(a, np.zeros(5, dtype=np.uint8), 1.0, rng)
+        optimizer.crossover(a, np.zeros((3, 5), dtype=np.uint8), 1.0, rng)
 
 
 def test_mutation_extremes():
     rng = _ga_rng(5)
-    genome = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    assert np.array_equal(optimizer.mutate(genome, 0.0, rng), genome)
-    assert np.array_equal(optimizer.mutate(genome, 1.0, rng), 1 - genome)
+    genomes = np.array([[0, 1, 1, 0, 1], [1, 1, 0, 0, 0]], dtype=np.uint8)
+    assert np.array_equal(optimizer.mutate(genomes, 0.0, rng), genomes)
+    assert np.array_equal(optimizer.mutate(genomes, 1.0, rng), 1 - genomes)
 
 
 def test_mutation_flip_rate_statistics():
     rng = _ga_rng(6)
-    genome = np.zeros(200, dtype=np.uint8)
-    flips = sum(int(optimizer.mutate(genome, 0.01, rng).sum()) for _ in range(10_000))
-    mean = flips / 10_000
+    genomes = np.zeros((10_000, 200), dtype=np.uint8)
+    mean = optimizer.mutate(genomes, 0.01, rng).sum() / 10_000
     sigma = math.sqrt(200 * 0.01 * 0.99 / 10_000)
     assert abs(mean - 2.0) <= 3.0 * sigma
 
@@ -230,6 +236,35 @@ def test_elitism_keeps_best_fitness_monotone():
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert best[-1] >= best[0]
     assert record.evaluations == cfg.ga.population_size * (cfg.ga.max_iterations + 1)
+
+
+def _random_generation(cfg, rng):
+    users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
+    population = (rng.random((cfg.ga.population_size, optimizer.genome_length(cfg))) < 0.5
+                  ).astype(np.uint8)
+    fit = np.array([optimizer.fitness(g, users, cfg) for g in population])
+    return population, fit
+
+
+def test_elites_are_carried_over_bit_for_bit():
+    cfg = small_config(population_size=9, elitism_count=3, mutation_prob_per_bit=0.5)
+    rng = _ga_rng(11)
+    population, fit = _random_generation(cfg, rng)
+    nxt = optimizer._breed(population, fit, cfg.ga, 0.5, rng)
+    assert nxt.shape == population.shape and nxt.dtype == np.uint8
+    assert np.array_equal(nxt[:3], population[np.argsort(-fit, kind="stable")[:3]])
+
+
+def test_odd_population_without_elitism_keeps_its_size():
+    cfg = small_config(population_size=7, elitism_count=0)
+    rng = _ga_rng(12)
+    population, fit = _random_generation(cfg, rng)
+    nxt = optimizer._breed(population, fit, cfg.ga, 0.1, rng)
+    assert nxt.shape == (7, optimizer.genome_length(cfg))
+    users = np.array([[10.0, 10.0], [250.0, 250.0]])
+    _, record = optimizer.optimize_slot(users, cfg, rng)
+    assert len(record.best_fitness) == cfg.ga.max_iterations + 1
+    assert record.evaluations == 7 * (cfg.ga.max_iterations + 1)
 
 
 def test_optimized_placements_respect_bounds():
