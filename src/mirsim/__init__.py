@@ -1,21 +1,20 @@
 """Simulator and placement optimizer for a UAV base station assisted by a
 vehicle-mounted reflecting surface serving mobile NOMA users."""
 
-from .channel import LinkGains, Placement, compute_link_gains
+from .channel import Placement
 from .cli import ExperimentReport, emit_outputs, run_experiment
 from .mobility import MobilityTrace, UserState, generate_trace
-from .noma import NomaPair, SlotResult, oma_slot_sum_rate, slot_sum_rate
-from .optimizer import GaRunRecord, optimize_slot, optimize_trajectory
+from .noma import NomaPair, SlotResult, slot_sum_rate
+from .optimizer import GaRunRecord, Variant, optimize_slot, optimize_trajectory
 from .scenario import (ConfigError, ScenarioConfig, SchemaError,
                        ValidationError, derive, load_config, parse_config)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "ExperimentReport", "GaRunRecord", "LinkGains",
-    "MobilityTrace", "NomaPair", "Placement", "ScenarioConfig", "SchemaError",
-    "SlotResult", "UserState", "ValidationError", "compute_link_gains",
-    "derive", "emit_outputs", "generate_trace", "load_config",
-    "oma_slot_sum_rate", "optimize_slot", "optimize_trajectory",
+    "ConfigError", "ExperimentReport", "GaRunRecord", "MobilityTrace",
+    "NomaPair", "Placement", "ScenarioConfig", "SchemaError", "SlotResult",
+    "UserState", "ValidationError", "Variant", "derive", "emit_outputs",
+    "generate_trace", "load_config", "optimize_slot", "optimize_trajectory",
     "parse_config", "run_experiment", "slot_sum_rate",
 ]

@@ -12,6 +12,7 @@ axes, so a batch of candidate placements evaluates in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,18 +24,10 @@ _TINY = np.finfo(float).tiny  # keeps LoS probability strictly positive
 
 @dataclass(frozen=True)
 class Placement:
-    """UAV 3D position and vehicle 2D position, meters."""
+    """UAV 3D position and vehicle 2D position, meters; irs is None without a surface."""
 
     uav: tuple[float, float, float]
-    irs: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class LinkGains:
-    """Per-user linear power gains for one slot: direct link and reflected link."""
-
-    uav_gain: np.ndarray
-    irs_gain: np.ndarray
+    irs: Optional[tuple[float, float]]
 
 
 def _as_users(users_xy):
@@ -161,24 +154,16 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, p: ChannelParams, irs_height: f
     return float(gain) if gain.ndim == 0 else gain
 
 
-def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig, irs_enabled: bool = True):
-    """Direct and reflected linear gains for every user; broadcasts over placements."""
+def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig):
+    """Direct and reflected linear gains for every user; broadcasts over placements.
+
+    irs_xy None means there is no surface: every reflected gain is zero.
+    """
     uav_gain = db_to_linear(-uav_link_pathloss(uav_xyz, users_xy, cfg.channel, cfg.blockage))
-    if irs_enabled:
-        irs_gain = irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg.channel,
-                                     cfg.ga.irs_height)
-        irs_gain = np.broadcast_to(irs_gain, uav_gain.shape).copy()
-    else:
-        irs_gain = np.zeros_like(uav_gain)
-    return uav_gain, irs_gain
-
-
-def compute_link_gains(placement: Placement, users_xy, cfg: ScenarioConfig,
-                       irs_enabled: bool = True) -> LinkGains:
-    """LinkGains for a single placement."""
-    uav_gain, irs_gain = link_gains(np.asarray(placement.uav), np.asarray(placement.irs),
-                                    users_xy, cfg, irs_enabled=irs_enabled)
-    return LinkGains(uav_gain=uav_gain, irs_gain=irs_gain)
+    if irs_xy is None:
+        return uav_gain, np.zeros_like(uav_gain)
+    irs_gain = irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg.channel, cfg.ga.irs_height)
+    return uav_gain, np.broadcast_to(irs_gain, uav_gain.shape).copy()
 
 
 def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:
@@ -189,9 +174,8 @@ def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:
     if not (cfg.ga.uav_alt_min - 1e-9 <= z <= cfg.ga.uav_alt_max + 1e-9):
         raise ValueError(f"UAV altitude {z} outside "
                          f"[{cfg.ga.uav_alt_min}, {cfg.ga.uav_alt_max}]")
-    ix, iy = placement.irs
-    if not cfg.region.contains(ix, iy):
-        raise ValueError(f"vehicle position ({ix}, {iy}) outside region")
+    if placement.irs is not None and not cfg.region.contains(*placement.irs):
+        raise ValueError(f"vehicle position {placement.irs} outside region")
 
 
 def channel_debug_table(placement: Placement, users_xy, cfg: ScenarioConfig) -> list[dict]:
@@ -202,7 +186,7 @@ def channel_debug_table(placement: Placement, users_xy, cfg: ScenarioConfig) -> 
     q = horizontal_distance(uav, users)
     p_los = los_probability(q, uav[2], cfg.channel, cfg.blockage)
     loss = uav_link_pathloss(uav, users, cfg.channel, cfg.blockage)
-    gains = compute_link_gains(placement, users, cfg)
+    uav_gain, irs_gain = link_gains(uav, placement.irs, users, cfg)
     rows = []
     for i in range(len(users)):
         rows.append({
@@ -213,7 +197,7 @@ def channel_debug_table(placement: Placement, users_xy, cfg: ScenarioConfig) -> 
             "horizontal_m": float(q[i]),
             "p_los": float(p_los[i]),
             "avg_pathloss_db": float(loss[i]),
-            "uav_gain": float(gains.uav_gain[i]),
-            "irs_gain": float(gains.irs_gain[i]),
+            "uav_gain": float(uav_gain[i]),
+            "irs_gain": float(irs_gain[i]),
         })
     return rows

@@ -2,11 +2,12 @@
 
 ``run_experiment`` reproduces the benchmark protocol: one shared mobility
 trace per seed, then per scenario a per-slot placement search and slot
-evaluation, averaged across seeds.  Scenario variants:
+evaluation, averaged across seeds.  ``SCENARIOS`` is the one place a
+scenario is defined, as an ``optimizer.Variant(surface, access)``:
 
 * M-IRS-NOMA  -- joint UAV + vehicle placement every slot
 * S-IRS-NOMA  -- vehicle frozen at the slot-1 joint optimum (or configured point)
-* No-IRS-NOMA -- UAV only, reflected link disabled
+* No-IRS-NOMA -- UAV only, no reflected link
 * M-IRS-OMA   -- joint placement under the orthogonal-access baseline
 
 ``emit_outputs`` writes results.json plus plot-ready CSVs with stable,
@@ -28,14 +29,15 @@ from typing import Optional
 import numpy as np
 
 from . import channel, mobility, noma, optimizer, scenario
+from .optimizer import Variant
 from .scenario import ConfigError, ScenarioConfig
 
-#: scenario name -> (surface mode, access mode)
-SCENARIOS: dict[str, tuple[str, str]] = {
-    "M-IRS-NOMA": ("mobile", "noma"),
-    "S-IRS-NOMA": ("static", "noma"),
-    "No-IRS-NOMA": ("none", "noma"),
-    "M-IRS-OMA": ("mobile", "oma"),
+#: scenario name -> Variant(surface, access)
+SCENARIOS: dict[str, Variant] = {
+    "M-IRS-NOMA": Variant("mobile", "noma"),
+    "S-IRS-NOMA": Variant("static", "noma"),
+    "No-IRS-NOMA": Variant("none", "noma"),
+    "M-IRS-OMA": Variant("mobile", "oma"),
 }
 
 RATES_COLUMNS = ["slot", "scenario", "sum_rate"]
@@ -106,7 +108,7 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
         raise ConfigError("at least one seed required")
 
     num_slots = trace.num_slots if trace is not None else cfg.mobility.num_slots
-    noma_names = [n for n in names if SCENARIOS[n][1] == "noma"]
+    noma_names = [n for n in names if SCENARIOS[n].access == "noma"]
     report = ExperimentReport(
         config=scenario.config_to_dict(cfg), seeds=seeds, scenario_names=names,
         num_slots=num_slots,
@@ -122,15 +124,13 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
             seed_trace = mobility.generate_trace(
                 cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
         for name in names:
-            surface, access = SCENARIOS[name]
-            placements, records = optimizer.optimize_trajectory(
-                seed_trace, cfg, seed, irs=surface, access=access)
+            variant = SCENARIOS[name]
+            placements, records = optimizer.optimize_trajectory(seed_trace, cfg, seed, variant)
             report.evaluations += sum(r.evaluations for r in records)
-            kind = {"mobile": "m-irs", "static": "s-irs", "none": "no-irs"}[surface]
-            evaluate = noma.oma_slot_sum_rate if access == "oma" else noma.slot_sum_rate
             slot_rates = []
             for slot, placement in enumerate(placements):
-                result = evaluate(placement, seed_trace.positions[slot], cfg, kind)
+                result = noma.slot_sum_rate(placement, seed_trace.positions[slot], cfg,
+                                            variant.access)
                 slot_rates.append(result.sum_rate)
                 if not result.any_feasible:
                     report.infeasible.append(
@@ -162,8 +162,7 @@ def _record_first_seed_detail(report, name, slot, placement, result, record):
     """Trajectories, convergence, fractions, and per-user rows from the first seed."""
     entry = {"slot": slot,
              "uav": [float(v) for v in placement.uav],
-             "irs": None if SCENARIOS[name][0] == "none"
-                    else [float(v) for v in placement.irs]}
+             "irs": None if placement.irs is None else [float(v) for v in placement.irs]}
     report.trajectories.setdefault(name, []).append(entry)
     report.convergence.setdefault(name, []).append({
         "slot": slot,
@@ -198,7 +197,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path]:
-    """Write results.json and the CSV set; rerunning is byte-identical."""
+    """Write results.json and the CSV set; rerunning is byte-identical.
+
+    A non-finite number in the report raises ValueError before any file is
+    written.
+    """
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in
@@ -206,9 +210,7 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     paths["results"] = out / "results.json"
 
     try:
-        with open(paths["results"], "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        paths["results"].write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write {paths['results']}: {exc}") from exc
 
@@ -277,6 +279,9 @@ def _cmd_run(args) -> int:
     names = resolve_scenarios(args.scenarios.split(",")) if args.scenarios \
         else list(SCENARIOS)
     trace = mobility.load_trace(args.trace, cfg.region) if args.trace else None
+    if trace is not None and trace.num_users != cfg.num_users:
+        raise ConfigError(f"{args.trace}: trace has {trace.num_users} users but "
+                          f"num_users is {cfg.num_users}")
 
     report = run_experiment(cfg, names, seeds, trace=trace)
     paths = emit_outputs(report, args.out)
@@ -339,12 +344,11 @@ def _cmd_inspect_channel(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_cfg(args)
     seed = scenario.resolve_master_seed(cfg, args.seed)
-    names = resolve_scenarios([args.scenario])
-    surface, access = SCENARIOS[names[0]]
+    variant = SCENARIOS[resolve_scenarios([args.scenario])[0]]
     trace = mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
     if not 0 <= args.slot < trace.num_slots:
         raise ConfigError(f"--slot: must be in [0, {trace.num_slots - 1}]")
-    _, records = optimizer.optimize_trajectory(trace, cfg, seed, irs=surface, access=access)
+    _, records = optimizer.optimize_trajectory(trace, cfg, seed, variant)
     record = records[args.slot]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,9 @@ count leaves the middle user alone on its band at full sub-band power.
 The OMA baseline gives each user half the resource at full power.
 
 ``evaluate_batch`` does all of this for a whole batch of candidate
-placements at once; ``slot_sum_rate`` / ``oma_slot_sum_rate`` wrap the
-single-placement case and assemble a SlotResult.
+placements at once, with ``ftpa_allocate`` splitting every pair's power;
+``slot_sum_rate`` evaluates one placement under either access mode and
+assembles a SlotResult.
 """
 
 from __future__ import annotations
@@ -62,32 +63,16 @@ class SlotResult:
         return bool(np.all(self.feasible))
 
 
-def pair_users(gains) -> list[NomaPair]:
-    """Pair the k-th weakest user with the k-th strongest (ties break by index)."""
-    gains = np.asarray(gains, dtype=float)
-    if gains.size == 0:
-        raise ValueError("cannot pair an empty user set")
-    order = np.argsort(gains, kind="stable")
-    n = gains.size
-    half = n // 2
-    pairs = [NomaPair(weak=int(order[k]), strong=int(order[n - 1 - k]))
-             for k in range(half)]
-    if n % 2:
-        pairs.append(NomaPair(weak=int(order[half]), strong=None,
-                              alpha_weak=1.0, alpha_strong=0.0))
-    return pairs
-
-
-def ftpa_allocate(gain_weak: float, gain_strong: float, noise_linear: float,
-                  decay: float, favor_strong: bool = False) -> tuple[float, float]:
+def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
+                  decay: float, favor_strong: bool = False):
     """Split a pair's power by normalized channel gain to the power -decay.
 
-    Returns (alpha_weak, alpha_strong), summing to 1.  decay=0 gives an
-    equal split; larger decay shifts power toward the weaker channel.
-    favor_strong=True flips the exponent sign so the stronger channel
-    wins instead (comparison mode).
+    Returns (alpha_weak, alpha_strong), summing to 1; works elementwise on
+    arrays of pairs.  decay=0 gives an equal split; larger decay shifts
+    power toward the weaker channel.  favor_strong=True flips the exponent
+    sign so the stronger channel wins instead (comparison mode).
     """
-    if gain_weak <= 0 or gain_strong <= 0:
+    if np.any(gain_weak <= 0) or np.any(gain_strong <= 0):
         raise ValueError("channel gains must be > 0")
     exponent = decay if favor_strong else -decay
     x_weak = (gain_weak / noise_linear) ** exponent
@@ -96,34 +81,15 @@ def ftpa_allocate(gain_weak: float, gain_strong: float, noise_linear: float,
     return x_weak / total, x_strong / total
 
 
-def sinr(role: str, pair: NomaPair, uav_gains, irs_gains, rho: float) -> float:
-    """SINR of one pair member.
-
-    role "weak": decodes under the strong user's allocated interference.
-    role "strong": perfect cancellation leaves noise only.
-    role "solo": unpaired user, full sub-band power, no interference.
-    """
-    gu = np.asarray(uav_gains, dtype=float)
-    gi = np.asarray(irs_gains, dtype=float)
-    if role == "weak":
-        signal = pair.alpha_weak * gu[pair.weak] + gi[pair.weak]
-        interference = pair.alpha_strong * gu[pair.strong]
-        return float(signal / (interference + 1.0 / rho))
-    if role == "strong":
-        return float((pair.alpha_strong * gu[pair.strong] + gi[pair.strong]) * rho)
-    if role == "solo":
-        return float((gu[pair.weak] + gi[pair.weak]) * rho)
-    raise ValueError(f"unknown role {role!r}")
-
-
 def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
                    noise_linear: float, decay: float, favor_strong: bool = False,
                    access: str = "noma") -> dict:
     """Vectorized pairing/allocation/SINR/rates for (P, U) gain arrays.
 
-    Returns a dict of arrays: sinr, rate, alpha, pair_id (all (P, U)),
-    sum_rate and deficit (both (P,)), feasible (P, U), plus the pairing
-    index arrays weak/strong ((P, K)) and the per-pair fractions.
+    Returns a dict of arrays: sinr, rate, alpha, pair_id, feasible (all
+    (P, U)), sum_rate and deficit (both (P,)), the pairing index arrays
+    weak/strong ((P, K)) and mid, the unpaired user of an odd count ((P,),
+    or None).  Under OMA every alpha is 1.
     """
     gu = np.atleast_2d(np.asarray(uav_gain, dtype=float))
     gi = np.atleast_2d(np.asarray(irs_gain, dtype=float))
@@ -148,16 +114,11 @@ def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
         pair_id[np.arange(batch), mid] = half
 
     alpha = np.ones((batch, n), dtype=float)
-    alpha_weak = alpha_strong = None
     if access == "noma":
         sinr_arr = np.empty((batch, n), dtype=float)
         if half:
-            exponent = decay if favor_strong else -decay
-            x_weak = (heff[rows, weak] / noise_linear) ** exponent
-            x_strong = (heff[rows, strong] / noise_linear) ** exponent
-            total = x_weak + x_strong
-            alpha_weak = x_weak / total
-            alpha_strong = x_strong / total
+            alpha_weak, alpha_strong = ftpa_allocate(heff[rows, weak], heff[rows, strong],
+                                                     noise_linear, decay, favor_strong)
             sig_weak = alpha_weak * gu[rows, weak] + gi[rows, weak]
             sinr_arr[rows, weak] = sig_weak / (alpha_strong * gu[rows, strong] + 1.0 / rho)
             sinr_arr[rows, strong] = (alpha_strong * gu[rows, strong]
@@ -184,69 +145,33 @@ def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
         "deficit": np.maximum(0.0, gamma_th - sinr_arr).sum(axis=1),
         "weak": weak,
         "strong": strong,
-        "alpha_weak": alpha_weak,
-        "alpha_strong": alpha_strong,
         "mid": mid,
     }
 
 
-def _gains_for_kind(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
-                    scenario_kind: str):
-    """Resolve the reflected-link handling for a scenario variant."""
-    if scenario_kind == "no-irs":
-        return channel.link_gains(np.asarray(placement.uav), np.asarray(placement.irs),
-                                  users_xy, cfg, irs_enabled=False)
-    if scenario_kind == "s-irs":
-        irs = cfg.s_irs_position if cfg.s_irs_position is not None else placement.irs
-    elif scenario_kind == "m-irs":
-        irs = placement.irs
-    else:
-        raise ValueError(f"unknown scenario kind {scenario_kind!r}")
-    return channel.link_gains(np.asarray(placement.uav), np.asarray(irs), users_xy, cfg)
+def slot_sum_rate(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
+                  access: str = "noma") -> SlotResult:
+    """Full slot evaluation at one placement under NOMA or OMA access.
 
-
-def _slot_result(placement, users_xy, cfg, scenario_kind, access) -> SlotResult:
-    gu, gi = _gains_for_kind(placement, users_xy, cfg, scenario_kind)
+    A placement without a surface (irs None) has no reflected link.
+    """
+    gu, gi = channel.link_gains(placement.uav, placement.irs, users_xy, cfg)
     d = derive(cfg)
     ev = evaluate_batch(gu[None, :], gi[None, :], rho=d.rho_linear,
                         gamma_th=d.gamma_th_linear, noise_linear=d.noise_linear_mw,
                         decay=cfg.power.ftpa_decay,
                         favor_strong=cfg.power.ftpa_favor_strong, access=access)
-    pairs = []
-    half = ev["weak"].shape[1]
-    for k in range(half):
-        if access == "noma":
-            aw = float(ev["alpha_weak"][0, k])
-            a_s = float(ev["alpha_strong"][0, k])
-        else:
-            aw = a_s = 1.0  # orthogonal halves, full power each
-        pairs.append(NomaPair(weak=int(ev["weak"][0, k]), strong=int(ev["strong"][0, k]),
-                              alpha_weak=aw, alpha_strong=a_s))
+    alpha = ev["alpha"][0]
+    pairs = [NomaPair(weak=int(w), strong=int(s), alpha_weak=float(alpha[w]),
+                      alpha_strong=float(alpha[s]))
+             for w, s in zip(ev["weak"][0], ev["strong"][0])]
     if ev["mid"] is not None:
-        pairs.append(NomaPair(weak=int(ev["mid"][0]), strong=None,
-                              alpha_weak=1.0, alpha_strong=0.0))
+        pairs.append(NomaPair(weak=int(ev["mid"][0]), strong=None))
     return SlotResult(
-        sinr=ev["sinr"][0], rate=ev["rate"][0], alpha=ev["alpha"][0],
+        sinr=ev["sinr"][0], rate=ev["rate"][0], alpha=alpha,
         pair_id=ev["pair_id"][0], feasible=ev["feasible"][0],
         sum_rate=float(ev["sum_rate"][0]), pairs=pairs,
     )
-
-
-def slot_sum_rate(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
-                  scenario_kind: str = "m-irs") -> SlotResult:
-    """Full NOMA slot evaluation at one placement.
-
-    scenario_kind picks the reflected-link source: the placement's vehicle
-    position ("m-irs"), the configured or frozen fixed position ("s-irs"),
-    or no reflected link at all ("no-irs").
-    """
-    return _slot_result(placement, users_xy, cfg, scenario_kind, "noma")
-
-
-def oma_slot_sum_rate(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
-                      scenario_kind: str = "m-irs") -> SlotResult:
-    """Orthogonal baseline: each user gets half the resource at full power."""
-    return _slot_result(placement, users_xy, cfg, scenario_kind, "oma")
 
 
 def slot_result_rows(result: SlotResult, slot: int, scenario: str) -> list[list]:

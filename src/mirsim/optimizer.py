@@ -1,5 +1,10 @@
 """Per-slot placement search with a genetic algorithm.
 
+A scenario is a Variant: where the reflecting surface is ("mobile",
+re-optimized every slot; "static", frozen after the first slot; "none")
+and how users share the band ("noma" or "oma").  The same GA serves all
+of them; the variant only decides which surface position the fitness sees.
+
 One genome is a bitstring of 5 * bits_per_coordinate bits encoding
 (uav_x, uav_y, uav_z, vehicle_x, vehicle_y) as fixed-point fractions of
 their bounds, so every decoded placement satisfies the region and altitude
@@ -46,6 +51,26 @@ NUM_COORDS = 5
 # particular the static variant's first slot and a no-surface run with a
 # zero reflection coefficient reproduce the joint run exactly.
 _GA_KINDS = {"noma": 0, "oma": 1}
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One scenario: surface placement policy and multiple-access scheme.
+
+    surface "mobile" re-optimizes the vehicle every slot, "static" freezes
+    it at the first slot's joint optimum (or the configured point), "none"
+    drops the reflected link.  access "noma" pairs users on shared
+    sub-bands, "oma" gives each user half the resource.
+    """
+
+    surface: str
+    access: str
+
+    def __post_init__(self):
+        if self.surface not in ("mobile", "static", "none"):
+            raise ValueError(f"unknown surface mode {self.surface!r}")
+        if self.access not in ("noma", "oma"):
+            raise ValueError(f"unknown access mode {self.access!r}")
 
 
 @dataclass
@@ -106,41 +131,40 @@ def decode(genome: np.ndarray, bounds, bits: int) -> Placement:
 
 
 def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
-                   derived: scenario.DerivedParams, irs_mode: str, access: str,
+                   derived: scenario.DerivedParams, variant: Variant,
                    fixed_irs=None, prev_placement: Optional[Placement] = None) -> np.ndarray:
-    """Penalized fitness for every genome in one vectorized pass."""
+    """Penalized fitness for every genome in one vectorized pass.
+
+    The encoded vehicle position is ignored when the variant has no surface
+    or fixed_irs pins it.
+    """
     bounds = genome_bounds(cfg)
     coords = decode_batch(genomes, bounds, cfg.ga.bits_per_coordinate)
     uav = coords[:, :3]
-    irs = coords[:, 3:]
-    if fixed_irs is not None:
-        irs = np.broadcast_to(np.asarray(fixed_irs, dtype=float), irs.shape)
-    gu, gi = channel.link_gains(uav, irs, users_xy, cfg,
-                                irs_enabled=(irs_mode != "no-irs"))
+    irs_moves = variant.surface != "none" and fixed_irs is None
+    if irs_moves:
+        irs = coords[:, 3:]
+    elif variant.surface == "none":
+        irs = None
+    else:
+        irs = np.broadcast_to(np.asarray(fixed_irs, dtype=float), (len(uav), 2))
+    gu, gi = channel.link_gains(uav, irs, users_xy, cfg)
     ev = noma.evaluate_batch(gu, gi, rho=derived.rho_linear,
                              gamma_th=derived.gamma_th_linear,
                              noise_linear=derived.noise_linear_mw,
                              decay=cfg.power.ftpa_decay,
-                             favor_strong=cfg.power.ftpa_favor_strong, access=access)
+                             favor_strong=cfg.power.ftpa_favor_strong, access=variant.access)
     fit = ev["sum_rate"] - cfg.ga.sinr_penalty_weight * ev["deficit"]
     limit = cfg.ga.max_slot_displacement
     if limit is not None and prev_placement is not None:
         px, py, _ = prev_placement.uav
         uav_move = np.hypot(uav[:, 0] - px, uav[:, 1] - py)
         excess = np.maximum(0.0, uav_move - limit)
-        if irs_mode != "no-irs" and fixed_irs is None:
+        if irs_moves:
             qx, qy = prev_placement.irs
             excess = excess + np.maximum(0.0, np.hypot(irs[:, 0] - qx, irs[:, 1] - qy) - limit)
         fit = fit - cfg.ga.sinr_penalty_weight * excess
     return fit
-
-
-def fitness(genome: np.ndarray, users_xy, cfg: ScenarioConfig, *,
-            irs_mode: str = "m-irs", access: str = "noma", fixed_irs=None,
-            prev_placement: Optional[Placement] = None) -> float:
-    """Penalized objective of a single genome."""
-    return float(_fitness_batch(np.atleast_2d(genome), users_xy, cfg, scenario.derive(cfg),
-                                irs_mode, access, fixed_irs, prev_placement)[0])
 
 
 def tournament_select(population: np.ndarray, fitnesses: np.ndarray,
@@ -196,13 +220,17 @@ def _breed(population: np.ndarray, fitnesses: np.ndarray, ga: scenario.GaParams,
     return np.concatenate([elites, mutate(children, mutation_prob_per_bit, rng)])
 
 
-def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator, *,
-                  irs_mode: str = "m-irs", access: str = "noma", fixed_irs=None,
+def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
+                  variant: Variant = Variant("mobile", "noma"), *, fixed_irs=None,
                   warm_start_genome: Optional[np.ndarray] = None,
                   prev_placement: Optional[Placement] = None,
                   initial_population: Optional[np.ndarray] = None
                   ) -> tuple[Placement, GaRunRecord]:
-    """Run the GA for one slot; returns the best placement and its run record."""
+    """Run the GA for one slot; returns the best placement and its run record.
+
+    fixed_irs pins the vehicle (a frozen static surface); the returned
+    placement carries it, or irs None when the variant has no surface.
+    """
     ga = cfg.ga
     length = genome_length(cfg)
     bounds = genome_bounds(cfg)
@@ -219,8 +247,7 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator, *,
             population[0] = warm_start_genome
 
     def evaluate(pop):
-        return _fitness_batch(pop, users_xy, cfg, derived, irs_mode, access,
-                              fixed_irs, prev_placement)
+        return _fitness_batch(pop, users_xy, cfg, derived, variant, fixed_irs, prev_placement)
 
     fit = evaluate(population)
     evaluations = ga.population_size
@@ -237,46 +264,36 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator, *,
     best_idx = int(np.argmax(fit))
     best_genome = population[best_idx].copy()
     placement = decode(best_genome, bounds, ga.bits_per_coordinate)
-    if fixed_irs is not None:
+    if variant.surface == "none":
+        placement = replace(placement, irs=None)
+    elif fixed_irs is not None:
         placement = replace(placement, irs=(float(fixed_irs[0]), float(fixed_irs[1])))
     record = GaRunRecord(best_fitness=best_per_gen, mean_fitness=mean_per_gen,
                          best_genome=best_genome, evaluations=evaluations)
     return placement, record
 
 
-def optimize_trajectory(trace, cfg: ScenarioConfig, master_seed: int, *,
-                        irs: str = "mobile", access: str = "noma"
+def optimize_trajectory(trace, cfg: ScenarioConfig, master_seed: int,
+                        variant: Variant = Variant("mobile", "noma")
                         ) -> tuple[list[Placement], list[GaRunRecord]]:
     """Optimize every slot of a trace independently.
 
-    irs selects the scenario family: "mobile" re-optimizes the vehicle
-    every slot, "static" freezes it at the slot-1 joint optimum (or at the
-    configured fixed point), "none" ignores the reflected link.  Each slot
-    draws its own generator from the master seed, so the static variant's
-    first slot reproduces the mobile variant's first slot exactly.
+    A static surface is optimized jointly on the first slot and frozen
+    there (or at the configured point from the start).  Each slot draws its
+    own generator from the master seed, so the static variant's first slot
+    reproduces the mobile variant's first slot exactly.
     """
-    if irs not in ("mobile", "static", "none"):
-        raise ValueError(f"unknown surface mode {irs!r}")
     placements: list[Placement] = []
     records: list[GaRunRecord] = []
-    frozen = cfg.s_irs_position if irs == "static" else None
+    frozen = cfg.s_irs_position if variant.surface == "static" else None
     warm: Optional[np.ndarray] = None
     prev: Optional[Placement] = None
     for slot in range(trace.num_slots):
-        if irs == "mobile":
-            mode, fixed = "m-irs", None
-        elif irs == "none":
-            mode, fixed = "no-irs", None
-        elif frozen is None:  # static, first slot: joint optimization
-            mode, fixed = "m-irs", None
-        else:
-            mode, fixed = "m-irs", frozen
-        rng = scenario.stream(master_seed, scenario.GA_STREAM, _GA_KINDS[access], slot)
+        rng = scenario.stream(master_seed, scenario.GA_STREAM, _GA_KINDS[variant.access], slot)
         placement, record = optimize_slot(
-            trace.positions[slot], cfg, rng, irs_mode=mode, access=access,
-            fixed_irs=fixed, warm_start_genome=warm if cfg.ga.warm_start else None,
-            prev_placement=prev)
-        if irs == "static" and frozen is None:
+            trace.positions[slot], cfg, rng, variant, fixed_irs=frozen,
+            warm_start_genome=warm if cfg.ga.warm_start else None, prev_placement=prev)
+        if variant.surface == "static" and frozen is None:
             frozen = placement.irs
         placements.append(placement)
         records.append(record)

@@ -353,6 +353,13 @@ def _check(cond: bool, field_name: str, message: str) -> None:
         raise ValidationError(f"{field_name}: {message}")
 
 
+def _linear_is_finite_positive(x_db: float) -> bool:
+    try:
+        return 0.0 < db_to_linear(x_db) < math.inf
+    except OverflowError:
+        return False
+
+
 def validate(cfg: ScenarioConfig) -> None:
     """Check every invariant; raises ValidationError naming the offending field."""
     r = cfg.region
@@ -377,6 +384,13 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(b.blocker_height > 0, "blocker_height_m", "must be > 0")
 
     p = cfg.power
+    _check(_linear_is_finite_positive(p.noise_power_dbm), "noise_power_dbm",
+           "linear noise power must be finite and > 0")
+    _check(_linear_is_finite_positive(p.uav_tx_power_dbm - p.noise_power_dbm),
+           "uav_tx_power_dbm", "linear transmit SNR (over noise_power_dbm) must be "
+           "finite and > 0")
+    _check(_linear_is_finite_positive(p.snr_threshold_db), "snr_threshold_db",
+           "linear threshold must be finite and > 0")
     _check(0.0 <= p.ftpa_decay <= 1.0, "ftpa_decay", "must be in [0, 1]")
 
     m = cfg.mobility
@@ -411,6 +425,8 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(g.sinr_penalty_weight >= 0, "sinr_penalty_weight", "must be >= 0")
     if g.max_slot_displacement is not None:
         _check(g.max_slot_displacement > 0, "max_slot_displacement_m", "must be > 0")
+        _check(g.sinr_penalty_weight > 0, "max_slot_displacement_m",
+               "needs sinr_penalty_weight > 0, the weight that enforces it")
 
     if cfg.s_irs_position is not None:
         x, y = cfg.s_irs_position

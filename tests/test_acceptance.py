@@ -74,7 +74,8 @@ def test_criterion_3_ga_matches_exhaustive_search():
     derived = scenario.derive(cfg)
     space = np.array(list(itertools.product((0, 1), repeat=length)), dtype=np.uint8)
     assert space.shape[0] == 1024
-    optimum = optimizer._fitness_batch(space, users, cfg, derived, "m-irs", "noma").max()
+    optimum = optimizer._fitness_batch(space, users, cfg, derived,
+                                       cli.SCENARIOS["M-IRS-NOMA"]).max()
 
     start = time.perf_counter()
     hits = 0

@@ -183,19 +183,19 @@ def test_degenerate_surface_distance_rejected():
 def test_link_gains_match_hand_composition():
     placement = Placement(uav=(0.0, 0.0, 100.0), irs=(5.0, 5.0))
     user = np.array([[0.0, 0.0]])
-    gains = channel.compute_link_gains(placement, user, CFG)
-    assert math.isclose(gains.uav_gain[0], 10.0 ** (-101.4 / 10.0), rel_tol=1e-12)
+    uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, user, CFG)
+    assert math.isclose(uav_gain[0], 10.0 ** (-101.4 / 10.0), rel_tol=1e-12)
     d_iu = math.sqrt(25.0 + 25.0 + 36.0)
     expected_irs = 10.0 ** (-channel.pathloss_nlos(d_iu, CH) / 10.0)
-    assert math.isclose(gains.irs_gain[0], expected_irs, rel_tol=1e-12)
+    assert math.isclose(irs_gain[0], expected_irs, rel_tol=1e-12)
 
 
 def test_gains_decrease_with_distance():
-    placement = Placement(uav=(0.0, 0.0, 100.0), irs=(0.0, 0.0))
-    near = channel.compute_link_gains(placement, np.array([[50.0, 0.0]]), CFG)
-    far = channel.compute_link_gains(placement, np.array([[100.0, 0.0]]), CFG)
-    assert far.uav_gain[0] < near.uav_gain[0]
-    assert far.irs_gain[0] < near.irs_gain[0]
+    uav, irs = (0.0, 0.0, 100.0), (0.0, 0.0)
+    near_uav, near_irs = channel.link_gains(uav, irs, np.array([[50.0, 0.0]]), CFG)
+    far_uav, far_irs = channel.link_gains(uav, irs, np.array([[100.0, 0.0]]), CFG)
+    assert far_uav[0] < near_uav[0]
+    assert far_irs[0] < near_irs[0]
 
 
 def test_batched_gains_match_per_placement_calls():
@@ -207,15 +207,14 @@ def test_batched_gains_match_per_placement_calls():
     gu, gi = channel.link_gains(uav, irs, users, CFG)
     assert gu.shape == gi.shape == (8, 6)
     for k in range(8):
-        single = channel.compute_link_gains(
-            Placement(uav=tuple(uav[k]), irs=tuple(irs[k])), users, CFG)
-        assert np.allclose(gu[k], single.uav_gain, rtol=1e-14)
-        assert np.allclose(gi[k], single.irs_gain, rtol=1e-14)
+        single_uav, single_irs = channel.link_gains(uav[k], irs[k], users, CFG)
+        assert np.allclose(gu[k], single_uav, rtol=1e-14)
+        assert np.allclose(gi[k], single_irs, rtol=1e-14)
 
 
 def test_no_irs_gains_are_exactly_zero():
-    gu, gi = channel.link_gains(np.array([10.0, 10.0, 150.0]), np.array([5.0, 5.0]),
-                                np.array([[1.0, 1.0]]), CFG, irs_enabled=False)
+    gu, gi = channel.link_gains(np.array([10.0, 10.0, 150.0]), None,
+                                np.array([[1.0, 1.0]]), CFG)
     assert np.all(gi == 0.0)
     assert np.all(gu > 0.0)
 
@@ -228,6 +227,7 @@ def test_validate_placement():
         channel.validate_placement(Placement(uav=(-1.0, 10.0, 150.0), irs=(5.0, 5.0)), CFG)
     with pytest.raises(ValueError, match="vehicle"):
         channel.validate_placement(Placement(uav=(10.0, 10.0, 150.0), irs=(501.0, 5.0)), CFG)
+    channel.validate_placement(Placement(uav=(10.0, 10.0, 150.0), irs=None), CFG)
 
 
 def test_debug_table_contents():

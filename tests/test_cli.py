@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("region_x_max", ".inf"),
     ("region_x_max", "-.inf"),
     ("noise_power_dbm", "1" + "0" * 400),
+    ("uav_tx_power_dbm", "1.0e+10"),
+    ("noise_power_dbm", "-1.0e+10"),
+    ("snr_threshold_db", "1.0e+10"),
 ])
 def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.yaml"
@@ -188,6 +192,7 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     ("slot,user_id,x,y\n", "empty trace"),
     ("slot,user_id,x,y\n0,0,\xff,1.0\n", "not a readable CSV text file"),
     ("slot,user_id,x,y\n0,0,1.0," + "9" * 200_000 + "\n", "not a readable CSV text file"),
+    ("slot,user_id,x,y\n0,0,1.0,1.0\n", "trace has 1 users but num_users is 4"),
 ])
 def test_cli_rejects_malformed_trace_csv(tmp_path, capsys, rows, message):
     cfg_path = _write_small_config(tmp_path)
@@ -200,6 +205,14 @@ def test_cli_rejects_malformed_trace_csv(tmp_path, capsys, rows, message):
     err = capsys.readouterr().err
     assert f"{bad}: " in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_emit_outputs_writes_nothing_for_non_finite_values(tmp_path):
+    report = cli.ExperimentReport(scenario_names=["M-IRS-NOMA"], num_slots=1,
+                                  avg_sum_rate={"M-IRS-NOMA": [math.nan]})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli.emit_outputs(report, tmp_path / "out")
+    assert not (tmp_path / "out" / "results.json").exists()
 
 
 def test_cli_run_with_external_trace(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,50 @@ from mirsim.channel import Placement
 from mirsim.noma import NomaPair
 
 from testutil import make_config
+
+
+def pair_users(gains) -> list[NomaPair]:
+    """Scalar pairing oracle: the k-th weakest user with the k-th strongest (ties by index)."""
+    gains = np.asarray(gains, dtype=float)
+    if gains.size == 0:
+        raise ValueError("cannot pair an empty user set")
+    order = np.argsort(gains, kind="stable")
+    n = gains.size
+    half = n // 2
+    pairs = [NomaPair(weak=int(order[k]), strong=int(order[n - 1 - k]))
+             for k in range(half)]
+    if n % 2:
+        pairs.append(NomaPair(weak=int(order[half]), strong=None,
+                              alpha_weak=1.0, alpha_strong=0.0))
+    return pairs
+
+
+def sinr(role: str, pair: NomaPair, uav_gains, irs_gains, rho: float) -> float:
+    """Scalar SINR oracle for one pair member.
+
+    role "weak": decodes under the strong user's allocated interference.
+    role "strong": perfect cancellation leaves noise only.
+    role "solo": unpaired user, full sub-band power, no interference.
+    """
+    gu = np.asarray(uav_gains, dtype=float)
+    gi = np.asarray(irs_gains, dtype=float)
+    if role == "weak":
+        signal = pair.alpha_weak * gu[pair.weak] + gi[pair.weak]
+        interference = pair.alpha_strong * gu[pair.strong]
+        return float(signal / (interference + 1.0 / rho))
+    if role == "strong":
+        return float((pair.alpha_strong * gu[pair.strong] + gi[pair.strong]) * rho)
+    if role == "solo":
+        return float((gu[pair.weak] + gi[pair.weak]) * rho)
+    raise ValueError(f"unknown role {role!r}")
+
+
+def _batch_pairs(gains):
+    """(weak, strong) pairs that evaluate_batch forms for each row of gains."""
+    gains = np.atleast_2d(gains)
+    ev = noma.evaluate_batch(gains, np.zeros_like(gains), rho=1.0, gamma_th=1.0,
+                             noise_linear=1.0, decay=0.0)
+    return [list(zip(w.tolist(), s.tolist())) for w, s in zip(ev["weak"], ev["strong"])]
 
 
 def _best_matching_by_spread(gains):
@@ -32,32 +77,36 @@ def _best_matching_by_spread(gains):
 
 def test_pairing_matches_exhaustive_spread_oracle():
     gains = [1.0, 2.0, 3.0, 4.0]
-    pairs = noma.pair_users(gains)
+    pairs = pair_users(gains)
     assert [(p.weak, p.strong) for p in pairs] == [(0, 3), (1, 2)]
+    assert _batch_pairs(gains) == [[(0, 3), (1, 2)]]
     _, best = _best_matching_by_spread(gains)
     ours = sum((gains[p.weak] - gains[p.strong]) ** 2 for p in pairs)
     assert ours == best
 
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        random_gains = list(rng.uniform(0.1, 10.0, size=6))
-        pairs = noma.pair_users(random_gains)
-        _, best = _best_matching_by_spread(random_gains)
-        ours = sum((random_gains[p.weak] - random_gains[p.strong]) ** 2 for p in pairs)
+    random_gains = rng.uniform(0.1, 10.0, size=(20, 6))
+    for row, batch_pairs in zip(random_gains, _batch_pairs(random_gains)):
+        pairs = pair_users(row)
+        assert [(p.weak, p.strong) for p in pairs] == batch_pairs
+        _, best = _best_matching_by_spread(list(row))
+        ours = sum((row[p.weak] - row[p.strong]) ** 2 for p in pairs)
         assert math.isclose(ours, best, rel_tol=1e-12)
 
 
 def test_pairing_basics():
-    pairs = noma.pair_users([3.0, 1.0])
+    pairs = pair_users([3.0, 1.0])
     assert pairs == [NomaPair(weak=1, strong=0)]
-    tied = noma.pair_users([5.0, 5.0])
+    assert _batch_pairs([3.0, 1.0]) == [[(1, 0)]]
+    tied = pair_users([5.0, 5.0])
     assert (tied[0].weak, tied[0].strong) == (0, 1)
+    assert _batch_pairs([5.0, 5.0]) == [[(0, 1)]]
     with pytest.raises(ValueError):
-        noma.pair_users([])
+        pair_users([])
 
 
 def test_odd_count_leaves_a_singleton():
-    pairs = noma.pair_users([5.0, 1.0, 3.0])
+    pairs = pair_users([5.0, 1.0, 3.0])
     assert (pairs[0].weak, pairs[0].strong) == (1, 0)
     assert pairs[1].strong is None
     assert pairs[1].weak == 2
@@ -92,6 +141,8 @@ def test_ftpa_noise_normalization_cancels():
 def test_ftpa_rejects_nonpositive_gain():
     with pytest.raises(ValueError):
         noma.ftpa_allocate(0.0, 1.0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        noma.ftpa_allocate(np.array([1.0, 0.0]), np.ones(2), 1.0, 0.5)
 
 
 @given(st.floats(min_value=1e-14, max_value=1e-6),
@@ -106,27 +157,27 @@ def test_ftpa_properties(a, b, decay):
 
 def test_sinr_strong_user_example():
     pair = NomaPair(weak=0, strong=1, alpha_weak=0.8, alpha_strong=0.2)
-    gamma = noma.sinr("strong", pair, [0.5, 1.0], [0.0, 0.0], rho=100.0)
+    gamma = sinr("strong", pair, [0.5, 1.0], [0.0, 0.0], rho=100.0)
     assert math.isclose(gamma, 20.0, rel_tol=1e-12)
     assert math.isclose(math.log2(1 + gamma), math.log2(21.0), rel_tol=1e-12)
 
 
 def test_sinr_weak_user_example():
     pair = NomaPair(weak=0, strong=1, alpha_weak=0.8, alpha_strong=0.2)
-    gamma = noma.sinr("weak", pair, [0.01, 0.04], [0.0, 0.0], rho=1000.0)
+    gamma = sinr("weak", pair, [0.01, 0.04], [0.0, 0.0], rho=1000.0)
     assert math.isclose(gamma, 0.008 / 0.009, rel_tol=1e-12)
 
 
 def test_sinr_interference_limited_ceiling():
     pair = NomaPair(weak=0, strong=1, alpha_weak=0.7, alpha_strong=0.3)
-    gamma = noma.sinr("weak", pair, [0.02, 0.05], [0.0, 0.0], rho=1e15)
+    gamma = sinr("weak", pair, [0.02, 0.05], [0.0, 0.0], rho=1e15)
     assert math.isclose(gamma, (0.7 * 0.02) / (0.3 * 0.05), rel_tol=1e-6)
 
 
 def test_sinr_monotone_in_own_reflected_gain():
     pair = NomaPair(weak=0, strong=1, alpha_weak=0.6, alpha_strong=0.4)
-    low = noma.sinr("weak", pair, [0.01, 0.05], [0.0, 0.0], rho=1e3)
-    high = noma.sinr("weak", pair, [0.01, 0.05], [0.005, 0.0], rho=1e3)
+    low = sinr("weak", pair, [0.01, 0.05], [0.0, 0.0], rho=1e3)
+    high = sinr("weak", pair, [0.01, 0.05], [0.005, 0.0], rho=1e3)
     assert high > low
 
 
@@ -134,16 +185,16 @@ def test_sinr_decreases_with_partner_interference():
     gains_light = [0.01, 0.02]
     gains_heavy = [0.01, 0.08]
     pair = NomaPair(weak=0, strong=1, alpha_weak=0.6, alpha_strong=0.4)
-    assert (noma.sinr("weak", pair, gains_heavy, [0.0, 0.0], 1e3)
-            < noma.sinr("weak", pair, gains_light, [0.0, 0.0], 1e3))
+    assert (sinr("weak", pair, gains_heavy, [0.0, 0.0], 1e3)
+            < sinr("weak", pair, gains_light, [0.0, 0.0], 1e3))
 
 
 def test_sinr_solo_role():
     pair = NomaPair(weak=2, strong=None)
-    gamma = noma.sinr("solo", pair, [0.0, 0.0, 0.05], [0.0, 0.0, 0.01], rho=100.0)
+    gamma = sinr("solo", pair, [0.0, 0.0, 0.05], [0.0, 0.0, 0.01], rho=100.0)
     assert math.isclose(gamma, 6.0, rel_tol=1e-12)
     with pytest.raises(ValueError):
-        noma.sinr("sideways", pair, [0.1], [0.0], 1.0)
+        sinr("sideways", pair, [0.1], [0.0], 1.0)
 
 
 def test_slot_sum_rate_matches_scalar_composition():
@@ -152,16 +203,16 @@ def test_slot_sum_rate_matches_scalar_composition():
     users = np.array([[10.0, 10.0], [200.0, 250.0]])
     result = noma.slot_sum_rate(placement, users, cfg)
 
-    gains = channel.compute_link_gains(placement, users, cfg)
-    heff = gains.uav_gain + gains.irs_gain
-    pairs = noma.pair_users(heff)
+    uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users, cfg)
+    heff = uav_gain + irs_gain
+    pairs = pair_users(heff)
     d = scenario.derive(cfg)
     aw, a_s = noma.ftpa_allocate(heff[pairs[0].weak], heff[pairs[0].strong],
                                  d.noise_linear_mw, cfg.power.ftpa_decay)
     pair = NomaPair(weak=pairs[0].weak, strong=pairs[0].strong,
                     alpha_weak=aw, alpha_strong=a_s)
-    weak_gamma = noma.sinr("weak", pair, gains.uav_gain, gains.irs_gain, d.rho_linear)
-    strong_gamma = noma.sinr("strong", pair, gains.uav_gain, gains.irs_gain, d.rho_linear)
+    weak_gamma = sinr("weak", pair, uav_gain, irs_gain, d.rho_linear)
+    strong_gamma = sinr("strong", pair, uav_gain, irs_gain, d.rho_linear)
 
     assert math.isclose(result.sinr[pair.weak], weak_gamma, rel_tol=1e-12)
     assert math.isclose(result.sinr[pair.strong], strong_gamma, rel_tol=1e-12)
@@ -194,22 +245,10 @@ def test_no_irs_kind_equals_zero_reflection():
     dead = make_config(irs_reflection_coeff=0.0)
     placement = Placement(uav=(100.0, 100.0, 150.0), irs=(50.0, 50.0))
     users = np.array([[20.0, 30.0], [120.0, 80.0], [340.0, 420.0], [60.0, 250.0]])
-    a = noma.slot_sum_rate(placement, users, cfg, "no-irs")
-    b = noma.slot_sum_rate(placement, users, dead, "m-irs")
+    a = noma.slot_sum_rate(replace(placement, irs=None), users, cfg)
+    b = noma.slot_sum_rate(placement, users, dead)
     assert np.array_equal(a.sinr, b.sinr)
     assert a.sum_rate == b.sum_rate
-
-
-def test_static_kind_reads_configured_position():
-    cfg = make_config(s_irs_x=60.0, s_irs_y=60.0)
-    placement = Placement(uav=(100.0, 100.0, 150.0), irs=(400.0, 400.0))
-    anchored = Placement(uav=(100.0, 100.0, 150.0), irs=(60.0, 60.0))
-    users = np.array([[50.0, 50.0], [150.0, 150.0]])
-    static = noma.slot_sum_rate(placement, users, cfg, "s-irs")
-    mobile = noma.slot_sum_rate(anchored, users, cfg, "m-irs")
-    assert static.sum_rate == mobile.sum_rate
-    with pytest.raises(ValueError, match="scenario kind"):
-        noma.slot_sum_rate(placement, users, cfg, "x-irs")
 
 
 def test_removing_reflected_path_never_raises_sinr():
@@ -249,7 +288,7 @@ def test_oma_symmetric_users_get_equal_rates():
     cfg = make_config(num_users=2)
     placement = Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0))
     users = np.array([[200.0, 250.0], [300.0, 250.0]])  # mirror images
-    result = noma.oma_slot_sum_rate(placement, users, cfg)
+    result = noma.slot_sum_rate(placement, users, cfg, "oma")
     assert math.isclose(result.rate[0], result.rate[1], rel_tol=1e-12)
     assert np.all(result.alpha == 1.0)
 

@@ -5,12 +5,21 @@ import pytest
 
 from mirsim import channel, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
+from mirsim.optimizer import Variant
 
 from testutil import make_config, small_config
+
+MOBILE = Variant("mobile", "noma")
 
 
 def _ga_rng(seed=0, slot=0):
     return scenario.stream(seed, scenario.GA_STREAM, 0, slot)
+
+
+def _fitness(genomes, users, cfg, **kwargs):
+    """M-IRS-NOMA fitness of a (P, L) stack of genomes."""
+    return optimizer._fitness_batch(np.atleast_2d(genomes), users, cfg, scenario.derive(cfg),
+                                    MOBILE, **kwargs)
 
 
 def test_encode_bounds_map_to_all_zero_and_all_one():
@@ -75,7 +84,7 @@ def test_fitness_equals_sum_rate_when_feasible():
     users = np.array([[30.0, 30.0], [60.0, 10.0], [200.0, 300.0], [400.0, 100.0]])
     genome = optimizer.encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
                               bounds, 8)
-    fit = optimizer.fitness(genome, users, cfg)
+    fit = _fitness(genome, users, cfg)[0]
     result = noma.slot_sum_rate(optimizer.decode(genome, bounds, 8), users, cfg)
     assert fit == result.sum_rate
 
@@ -90,7 +99,7 @@ def test_fitness_boundary_threshold_costs_nothing():
     at_boundary = make_config(
         num_users=4, bits_per_coordinate=8,
         snr_threshold_db=float(scenario.linear_to_db(result.sinr.min())))
-    fit = optimizer.fitness(genome, users, at_boundary)
+    fit = _fitness(genome, users, at_boundary)[0]
     assert math.isclose(fit, result.sum_rate, abs_tol=1e-9)
 
 
@@ -102,7 +111,8 @@ def test_fitness_respects_sinr_dominance():
                             bounds, 10)
     far = optimizer.encode(Placement(uav=(0.0, 0.0, 300.0), irs=(0.0, 0.0)),
                            bounds, 10)
-    assert optimizer.fitness(near, users, cfg) >= optimizer.fitness(far, users, cfg)
+    fit_near, fit_far = _fitness(np.stack([near, far]), users, cfg)
+    assert fit_near >= fit_far
 
 
 def test_full_tournament_returns_global_best():
@@ -242,8 +252,7 @@ def _random_generation(cfg, rng):
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     population = (rng.random((cfg.ga.population_size, optimizer.genome_length(cfg))) < 0.5
                   ).astype(np.uint8)
-    fit = np.array([optimizer.fitness(g, users, cfg) for g in population])
-    return population, fit
+    return population, _fitness(population, users, cfg)
 
 
 def test_elites_are_carried_over_bit_for_bit():
@@ -300,21 +309,22 @@ def test_trajectory_lengths_follow_the_trace():
 def test_static_mode_freezes_the_surface():
     cfg = small_config(num_slots=4)
     trace = mobility.generate_trace(cfg, scenario.stream(2, scenario.MOBILITY_STREAM))
-    placements, _ = optimizer.optimize_trajectory(trace, cfg, 2, irs="static")
+    placements, _ = optimizer.optimize_trajectory(trace, cfg, 2, Variant("static", "noma"))
     first = placements[0].irs
     assert all(p.irs == first for p in placements)
 
     pinned = small_config(num_slots=3, s_irs_x=222.0, s_irs_y=111.0)
     trace = mobility.generate_trace(pinned, scenario.stream(2, scenario.MOBILITY_STREAM))
-    placements, _ = optimizer.optimize_trajectory(trace, pinned, 2, irs="static")
+    placements, _ = optimizer.optimize_trajectory(trace, pinned, 2,
+                                                Variant("static", "noma"))
     assert all(p.irs == (222.0, 111.0) for p in placements)
 
 
 def test_static_first_slot_equals_joint_first_slot():
     cfg = small_config(num_slots=2)
     trace = mobility.generate_trace(cfg, scenario.stream(3, scenario.MOBILITY_STREAM))
-    mobile, _ = optimizer.optimize_trajectory(trace, cfg, 3, irs="mobile")
-    static, _ = optimizer.optimize_trajectory(trace, cfg, 3, irs="static")
+    mobile, _ = optimizer.optimize_trajectory(trace, cfg, 3, MOBILE)
+    static, _ = optimizer.optimize_trajectory(trace, cfg, 3, Variant("static", "noma"))
     assert mobile[0] == static[0]
 
 
@@ -322,10 +332,12 @@ def test_no_surface_equals_dead_reflection():
     cfg = small_config(num_slots=3)
     dead = small_config(num_slots=3, irs_reflection_coeff=0.0)
     trace = mobility.generate_trace(cfg, scenario.stream(4, scenario.MOBILITY_STREAM))
-    none_run, none_records = optimizer.optimize_trajectory(trace, cfg, 4, irs="none")
-    dead_run, dead_records = optimizer.optimize_trajectory(trace, dead, 4, irs="mobile")
+    none_run, none_records = optimizer.optimize_trajectory(trace, cfg, 4,
+                                                           Variant("none", "noma"))
+    dead_run, dead_records = optimizer.optimize_trajectory(trace, dead, 4, MOBILE)
     for a, b in zip(none_run, dead_run):
-        assert a == b
+        assert a.irs is None
+        assert a.uav == b.uav
     for ra, rb in zip(none_records, dead_records):
         assert ra.best_fitness == rb.best_fitness
 
@@ -334,7 +346,9 @@ def test_unknown_surface_mode_rejected():
     cfg = small_config()
     trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
     with pytest.raises(ValueError, match="surface mode"):
-        optimizer.optimize_trajectory(trace, cfg, 1, irs="hovering")
+        optimizer.optimize_trajectory(trace, cfg, 1, Variant("hovering", "noma"))
+    with pytest.raises(ValueError, match="access mode"):
+        optimizer.optimize_trajectory(trace, cfg, 1, Variant("mobile", "tdma"))
 
 
 def test_displacement_limit_penalizes_long_hops():
@@ -345,6 +359,6 @@ def test_displacement_limit_penalizes_long_hops():
     bits = cfg.ga.bits_per_coordinate
     genome = optimizer.encode(Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0)),
                               bounds, bits)
-    unconstrained = optimizer.fitness(genome, users, cfg)
-    constrained = optimizer.fitness(genome, users, cfg, prev_placement=prev)
-    assert constrained < unconstrained
+    unconstrained = _fitness(genome, users, cfg)
+    constrained = _fitness(genome, users, cfg, prev_placement=prev)
+    assert constrained[0] < unconstrained[0]

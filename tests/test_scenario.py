@@ -79,9 +79,11 @@ def test_half_specified_static_position_rejected():
     {"irs_reflection_coeff": 1.5},
     {"num_slots": 0},
     {"blocker_density_per_m2": 0.0},
+    {"max_slot_displacement_m": 20.0, "sinr_penalty_weight": 0.0},
 ])
 def test_invariant_violations_rejected(overrides):
-    with pytest.raises(ValidationError):
+    # the message names the first override key
+    with pytest.raises(ValidationError, match=f"^{next(iter(overrides))}: "):
         make_config(**overrides)
 
 
