@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import (BlockageParams, ChannelParams, ScenarioConfig,
-                       db_to_linear)
+from .scenario import ScenarioConfig, db_to_linear
 
 _TINY = np.finfo(float).tiny  # keeps LoS probability strictly positive
 
@@ -60,23 +59,23 @@ def horizontal_distance(uav_xyz, users_xy):
     return float(q) if q.ndim == 0 else q
 
 
-def pathloss_los(d, p: ChannelParams):
+def pathloss_los(d, cfg: ScenarioConfig):
     """LoS pathloss in dB at distance d (meters)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("pathloss distance must be > 0")
-    return p.a_los_db + 10.0 * p.b_los * np.log10(d)
+    return cfg.los_intercept_db + 10.0 * cfg.los_slope * np.log10(d)
 
 
-def pathloss_nlos(d, p: ChannelParams):
+def pathloss_nlos(d, cfg: ScenarioConfig):
     """NLoS pathloss in dB at distance d (meters)."""
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("pathloss distance must be > 0")
-    return p.a_nlos_db + 10.0 * p.b_nlos * np.log10(d)
+    return cfg.nlos_intercept_db + 10.0 * cfg.nlos_slope * np.log10(d)
 
 
-def blockage_prob(q, z, b: BlockageParams):
+def blockage_prob(q, z, cfg: ScenarioConfig):
     """Probability the link is unblocked by human bodies.
 
     q is the horizontal UAV-user distance, z the UAV altitude; the result
@@ -88,27 +87,28 @@ def blockage_prob(q, z, b: BlockageParams):
         raise ValueError("altitude must be > 0")
     if np.any(q < 0):
         raise ValueError("horizontal distance must be >= 0")
-    exponent = b.blocker_density * b.blocker_diameter * q * b.blocker_height / z
+    exponent = cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * q * cfg.blocker_height_m / z
     return np.maximum(np.exp(-exponent), _TINY)
 
 
-def sigmoid_los_prob(q, z, p: ChannelParams):
+def sigmoid_los_prob(q, z, cfg: ScenarioConfig):
     """Elevation-angle LoS probability (alternative model)."""
     q = np.asarray(q, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("altitude must be > 0")
     theta_deg = np.degrees(np.arctan2(z, q))
-    return 1.0 / (1.0 + p.sigmoid_alpha * np.exp(-p.sigmoid_beta * (theta_deg - p.sigmoid_alpha)))
+    alpha, beta = cfg.sigmoid_alpha, cfg.sigmoid_beta
+    return 1.0 / (1.0 + alpha * np.exp(-beta * (theta_deg - alpha)))
 
 
-def los_probability(q, z, p: ChannelParams, b: BlockageParams):
-    if p.los_model == "sigmoid":
-        return sigmoid_los_prob(q, z, p)
-    return blockage_prob(q, z, b)
+def los_probability(q, z, cfg: ScenarioConfig):
+    if cfg.los_model == "sigmoid":
+        return sigmoid_los_prob(q, z, cfg)
+    return blockage_prob(q, z, cfg)
 
 
-def uav_link_pathloss(uav_xyz, users_xy, p: ChannelParams, b: BlockageParams):
+def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig):
     """Blockage-averaged UAV-user pathloss in dB.
 
     L = P_los * L_los(d) + (1 - P_los) * L_nlos(d), evaluated at the slant
@@ -118,19 +118,20 @@ def uav_link_pathloss(uav_xyz, users_xy, p: ChannelParams, b: BlockageParams):
     d = distance_3d(uav, users_xy)
     q = horizontal_distance(uav, users_xy)
     z = uav[..., 2, None] if uav.ndim >= 2 else uav[..., 2]
-    p_los = los_probability(q, z, p, b)
-    return p_los * pathloss_los(d, p) + (1.0 - p_los) * pathloss_nlos(d, p)
+    p_los = los_probability(q, z, cfg)
+    return p_los * pathloss_los(d, cfg) + (1.0 - p_los) * pathloss_nlos(d, cfg)
 
 
-def irs_combined_gain(irs_xy, uav_xyz, users_xy, p: ChannelParams, irs_height: float):
+def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
     """Coherently combined reflected-link power gain per user.
 
     Per-element gain is the linear NLoS gain at the element-to-user 3D
-    distance (elements sit at irs_height above the vehicle position); N
+    distance (elements sit at irs_height_m above the vehicle position); N
     elements combine coherently into N^2 times that, scaled by the power
     reflection coefficient.  When the UAV-to-surface leg is enabled the
     product additionally includes the LoS gain of that hop.
     """
+    irs_height = cfg.irs_height_m
     irs = np.asarray(irs_xy, dtype=float)
     users, single = _as_users(users_xy)
     dx = irs[..., 0, None] - users[:, 0]
@@ -138,17 +139,17 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, p: ChannelParams, irs_height: f
     d_iu = np.sqrt(dx * dx + dy * dy + irs_height * irs_height)
     if np.any(d_iu <= 0):
         raise ValueError("degenerate surface-to-user distance")
-    per_element = db_to_linear(-pathloss_nlos(d_iu, p))
-    n = p.irs_elements_per_user
-    gain = p.irs_reflection_coeff * (n * n) * per_element
-    if p.irs_uav_leg_enabled:
+    per_element = db_to_linear(-pathloss_nlos(d_iu, cfg))
+    n = cfg.irs_elements_per_user
+    gain = cfg.irs_reflection_coeff * (n * n) * per_element
+    if cfg.irs_uav_leg_enabled:
         uav = np.asarray(uav_xyz, dtype=float)
         d_ui = np.sqrt((uav[..., 0] - irs[..., 0]) ** 2
                        + (uav[..., 1] - irs[..., 1]) ** 2
                        + (uav[..., 2] - irs_height) ** 2)
         if np.any(d_ui <= 0):
             raise ValueError("degenerate UAV-to-surface distance")
-        gain = gain * np.asarray(db_to_linear(-pathloss_los(d_ui, p)))[..., None]
+        gain = gain * np.asarray(db_to_linear(-pathloss_los(d_ui, cfg)))[..., None]
     if single:
         gain = gain[..., 0]
     return float(gain) if gain.ndim == 0 else gain
@@ -159,10 +160,10 @@ def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig):
 
     irs_xy None means there is no surface: every reflected gain is zero.
     """
-    uav_gain = db_to_linear(-uav_link_pathloss(uav_xyz, users_xy, cfg.channel, cfg.blockage))
+    uav_gain = db_to_linear(-uav_link_pathloss(uav_xyz, users_xy, cfg))
     if irs_xy is None:
         return uav_gain, np.zeros_like(uav_gain)
-    irs_gain = irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg.channel, cfg.ga.irs_height)
+    irs_gain = irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg)
     return uav_gain, np.broadcast_to(irs_gain, uav_gain.shape).copy()
 
 
@@ -171,9 +172,9 @@ def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:
     x, y, z = placement.uav
     if not cfg.region.contains(x, y):
         raise ValueError(f"UAV ({x}, {y}) outside region")
-    if not (cfg.ga.uav_alt_min - 1e-9 <= z <= cfg.ga.uav_alt_max + 1e-9):
+    if not (cfg.uav_alt_min_m - 1e-9 <= z <= cfg.uav_alt_max_m + 1e-9):
         raise ValueError(f"UAV altitude {z} outside "
-                         f"[{cfg.ga.uav_alt_min}, {cfg.ga.uav_alt_max}]")
+                         f"[{cfg.uav_alt_min_m}, {cfg.uav_alt_max_m}]")
     if placement.irs is not None and not cfg.region.contains(*placement.irs):
         raise ValueError(f"vehicle position {placement.irs} outside region")
 
@@ -184,8 +185,8 @@ def channel_debug_table(placement: Placement, users_xy, cfg: ScenarioConfig) -> 
     uav = np.asarray(placement.uav, dtype=float)
     d = distance_3d(uav, users)
     q = horizontal_distance(uav, users)
-    p_los = los_probability(q, uav[2], cfg.channel, cfg.blockage)
-    loss = uav_link_pathloss(uav, users, cfg.channel, cfg.blockage)
+    p_los = los_probability(q, uav[2], cfg)
+    loss = uav_link_pathloss(uav, users, cfg)
     uav_gain, irs_gain = link_gains(uav, placement.irs, users, cfg)
     rows = []
     for i in range(len(users)):

@@ -101,13 +101,21 @@ def resolve_scenarios(names) -> list[str]:
 
 def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
                    trace: Optional[mobility.MobilityTrace] = None) -> ExperimentReport:
-    """Run every (seed, scenario) job and aggregate; deterministic given inputs."""
+    """Run every (seed, scenario) job and aggregate; deterministic given inputs.
+
+    A given trace replaces the generated one for every seed; its user count
+    must equal num_users.
+    """
     names = resolve_scenarios(scenarios)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("at least one seed required")
+    if trace is not None and trace.num_users != cfg.num_users:
+        where = f"{trace.source}: " if trace.source is not None else ""
+        raise ConfigError(f"{where}trace has {trace.num_users} users but "
+                          f"num_users is {cfg.num_users}")
 
-    num_slots = trace.num_slots if trace is not None else cfg.mobility.num_slots
+    num_slots = trace.num_slots if trace is not None else cfg.num_slots
     noma_names = [n for n in names if SCENARIOS[n].access == "noma"]
     report = ExperimentReport(
         config=scenario.config_to_dict(cfg), seeds=seeds, scenario_names=names,
@@ -252,7 +260,7 @@ def _default_placement(cfg: ScenarioConfig) -> channel.Placement:
     r = cfg.region
     cx = (r.x_min + r.x_max) / 2.0
     cy = (r.y_min + r.y_max) / 2.0
-    return channel.Placement(uav=(cx, cy, cfg.ga.uav_alt_min), irs=(cx, cy))
+    return channel.Placement(uav=(cx, cy, cfg.uav_alt_min_m), irs=(cx, cy))
 
 
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -279,9 +287,6 @@ def _cmd_run(args) -> int:
     names = resolve_scenarios(args.scenarios.split(",")) if args.scenarios \
         else list(SCENARIOS)
     trace = mobility.load_trace(args.trace, cfg.region) if args.trace else None
-    if trace is not None and trace.num_users != cfg.num_users:
-        raise ConfigError(f"{args.trace}: trace has {trace.num_users} users but "
-                          f"num_users is {cfg.num_users}")
 
     report = run_experiment(cfg, names, seeds, trace=trace)
     paths = emit_outputs(report, args.out)

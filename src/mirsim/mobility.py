@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import ConfigError, MobilityParams, Region, ScenarioConfig, ValidationError
+from .scenario import ConfigError, Region, ScenarioConfig, ValidationError
 
 TRACE_COLUMNS = ["slot", "user_id", "x", "y"]
 
@@ -38,9 +38,13 @@ class UserState:
 
 @dataclass(frozen=True)
 class MobilityTrace:
-    """Per-slot, per-user positions, shape (num_slots, num_users, 2)."""
+    """Per-slot, per-user positions, shape (num_slots, num_users, 2).
+
+    source names the file a trace was loaded from, for error messages.
+    """
 
     positions: np.ndarray
+    source: Optional[str] = None
 
     @property
     def num_slots(self) -> int:
@@ -58,7 +62,7 @@ def _draw_waypoint(region: Region, rng: np.random.Generator) -> tuple[float, flo
 
 def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> list[UserState]:
     """Place users uniformly in the initial subregion with fresh waypoints and speeds."""
-    sub = cfg.mobility.initial_subregion
+    sub = cfg.initial_subregion
     region = cfg.region
     if not (region.contains(sub.x_min, sub.y_min) and region.contains(sub.x_max, sub.y_max)):
         raise ValidationError("init_x_*/init_y_*: initial subregion must lie inside the region")
@@ -66,12 +70,12 @@ def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> list[UserState]
     for i in range(cfg.num_users):
         pos = (rng.uniform(sub.x_min, sub.x_max), rng.uniform(sub.y_min, sub.y_max))
         wp = _draw_waypoint(region, rng)
-        speed = rng.uniform(cfg.mobility.speed_min, cfg.mobility.speed_max)
+        speed = rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps)
         users.append(UserState(id=i, position=pos, waypoint=wp, speed=speed))
     return users
 
 
-def step(user: UserState, dt: float, region: Region, mobility: MobilityParams,
+def step(user: UserState, dt: float, region: Region, cfg: ScenarioConfig,
          rng: np.random.Generator) -> UserState:
     """Advance one user by dt seconds (in place).
 
@@ -87,14 +91,14 @@ def step(user: UserState, dt: float, region: Region, mobility: MobilityParams,
         return user
     if user.position == user.waypoint:
         user.waypoint = _draw_waypoint(region, rng)
-        user.speed = rng.uniform(mobility.speed_min, mobility.speed_max)
+        user.speed = rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps)
     dx = user.waypoint[0] - user.position[0]
     dy = user.waypoint[1] - user.position[1]
     dist = math.hypot(dx, dy)
     travel = user.speed * dt
     if travel >= dist:
         user.position = user.waypoint
-        user.pause_remaining = mobility.pause_duration_s
+        user.pause_remaining = cfg.pause_duration_s
     else:
         user.position = (user.position[0] + dx / dist * travel,
                          user.position[1] + dy / dist * travel)
@@ -103,17 +107,18 @@ def step(user: UserState, dt: float, region: Region, mobility: MobilityParams,
 
 def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTrace:
     """Simulate all users and record positions at slot boundaries."""
-    m = cfg.mobility
-    n_sub = round(m.slot_duration_s / m.substep_duration_s)
-    if abs(m.slot_duration_s - n_sub * m.substep_duration_s) > 1e-9:
+    dt = cfg.substep_duration_s
+    n_sub = round(cfg.slot_duration_s / dt)
+    if abs(cfg.slot_duration_s - n_sub * dt) > 1e-9:
         raise ValidationError("substep_duration_s: must divide slot_duration_s evenly")
     users = init_users(cfg, rng)
-    positions = np.empty((m.num_slots, cfg.num_users, 2), dtype=float)
+    region = cfg.region
+    positions = np.empty((cfg.num_slots, cfg.num_users, 2), dtype=float)
     positions[0] = [u.position for u in users]
-    for slot in range(1, m.num_slots):
+    for slot in range(1, cfg.num_slots):
         for _ in range(n_sub):
             for u in users:
-                step(u, m.substep_duration_s, cfg.region, m, rng)
+                step(u, dt, region, cfg, rng)
         positions[slot] = [u.position for u in users]
     return MobilityTrace(positions=positions)
 
@@ -178,4 +183,4 @@ def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTra
                 if not region.contains(x, y):
                     raise ConfigError(
                         f"{path}: slot {slot} user {user} position ({x}, {y}) outside region")
-    return MobilityTrace(positions=positions)
+    return MobilityTrace(positions=positions, source=str(path))

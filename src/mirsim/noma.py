@@ -58,10 +58,6 @@ class SlotResult:
     def any_feasible(self) -> bool:
         return bool(np.any(self.feasible))
 
-    @property
-    def all_feasible(self) -> bool:
-        return bool(np.all(self.feasible))
-
 
 def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
                   decay: float, favor_strong: bool = False):
@@ -159,8 +155,8 @@ def slot_sum_rate(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
     d = derive(cfg)
     ev = evaluate_batch(gu[None, :], gi[None, :], rho=d.rho_linear,
                         gamma_th=d.gamma_th_linear, noise_linear=d.noise_linear_mw,
-                        decay=cfg.power.ftpa_decay,
-                        favor_strong=cfg.power.ftpa_favor_strong, access=access)
+                        decay=cfg.ftpa_decay,
+                        favor_strong=cfg.ftpa_favor_strong, access=access)
     alpha = ev["alpha"][0]
     pairs = [NomaPair(weak=int(w), strong=int(s), alpha_weak=float(alpha[w]),
                       alpha_strong=float(alpha[s]))

@@ -89,28 +89,14 @@ def genome_bounds(cfg: ScenarioConfig) -> list[tuple[float, float]]:
     return [
         (r.x_min, r.x_max),
         (r.y_min, r.y_max),
-        (cfg.ga.uav_alt_min, cfg.ga.uav_alt_max),
+        (cfg.uav_alt_min_m, cfg.uav_alt_max_m),
         (r.x_min, r.x_max),
         (r.y_min, r.y_max),
     ]
 
 
 def genome_length(cfg: ScenarioConfig) -> int:
-    return NUM_COORDS * cfg.ga.bits_per_coordinate
-
-
-def encode(placement: Placement, bounds, bits: int) -> np.ndarray:
-    """Quantize a placement onto the bit grid; raises if out of bounds."""
-    values = [*placement.uav, *placement.irs]
-    levels = (1 << bits) - 1
-    genome = np.zeros(NUM_COORDS * bits, dtype=np.uint8)
-    for c, (v, (lo, hi)) in enumerate(zip(values, bounds)):
-        if not (lo - 1e-9 <= v <= hi + 1e-9):
-            raise ValueError(f"coordinate {c} value {v} outside [{lo}, {hi}]")
-        code = int(round((v - lo) / (hi - lo) * levels)) if hi > lo else 0
-        for j in range(bits):
-            genome[c * bits + j] = (code >> (bits - 1 - j)) & 1
-    return genome
+    return NUM_COORDS * cfg.bits_per_coordinate
 
 
 def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
@@ -139,7 +125,7 @@ def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
     or fixed_irs pins it.
     """
     bounds = genome_bounds(cfg)
-    coords = decode_batch(genomes, bounds, cfg.ga.bits_per_coordinate)
+    coords = decode_batch(genomes, bounds, cfg.bits_per_coordinate)
     uav = coords[:, :3]
     irs_moves = variant.surface != "none" and fixed_irs is None
     if irs_moves:
@@ -152,10 +138,10 @@ def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
     ev = noma.evaluate_batch(gu, gi, rho=derived.rho_linear,
                              gamma_th=derived.gamma_th_linear,
                              noise_linear=derived.noise_linear_mw,
-                             decay=cfg.power.ftpa_decay,
-                             favor_strong=cfg.power.ftpa_favor_strong, access=variant.access)
-    fit = ev["sum_rate"] - cfg.ga.sinr_penalty_weight * ev["deficit"]
-    limit = cfg.ga.max_slot_displacement
+                             decay=cfg.ftpa_decay,
+                             favor_strong=cfg.ftpa_favor_strong, access=variant.access)
+    fit = ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]
+    limit = cfg.max_slot_displacement_m
     if limit is not None and prev_placement is not None:
         px, py, _ = prev_placement.uav
         uav_move = np.hypot(uav[:, 0] - px, uav[:, 1] - py)
@@ -163,7 +149,7 @@ def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
         if irs_moves:
             qx, qy = prev_placement.irs
             excess = excess + np.maximum(0.0, np.hypot(irs[:, 0] - qx, irs[:, 1] - qy) - limit)
-        fit = fit - cfg.ga.sinr_penalty_weight * excess
+        fit = fit - cfg.sinr_penalty_weight * excess
     return fit
 
 
@@ -204,18 +190,18 @@ def mutate(genomes: np.ndarray, mutation_prob_per_bit: float,
     return genomes ^ flips
 
 
-def _breed(population: np.ndarray, fitnesses: np.ndarray, ga: scenario.GaParams,
+def _breed(population: np.ndarray, fitnesses: np.ndarray, cfg: ScenarioConfig,
            mutation_prob_per_bit: float, rng: np.random.Generator) -> np.ndarray:
     """Next generation: the elitism_count fittest genomes, then mutated children.
 
     Children come in crossover pairs of tournament winners; a trailing odd
     child is dropped so the generation keeps population_size genomes.
     """
-    num_children = len(population) - ga.elitism_count
+    num_children = len(population) - cfg.elitism_count
     pairs = (num_children + 1) // 2
-    elites = population[np.argsort(-fitnesses, kind="stable")[:ga.elitism_count]]
-    parents = tournament_select(population, fitnesses, ga.tournament_size, 2 * pairs, rng)
-    child_a, child_b = crossover(parents[0::2], parents[1::2], ga.crossover_prob, rng)
+    elites = population[np.argsort(-fitnesses, kind="stable")[:cfg.elitism_count]]
+    parents = tournament_select(population, fitnesses, cfg.tournament_size, 2 * pairs, rng)
+    child_a, child_b = crossover(parents[0::2], parents[1::2], cfg.crossover_prob, rng)
     children = np.stack([child_a, child_b], axis=1).reshape(2 * pairs, -1)[:num_children]
     return np.concatenate([elites, mutate(children, mutation_prob_per_bit, rng)])
 
@@ -231,18 +217,17 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
     fixed_irs pins the vehicle (a frozen static surface); the returned
     placement carries it, or irs None when the variant has no surface.
     """
-    ga = cfg.ga
     length = genome_length(cfg)
     bounds = genome_bounds(cfg)
     derived = scenario.derive(cfg)
-    mut_p = ga.mutation_prob_per_bit if ga.mutation_prob_per_bit is not None else 1.0 / length
+    mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
 
     if initial_population is not None:
         population = np.array(initial_population, dtype=np.uint8)
-        if population.shape != (ga.population_size, length):
+        if population.shape != (cfg.population_size, length):
             raise ValueError("initial_population must have shape (population_size, genome_length)")
     else:
-        population = (rng.random((ga.population_size, length)) < 0.5).astype(np.uint8)
+        population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
         if warm_start_genome is not None:
             population[0] = warm_start_genome
 
@@ -250,20 +235,20 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
         return _fitness_batch(pop, users_xy, cfg, derived, variant, fixed_irs, prev_placement)
 
     fit = evaluate(population)
-    evaluations = ga.population_size
+    evaluations = cfg.population_size
     best_per_gen = [float(fit.max())]
     mean_per_gen = [float(fit.mean())]
 
-    for _ in range(ga.max_iterations):
-        population = _breed(population, fit, ga, mut_p, rng)
+    for _ in range(cfg.max_iterations):
+        population = _breed(population, fit, cfg, mut_p, rng)
         fit = evaluate(population)
-        evaluations += ga.population_size
+        evaluations += cfg.population_size
         best_per_gen.append(float(fit.max()))
         mean_per_gen.append(float(fit.mean()))
 
     best_idx = int(np.argmax(fit))
     best_genome = population[best_idx].copy()
-    placement = decode(best_genome, bounds, ga.bits_per_coordinate)
+    placement = decode(best_genome, bounds, cfg.bits_per_coordinate)
     if variant.surface == "none":
         placement = replace(placement, irs=None)
     elif fixed_irs is not None:
@@ -285,14 +270,16 @@ def optimize_trajectory(trace, cfg: ScenarioConfig, master_seed: int,
     """
     placements: list[Placement] = []
     records: list[GaRunRecord] = []
-    frozen = cfg.s_irs_position if variant.surface == "static" else None
+    frozen = None
+    if variant.surface == "static" and cfg.s_irs_x is not None:
+        frozen = (cfg.s_irs_x, cfg.s_irs_y)
     warm: Optional[np.ndarray] = None
     prev: Optional[Placement] = None
     for slot in range(trace.num_slots):
         rng = scenario.stream(master_seed, scenario.GA_STREAM, _GA_KINDS[variant.access], slot)
         placement, record = optimize_slot(
             trace.positions[slot], cfg, rng, variant, fixed_irs=frozen,
-            warm_start_genome=warm if cfg.ga.warm_start else None, prev_placement=prev)
+            warm_start_genome=warm if cfg.warm_start else None, prev_placement=prev)
         if variant.surface == "static" and frozen is None:
             frozen = placement.irs
         placements.append(placement)

@@ -116,14 +116,13 @@ def test_criterion_4_ftpa_properties():
 
 
 def test_criterion_5_channel_analytics(cfg):
-    p, b = cfg.channel, cfg.blockage
-    los_100 = float(channel.pathloss_los(100.0, p))
-    nlos_100 = float(channel.pathloss_nlos(100.0, p))
+    los_100 = float(channel.pathloss_los(100.0, cfg))
+    nlos_100 = float(channel.pathloss_nlos(100.0, cfg))
     values_ok = (math.isclose(los_100, 101.4, rel_tol=1e-12)
                  and math.isclose(nlos_100, 130.4, rel_tol=1e-12))
 
     q = np.linspace(0.0, 5000.0, 1000)
-    p_los = channel.blockage_prob(q, 100.0, b)
+    p_los = channel.blockage_prob(q, 100.0, cfg)
     blockage_ok = p_los[0] == 1.0 and bool(np.all(np.diff(p_los) < 0.0))
 
     rng = np.random.default_rng(11)
@@ -132,9 +131,9 @@ def test_criterion_5_channel_analytics(cfg):
         uav = np.array([rng.uniform(0, 500), rng.uniform(0, 500), rng.uniform(100, 300)])
         users = rng.uniform(0, 500, size=(1000, 2))
         d = channel.distance_3d(uav, users)
-        avg = channel.uav_link_pathloss(uav, users, p, b)
-        lo_db = channel.pathloss_los(d, p)
-        hi_db = channel.pathloss_nlos(d, p)
+        avg = channel.uav_link_pathloss(uav, users, cfg)
+        lo_db = channel.pathloss_los(d, cfg)
+        hi_db = channel.pathloss_nlos(d, cfg)
         if not (np.all(avg >= np.minimum(lo_db, hi_db) - 1e-9)
                 and np.all(avg <= np.maximum(lo_db, hi_db) + 1e-9)):
             bounded_ok = False
@@ -151,13 +150,11 @@ def test_criterion_6_coherent_combining_law(cfg):
     irs = (120.0, 80.0)
     uav = (150.0, 100.0, 120.0)
     users = np.array([[100.0, 75.0], [300.0, 400.0]])
-    base = channel.irs_combined_gain(np.asarray(irs), np.asarray(uav), users,
-                                     cfg.channel, cfg.ga.irs_height)
+    base = channel.irs_combined_gain(np.asarray(irs), np.asarray(uav), users, cfg)
     ok = True
     for n in (2, 4, 8, 16):
-        params = dataclasses.replace(cfg.channel, irs_elements_per_user=n)
-        gain = channel.irs_combined_gain(np.asarray(irs), np.asarray(uav), users,
-                                         params, cfg.ga.irs_height)
+        params = dataclasses.replace(cfg, irs_elements_per_user=n)
+        gain = channel.irs_combined_gain(np.asarray(irs), np.asarray(uav), users, params)
         if not np.all(gain / base == float(n * n)):
             ok = False
     _verdict(6, "combined gain scales exactly as N^2", ok, "N in {2, 4, 8, 16}")
@@ -170,7 +167,7 @@ def test_criterion_7_mobility_properties():
     rng = scenario.stream(5, scenario.MOBILITY_STREAM)
     users = mobility.init_users(cfg, rng)
     dt = 1.0
-    s_max = cfg.mobility.speed_max
+    s_max = cfg.speed_max_mps
     contained = True
     speed_ok = True
     pause_ok = True
@@ -180,7 +177,7 @@ def test_criterion_7_mobility_properties():
     for _ in range(10_000):
         for u in users:
             arrived_before = u.position == u.waypoint and u.pause_remaining > 0
-            mobility.step(u, dt, cfg.region, cfg.mobility, rng)
+            mobility.step(u, dt, cfg.region, cfg, rng)
             moved = math.dist(prev[u.id], u.position)
             if moved > s_max * dt + 1e-9:
                 speed_ok = False
@@ -190,7 +187,7 @@ def test_criterion_7_mobility_properties():
                 if moved == 0.0:
                     pending[u.id] += 1
                 else:
-                    if pending[u.id] != math.ceil(cfg.mobility.pause_duration_s / dt):
+                    if pending[u.id] != math.ceil(cfg.pause_duration_s / dt):
                         pause_ok = False
                     pause_counts += 1
                     del pending[u.id]
@@ -204,7 +201,7 @@ def test_criterion_7_mobility_properties():
     start_pos = [u.position for u in zero_users]
     for _ in range(100):
         for u in zero_users:
-            mobility.step(u, dt, zero_cfg.region, zero_cfg.mobility, zrng)
+            mobility.step(u, dt, zero_cfg.region, zero_cfg, zrng)
     frozen_ok = [u.position for u in zero_users] == start_pos
 
     ok = contained and speed_ok and pause_ok and pause_counts > 0 and frozen_ok

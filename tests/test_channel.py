@@ -11,8 +11,6 @@ from mirsim.channel import Placement
 from testutil import make_config
 
 CFG = make_config()
-CH = CFG.channel
-BLK = CFG.blockage
 
 
 @pytest.mark.parametrize("uav,user,expected", [
@@ -34,50 +32,50 @@ def test_distance_3d_vectorizes():
 
 
 def test_pathloss_reference_values():
-    assert math.isclose(channel.pathloss_los(100.0, CH), 101.4, rel_tol=1e-12)
-    assert math.isclose(channel.pathloss_nlos(100.0, CH), 130.4, rel_tol=1e-12)
-    assert channel.pathloss_los(1.0, CH) == 61.4
-    assert channel.pathloss_nlos(1.0, CH) == 72.0
+    assert math.isclose(channel.pathloss_los(100.0, CFG), 101.4, rel_tol=1e-12)
+    assert math.isclose(channel.pathloss_nlos(100.0, CFG), 130.4, rel_tol=1e-12)
+    assert channel.pathloss_los(1.0, CFG) == 61.4
+    assert channel.pathloss_nlos(1.0, CFG) == 72.0
 
 
 def test_pathloss_decade_slope():
-    slope = channel.pathloss_los(1000.0, CH) - channel.pathloss_los(100.0, CH)
+    slope = channel.pathloss_los(1000.0, CFG) - channel.pathloss_los(100.0, CFG)
     assert math.isclose(slope, 20.0, abs_tol=1e-9)
 
 
 @pytest.mark.parametrize("d", [0.0, -1.0])
 def test_pathloss_rejects_nonpositive_distance(d):
     with pytest.raises(ValueError):
-        channel.pathloss_los(d, CH)
+        channel.pathloss_los(d, CFG)
     with pytest.raises(ValueError):
-        channel.pathloss_nlos(d, CH)
+        channel.pathloss_nlos(d, CFG)
 
 
 @given(st.floats(min_value=1.0, max_value=1e6))
 def test_nlos_never_below_los(d):
-    assert channel.pathloss_nlos(d, CH) >= channel.pathloss_los(d, CH)
+    assert channel.pathloss_nlos(d, CFG) >= channel.pathloss_los(d, CFG)
 
 
 def test_pathloss_strictly_increases_with_distance():
     d = np.linspace(1.0, 2000.0, 400)
-    assert np.all(np.diff(channel.pathloss_los(d, CH)) > 0)
-    assert np.all(np.diff(channel.pathloss_nlos(d, CH)) > 0)
+    assert np.all(np.diff(channel.pathloss_los(d, CFG)) > 0)
+    assert np.all(np.diff(channel.pathloss_nlos(d, CFG)) > 0)
 
 
 def test_blockage_prob_at_zero_distance_is_one():
-    assert channel.blockage_prob(0.0, 100.0, BLK) == 1.0
+    assert channel.blockage_prob(0.0, 100.0, CFG) == 1.0
 
 
 def test_blockage_prob_hand_value():
     # density 0.01, diameter 0.4, height 1.7, q 100, z 100
     expected = math.exp(-0.01 * 0.4 * 100.0 * 1.7 / 100.0)
-    assert math.isclose(channel.blockage_prob(100.0, 100.0, BLK), expected,
+    assert math.isclose(channel.blockage_prob(100.0, 100.0, CFG), expected,
                         rel_tol=1e-15)
 
 
 def test_blockage_prob_decays_monotonically_and_stays_positive():
     q = np.linspace(0.0, 1e6, 500)
-    p = channel.blockage_prob(q, 120.0, BLK)
+    p = channel.blockage_prob(q, 120.0, CFG)
     assert np.all(np.diff(p) < 0)
     assert np.all(p > 0.0)
     assert np.all(p <= 1.0)
@@ -85,15 +83,15 @@ def test_blockage_prob_decays_monotonically_and_stays_positive():
 
 def test_blockage_prob_domain_errors():
     with pytest.raises(ValueError):
-        channel.blockage_prob(10.0, 0.0, BLK)
+        channel.blockage_prob(10.0, 0.0, CFG)
     with pytest.raises(ValueError):
-        channel.blockage_prob(-1.0, 100.0, BLK)
+        channel.blockage_prob(-1.0, 100.0, CFG)
 
 
 def test_sigmoid_model_is_selectable():
     sig_cfg = make_config(los_model="sigmoid")
-    overhead = channel.los_probability(0.0, 100.0, sig_cfg.channel, sig_cfg.blockage)
-    grazing = channel.los_probability(5000.0, 100.0, sig_cfg.channel, sig_cfg.blockage)
+    overhead = channel.los_probability(0.0, 100.0, sig_cfg)
+    grazing = channel.los_probability(5000.0, 100.0, sig_cfg)
     assert 0.99 < overhead <= 1.0
     assert grazing < overhead
 
@@ -101,8 +99,8 @@ def test_sigmoid_model_is_selectable():
 def test_averaged_pathloss_is_pure_los_overhead():
     uav = np.array([50.0, 50.0, 150.0])
     user = np.array([50.0, 50.0])
-    assert channel.uav_link_pathloss(uav, user, CH, BLK) \
-        == channel.pathloss_los(150.0, CH)
+    assert channel.uav_link_pathloss(uav, user, CFG) \
+        == channel.pathloss_los(150.0, CFG)
 
 
 def test_averaged_pathloss_composed_example():
@@ -112,7 +110,7 @@ def test_averaged_pathloss_composed_example():
     p_los = math.exp(-0.01 * 0.4 * 100.0 * 1.7 / 100.0)
     expected = (p_los * (61.4 + 20.0 * math.log10(d))
                 + (1.0 - p_los) * (72.0 + 29.2 * math.log10(d)))
-    assert math.isclose(channel.uav_link_pathloss(uav, user, CH, BLK), expected,
+    assert math.isclose(channel.uav_link_pathloss(uav, user, CFG), expected,
                         rel_tol=1e-14)
 
 
@@ -121,9 +119,9 @@ def test_averaged_pathloss_between_endpoints():
     uav = np.array([rng.uniform(0, 500), rng.uniform(0, 500), rng.uniform(100, 300)])
     users = rng.uniform(0, 500, size=(200, 2))
     d = channel.distance_3d(uav, users)
-    avg = channel.uav_link_pathloss(uav, users, CH, BLK)
-    assert np.all(avg >= channel.pathloss_los(d, CH) - 1e-9)
-    assert np.all(avg <= channel.pathloss_nlos(d, CH) + 1e-9)
+    avg = channel.uav_link_pathloss(uav, users, CFG)
+    assert np.all(avg >= channel.pathloss_los(d, CFG) - 1e-9)
+    assert np.all(avg <= channel.pathloss_nlos(d, CFG) + 1e-9)
 
 
 def test_single_element_gain_reduces_to_nlos_law():
@@ -132,7 +130,7 @@ def test_single_element_gain_reduces_to_nlos_law():
     user = np.array([13.0, 24.0])
     d = math.sqrt(3.0 ** 2 + 4.0 ** 2 + 6.0 ** 2)
     expected = 10.0 ** (-(72.0 + 29.2 * math.log10(d)) / 10.0)
-    got = channel.irs_combined_gain(irs, uav, user, CH, CFG.ga.irs_height)
+    got = channel.irs_combined_gain(irs, uav, user, CFG)
     assert math.isclose(got, expected, rel_tol=1e-14)
 
 
@@ -140,8 +138,8 @@ def test_colocated_user_sees_mounting_height_distance():
     irs = np.array([100.0, 100.0])
     uav = np.array([0.0, 0.0, 150.0])
     user = np.array([100.0, 100.0])
-    expected = 10.0 ** (-channel.pathloss_nlos(6.0, CH) / 10.0)
-    assert math.isclose(channel.irs_combined_gain(irs, uav, user, CH, 6.0),
+    expected = 10.0 ** (-channel.pathloss_nlos(6.0, CFG) / 10.0)
+    assert math.isclose(channel.irs_combined_gain(irs, uav, user, CFG),
                         expected, rel_tol=1e-14)
 
 
@@ -149,35 +147,36 @@ def test_combined_gain_scales_as_elements_squared():
     irs = np.array([100.0, 100.0])
     uav = np.array([150.0, 100.0, 120.0])
     users = np.array([[90.0, 85.0], [300.0, 420.0]])
-    one = channel.irs_combined_gain(irs, uav, users, CH, 6.0)
+    one = channel.irs_combined_gain(irs, uav, users, CFG)
     for n in (2, 4, 8, 16):
-        params = dataclasses.replace(CH, irs_elements_per_user=n)
-        gain = channel.irs_combined_gain(irs, uav, users, params, 6.0)
+        params = dataclasses.replace(CFG, irs_elements_per_user=n)
+        gain = channel.irs_combined_gain(irs, uav, users, params)
         assert np.all(gain / one == float(n * n))
 
 
 def test_zero_reflection_coefficient_kills_the_link():
-    params = dataclasses.replace(CH, irs_reflection_coeff=0.0)
+    params = dataclasses.replace(CFG, irs_reflection_coeff=0.0)
     gain = channel.irs_combined_gain(np.array([10.0, 10.0]), np.array([0.0, 0.0, 150.0]),
-                                     np.array([[50.0, 50.0]]), params, 6.0)
+                                     np.array([[50.0, 50.0]]), params)
     assert np.all(gain == 0.0)
 
 
 def test_uav_leg_multiplies_in_when_enabled():
-    params = dataclasses.replace(CH, irs_uav_leg_enabled=True)
+    params = dataclasses.replace(CFG, irs_uav_leg_enabled=True)
     irs = np.array([0.0, 0.0])
     uav = np.array([0.0, 0.0, 100.0])
     user = np.array([3.0, 4.0])
-    without = channel.irs_combined_gain(irs, uav, user, CH, 6.0)
-    with_leg = channel.irs_combined_gain(irs, uav, user, params, 6.0)
-    leg = 10.0 ** (-channel.pathloss_los(94.0, CH) / 10.0)
+    without = channel.irs_combined_gain(irs, uav, user, CFG)
+    with_leg = channel.irs_combined_gain(irs, uav, user, params)
+    leg = 10.0 ** (-channel.pathloss_los(94.0, CFG) / 10.0)
     assert math.isclose(with_leg, without * leg, rel_tol=1e-14)
 
 
 def test_degenerate_surface_distance_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         channel.irs_combined_gain(np.array([10.0, 10.0]), np.array([0.0, 0.0, 150.0]),
-                                  np.array([[10.0, 10.0]]), CH, 0.0)
+                                  np.array([[10.0, 10.0]]),
+                                  dataclasses.replace(CFG, irs_height_m=0.0))
 
 
 def test_link_gains_match_hand_composition():
@@ -186,7 +185,7 @@ def test_link_gains_match_hand_composition():
     uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, user, CFG)
     assert math.isclose(uav_gain[0], 10.0 ** (-101.4 / 10.0), rel_tol=1e-12)
     d_iu = math.sqrt(25.0 + 25.0 + 36.0)
-    expected_irs = 10.0 ** (-channel.pathloss_nlos(d_iu, CH) / 10.0)
+    expected_irs = 10.0 ** (-channel.pathloss_nlos(d_iu, CFG) / 10.0)
     assert math.isclose(irs_gain[0], expected_irs, rel_tol=1e-12)
 
 

@@ -1,14 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import typing
 from pathlib import Path
+from typing import Optional
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from mirsim import cli, mobility, scenario
 from mirsim.scenario import ConfigError
 
-from testutil import small_config
+from testutil import config_yaml, small_config
 
 
 def _read_csv(path):
@@ -82,7 +89,7 @@ def test_reported_trajectories_respect_bounds():
     for entry in report.trajectories["M-IRS-NOMA"]:
         x, y, z = entry["uav"]
         assert cfg.region.contains(x, y)
-        assert cfg.ga.uav_alt_min <= z <= cfg.ga.uav_alt_max
+        assert cfg.uav_alt_min_m <= z <= cfg.uav_alt_max_m
         assert cfg.region.contains(*entry["irs"])
 
 
@@ -118,10 +125,17 @@ def test_external_trace_reproduces_internal_run(tmp_path):
     assert external.avg_sum_rate == internal.avg_sum_rate
 
 
+def test_run_experiment_rejects_trace_with_other_user_count():
+    trace = mobility.generate_trace(small_config(num_users=3),
+                                    scenario.stream(7, scenario.MOBILITY_STREAM))
+    with pytest.raises(ConfigError, match="^trace has 3 users but num_users is 4$"):
+        cli.run_experiment(small_config(), ["No-IRS-NOMA"], [7], trace=trace)
+
+
 def _write_small_config(tmp_path, **overrides) -> Path:
     cfg = small_config(**overrides)
     path = tmp_path / "config.yaml"
-    scenario.save_config(cfg, path)
+    path.write_text(config_yaml(cfg))
     return path
 
 
@@ -165,6 +179,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("uav_tx_power_dbm", "1.0e+10"),
     ("noise_power_dbm", "-1.0e+10"),
     ("snr_threshold_db", "1.0e+10"),
+    ("region_x_max", "1.0e+300"),
+    ("nlos_slope", "1.0e+10"),
+    ("los_intercept_db", "1.0e+10"),
+    ("los_intercept_db", "-1.0e+10"),
+    ("nlos_intercept_db", "-1.0e+10"),
 ])
 def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.yaml"
@@ -276,7 +295,7 @@ def test_cli_converge(tmp_path):
     assert rc == 0
     rows = _read_csv(out / "convergence.csv")
     assert rows[0] == ["generation", "best_fitness", "mean_fitness"]
-    assert len(rows) == 1 + small_config().ga.max_iterations + 1
+    assert len(rows) == 1 + small_config().max_iterations + 1
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -301,3 +320,34 @@ def test_results_json_structure(tmp_path):
     assert doc["config"]["num_users"] == cfg.num_users
     assert "M-IRS-NOMA vs S-IRS-NOMA" in doc["improvement_pct"]
     assert doc["per_user"]["columns"] == cli.USERS_COLUMNS
+
+
+# Every float key except the two that set the number of mobility sub-steps per
+# slot: a valid slot_duration_s of 1e10 only makes a run take hours.
+_FUZZ_KEYS = sorted(key for key, kind in typing.get_type_hints(scenario.ScenarioConfig).items()
+                    if kind in (float, Optional[float])
+                    and key not in ("slot_duration_s", "substep_duration_s"))
+_FUZZ_VALUES = (st.sampled_from([1e300, -1e300, 1e10, -1e10, 0.0])
+                | st.floats(min_value=-1e3, max_value=1e3))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in results.json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, min_size=1, max_size=2))
+def test_cli_run_survives_extreme_config_numbers(overrides):
+    doc = dict(num_users=3, num_slots=2, slot_duration_s=10.0, population_size=4,
+               max_iterations=2, bits_per_coordinate=4, **overrides)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--config", str(cfg_path), "--seeds", "1", "--out", str(out)])
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc != 2:
+            json.loads((out / "results.json").read_text(), parse_constant=_reject_constant)

@@ -38,18 +38,20 @@ def test_same_seed_gives_identical_users():
 
 
 def test_subregion_outside_region_rejected():
-    cfg = make_config(init_x_max=50.0)
-    bad = scenario.ScenarioConfig(
-        region=scenario.Region(100.0, 100.0, 500.0, 500.0),
-        mobility=cfg.mobility)
+    bad = make_config(region_x_min=100.0, region_y_min=100.0)
     with pytest.raises(ValidationError, match="subregion"):
         mobility.init_users(bad, _rng())
+
+
+def test_negative_zero_subregion_bound_reads_as_zero():
+    cfg = make_config(init_x_max=-0.0, init_y_max=-0.0)
+    assert all(u.position == (0.0, 0.0) for u in mobility.init_users(cfg, _rng()))
 
 
 def test_step_advances_along_unit_vector():
     cfg = make_config()
     user = UserState(id=0, position=(0.0, 0.0), waypoint=(3.0, 4.0), speed=1.0)
-    mobility.step(user, 1.0, cfg.region, cfg.mobility, _rng())
+    mobility.step(user, 1.0, cfg.region, cfg, _rng())
     assert math.isclose(user.position[0], 0.6, abs_tol=1e-12)
     assert math.isclose(user.position[1], 0.8, abs_tol=1e-12)
 
@@ -60,14 +62,14 @@ def test_step_zero_speed_is_stationary():
     user = mobility.init_users(cfg, rng)[0]
     start = user.position
     for _ in range(50):
-        mobility.step(user, 1.0, cfg.region, cfg.mobility, rng)
+        mobility.step(user, 1.0, cfg.region, cfg, rng)
     assert user.position == start
 
 
 def test_step_overshoot_clamps_and_pauses():
     cfg = make_config(pause_duration_s=7.0)
     user = UserState(id=0, position=(0.0, 0.0), waypoint=(0.0, 1.0), speed=5.0)
-    mobility.step(user, 1.0, cfg.region, cfg.mobility, _rng())
+    mobility.step(user, 1.0, cfg.region, cfg, _rng())
     assert user.position == (0.0, 1.0)
     assert user.pause_remaining == 7.0
 
@@ -77,7 +79,7 @@ def test_step_pause_counts_down_without_motion():
     user = UserState(id=0, position=(5.0, 5.0), waypoint=(5.0, 5.0),
                      speed=1.0, pause_remaining=2.5)
     for expected in (1.5, 0.5, 0.0):
-        mobility.step(user, 1.0, cfg.region, cfg.mobility, _rng())
+        mobility.step(user, 1.0, cfg.region, cfg, _rng())
         assert user.position == (5.0, 5.0)
         assert user.pause_remaining == expected
 
@@ -86,7 +88,7 @@ def test_step_rejects_nonpositive_dt():
     cfg = make_config()
     user = UserState(id=0, position=(0.0, 0.0), waypoint=(1.0, 1.0), speed=1.0)
     with pytest.raises(ValueError):
-        mobility.step(user, 0.0, cfg.region, cfg.mobility, _rng())
+        mobility.step(user, 0.0, cfg.region, cfg, _rng())
 
 
 def test_trace_shape_and_initial_slot():
@@ -121,7 +123,7 @@ def test_displacement_bounded_by_speed():
     user = mobility.init_users(cfg, rng)[0]
     prev = user.position
     for _ in range(2000):
-        mobility.step(user, 1.0, cfg.region, cfg.mobility, rng)
+        mobility.step(user, 1.0, cfg.region, cfg, rng)
         assert math.dist(prev, user.position) <= 1.4 + 1e-9
         prev = user.position
 
@@ -132,14 +134,14 @@ def test_pause_lasts_ceil_of_duration_over_dt():
     user = mobility.init_users(cfg, rng)[0]
     # run to the first arrival
     for _ in range(10_000):
-        mobility.step(user, 1.0, cfg.region, cfg.mobility, rng)
+        mobility.step(user, 1.0, cfg.region, cfg, rng)
         if user.pause_remaining > 0:
             break
     assert user.position == user.waypoint
     still = 0
     pos = user.position
     while True:
-        mobility.step(user, 1.0, cfg.region, cfg.mobility, rng)
+        mobility.step(user, 1.0, cfg.region, cfg, rng)
         if user.position == pos:
             still += 1
         else:

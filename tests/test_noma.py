@@ -208,7 +208,7 @@ def test_slot_sum_rate_matches_scalar_composition():
     pairs = pair_users(heff)
     d = scenario.derive(cfg)
     aw, a_s = noma.ftpa_allocate(heff[pairs[0].weak], heff[pairs[0].strong],
-                                 d.noise_linear_mw, cfg.power.ftpa_decay)
+                                 d.noise_linear_mw, cfg.ftpa_decay)
     pair = NomaPair(weak=pairs[0].weak, strong=pairs[0].strong,
                     alpha_weak=aw, alpha_strong=a_s)
     weak_gamma = sinr("weak", pair, uav_gain, irs_gain, d.rho_linear)

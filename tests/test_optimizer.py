@@ -16,6 +16,23 @@ def _ga_rng(seed=0, slot=0):
     return scenario.stream(seed, scenario.GA_STREAM, 0, slot)
 
 
+def encode(placement: Placement, bounds, bits: int) -> np.ndarray:
+    """Genome oracle, the inverse of optimizer.decode: quantize a placement onto the bit grid.
+
+    Raises if a coordinate is out of bounds.
+    """
+    values = [*placement.uav, *placement.irs]
+    levels = (1 << bits) - 1
+    genome = np.zeros(optimizer.NUM_COORDS * bits, dtype=np.uint8)
+    for c, (v, (lo, hi)) in enumerate(zip(values, bounds)):
+        if not (lo - 1e-9 <= v <= hi + 1e-9):
+            raise ValueError(f"coordinate {c} value {v} outside [{lo}, {hi}]")
+        code = int(round((v - lo) / (hi - lo) * levels)) if hi > lo else 0
+        for j in range(bits):
+            genome[c * bits + j] = (code >> (bits - 1 - j)) & 1
+    return genome
+
+
 def _fitness(genomes, users, cfg, **kwargs):
     """M-IRS-NOMA fitness of a (P, L) stack of genomes."""
     return optimizer._fitness_batch(np.atleast_2d(genomes), users, cfg, scenario.derive(cfg),
@@ -27,15 +44,15 @@ def test_encode_bounds_map_to_all_zero_and_all_one():
     bounds = optimizer.genome_bounds(cfg)
     lows = Placement(uav=(0.0, 0.0, 100.0), irs=(0.0, 0.0))
     highs = Placement(uav=(500.0, 500.0, 300.0), irs=(500.0, 500.0))
-    assert np.all(optimizer.encode(lows, bounds, 8) == 0)
-    assert np.all(optimizer.encode(highs, bounds, 8) == 1)
+    assert np.all(encode(lows, bounds, 8) == 0)
+    assert np.all(encode(highs, bounds, 8) == 1)
 
 
 def test_encode_midpoint_quantizes_to_128():
     cfg = make_config(bits_per_coordinate=8)
     bounds = optimizer.genome_bounds(cfg)
     mid = Placement(uav=(250.0, 250.0, 200.0), irs=(250.0, 250.0))
-    genome = optimizer.encode(mid, bounds, 8)
+    genome = encode(mid, bounds, 8)
     for c in range(optimizer.NUM_COORDS):
         code = int("".join(str(b) for b in genome[c * 8:(c + 1) * 8]), 2)
         assert code == 128
@@ -60,7 +77,7 @@ def test_round_trip_error_within_quantization_bound():
         placement = Placement(
             uav=(rng.uniform(0, 500), rng.uniform(0, 500), rng.uniform(100, 300)),
             irs=(rng.uniform(0, 500), rng.uniform(0, 500)))
-        decoded = optimizer.decode(optimizer.encode(placement, bounds, 12), bounds, 12)
+        decoded = optimizer.decode(encode(placement, bounds, 12), bounds, 12)
         values = [*placement.uav, *placement.irs]
         back = [*decoded.uav, *decoded.irs]
         for v, w, (lo, hi) in zip(values, back, bounds):
@@ -73,7 +90,7 @@ def test_encode_and_decode_reject_bad_input():
     cfg = make_config(bits_per_coordinate=6)
     bounds = optimizer.genome_bounds(cfg)
     with pytest.raises(ValueError, match="outside"):
-        optimizer.encode(Placement(uav=(0.0, 0.0, 50.0), irs=(0.0, 0.0)), bounds, 6)
+        encode(Placement(uav=(0.0, 0.0, 50.0), irs=(0.0, 0.0)), bounds, 6)
     with pytest.raises(ValueError, match="length"):
         optimizer.decode(np.zeros(7, dtype=np.uint8), bounds, 6)
 
@@ -82,8 +99,8 @@ def test_fitness_equals_sum_rate_when_feasible():
     cfg = make_config(snr_threshold_db=-200.0, num_users=4, bits_per_coordinate=8)
     bounds = optimizer.genome_bounds(cfg)
     users = np.array([[30.0, 30.0], [60.0, 10.0], [200.0, 300.0], [400.0, 100.0]])
-    genome = optimizer.encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
-                              bounds, 8)
+    genome = encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
+                    bounds, 8)
     fit = _fitness(genome, users, cfg)[0]
     result = noma.slot_sum_rate(optimizer.decode(genome, bounds, 8), users, cfg)
     assert fit == result.sum_rate
@@ -93,8 +110,8 @@ def test_fitness_boundary_threshold_costs_nothing():
     cfg = make_config(num_users=4, bits_per_coordinate=8)
     bounds = optimizer.genome_bounds(cfg)
     users = np.array([[30.0, 30.0], [60.0, 10.0], [200.0, 300.0], [400.0, 100.0]])
-    genome = optimizer.encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
-                              bounds, 8)
+    genome = encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
+                    bounds, 8)
     result = noma.slot_sum_rate(optimizer.decode(genome, bounds, 8), users, cfg)
     at_boundary = make_config(
         num_users=4, bits_per_coordinate=8,
@@ -107,10 +124,10 @@ def test_fitness_respects_sinr_dominance():
     cfg = make_config(num_users=1, bits_per_coordinate=10)
     bounds = optimizer.genome_bounds(cfg)
     users = np.array([[250.0, 250.0]])
-    near = optimizer.encode(Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0)),
-                            bounds, 10)
-    far = optimizer.encode(Placement(uav=(0.0, 0.0, 300.0), irs=(0.0, 0.0)),
-                           bounds, 10)
+    near = encode(Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0)),
+                  bounds, 10)
+    far = encode(Placement(uav=(0.0, 0.0, 300.0), irs=(0.0, 0.0)),
+                 bounds, 10)
     fit_near, fit_far = _fitness(np.stack([near, far]), users, cfg)
     assert fit_near >= fit_far
 
@@ -217,12 +234,12 @@ def test_closed_population_returns_the_seed_genome():
     cfg = small_config(mutation_prob_per_bit=0.0, population_size=6, max_iterations=4)
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     bounds = optimizer.genome_bounds(cfg)
-    genome = optimizer.encode(Placement(uav=(120.0, 80.0, 150.0), irs=(100.0, 100.0)),
-                              bounds, cfg.ga.bits_per_coordinate)
-    seeded = np.tile(genome, (cfg.ga.population_size, 1))
+    genome = encode(Placement(uav=(120.0, 80.0, 150.0), irs=(100.0, 100.0)),
+                    bounds, cfg.bits_per_coordinate)
+    seeded = np.tile(genome, (cfg.population_size, 1))
     placement, record = optimizer.optimize_slot(users, cfg, _ga_rng(7),
                                                 initial_population=seeded)
-    expected = optimizer.decode(genome, bounds, cfg.ga.bits_per_coordinate)
+    expected = optimizer.decode(genome, bounds, cfg.bits_per_coordinate)
     assert placement == expected
     assert record.best_fitness[0] == record.best_fitness[-1]
     assert np.array_equal(record.best_genome, genome)
@@ -245,12 +262,12 @@ def test_elitism_keeps_best_fitness_monotone():
     best = record.best_fitness
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert best[-1] >= best[0]
-    assert record.evaluations == cfg.ga.population_size * (cfg.ga.max_iterations + 1)
+    assert record.evaluations == cfg.population_size * (cfg.max_iterations + 1)
 
 
 def _random_generation(cfg, rng):
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
-    population = (rng.random((cfg.ga.population_size, optimizer.genome_length(cfg))) < 0.5
+    population = (rng.random((cfg.population_size, optimizer.genome_length(cfg))) < 0.5
                   ).astype(np.uint8)
     return population, _fitness(population, users, cfg)
 
@@ -259,7 +276,7 @@ def test_elites_are_carried_over_bit_for_bit():
     cfg = small_config(population_size=9, elitism_count=3, mutation_prob_per_bit=0.5)
     rng = _ga_rng(11)
     population, fit = _random_generation(cfg, rng)
-    nxt = optimizer._breed(population, fit, cfg.ga, 0.5, rng)
+    nxt = optimizer._breed(population, fit, cfg, 0.5, rng)
     assert nxt.shape == population.shape and nxt.dtype == np.uint8
     assert np.array_equal(nxt[:3], population[np.argsort(-fit, kind="stable")[:3]])
 
@@ -268,12 +285,12 @@ def test_odd_population_without_elitism_keeps_its_size():
     cfg = small_config(population_size=7, elitism_count=0)
     rng = _ga_rng(12)
     population, fit = _random_generation(cfg, rng)
-    nxt = optimizer._breed(population, fit, cfg.ga, 0.1, rng)
+    nxt = optimizer._breed(population, fit, cfg, 0.1, rng)
     assert nxt.shape == (7, optimizer.genome_length(cfg))
     users = np.array([[10.0, 10.0], [250.0, 250.0]])
     _, record = optimizer.optimize_slot(users, cfg, rng)
-    assert len(record.best_fitness) == cfg.ga.max_iterations + 1
-    assert record.evaluations == 7 * (cfg.ga.max_iterations + 1)
+    assert len(record.best_fitness) == cfg.max_iterations + 1
+    assert record.evaluations == 7 * (cfg.max_iterations + 1)
 
 
 def test_optimized_placements_respect_bounds():
@@ -356,9 +373,9 @@ def test_displacement_limit_penalizes_long_hops():
     cfg = small_config(num_users=1, max_slot_displacement_m=50.0)
     prev = Placement(uav=(0.0, 0.0, 100.0), irs=(0.0, 0.0))
     bounds = optimizer.genome_bounds(cfg)
-    bits = cfg.ga.bits_per_coordinate
-    genome = optimizer.encode(Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0)),
-                              bounds, bits)
+    bits = cfg.bits_per_coordinate
+    genome = encode(Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0)),
+                    bounds, bits)
     unconstrained = _fitness(genome, users, cfg)
     constrained = _fitness(genome, users, cfg, prev_placement=prev)
     assert constrained[0] < unconstrained[0]

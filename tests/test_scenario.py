@@ -8,7 +8,7 @@ from mirsim import scenario
 from mirsim.scenario import (SchemaError, ScenarioConfig, ValidationError,
                              db_to_linear, derive, linear_to_db)
 
-from testutil import make_config
+from testutil import config_yaml, make_config
 
 
 def test_minimal_document_takes_reference_defaults():
@@ -16,17 +16,17 @@ def test_minimal_document_takes_reference_defaults():
     assert cfg.master_seed == 3
     assert cfg.region == scenario.Region(0.0, 0.0, 500.0, 500.0)
     assert cfg.num_users == 10
-    assert cfg.mobility.num_slots == 5
-    assert cfg.mobility.slot_duration_s == 300.0
-    assert cfg.power.uav_tx_power_dbm == 36.0
-    assert cfg.power.noise_power_dbm == -80.0
-    assert cfg.power.snr_threshold_db == 20.0
-    assert cfg.power.ftpa_decay == 0.28
-    assert cfg.ga.population_size == 50
-    assert cfg.ga.max_iterations == 50
-    assert cfg.ga.uav_alt_min == 100.0
-    assert cfg.channel.carrier_freq_hz == 28e9
-    assert cfg.mobility.initial_subregion == scenario.Region(0.0, 0.0, 50.0, 50.0)
+    assert cfg.num_slots == 5
+    assert cfg.slot_duration_s == 300.0
+    assert cfg.uav_tx_power_dbm == 36.0
+    assert cfg.noise_power_dbm == -80.0
+    assert cfg.snr_threshold_db == 20.0
+    assert cfg.ftpa_decay == 0.28
+    assert cfg.population_size == 50
+    assert cfg.max_iterations == 50
+    assert cfg.uav_alt_min_m == 100.0
+    assert cfg.carrier_freq_hz == 28e9
+    assert cfg.initial_subregion == scenario.Region(0.0, 0.0, 50.0, 50.0)
 
 
 def test_speed_inversion_names_the_field():
@@ -80,6 +80,7 @@ def test_half_specified_static_position_rejected():
     {"num_slots": 0},
     {"blocker_density_per_m2": 0.0},
     {"max_slot_displacement_m": 20.0, "sinr_penalty_weight": 0.0},
+    {"sinr_penalty_weight": 1e300, "snr_threshold_db": 100.0},
 ])
 def test_invariant_violations_rejected(overrides):
     # the message names the first override key
@@ -87,9 +88,15 @@ def test_invariant_violations_rejected(overrides):
         make_config(**overrides)
 
 
+def test_direct_gain_over_noise_must_stay_finite():
+    # Transmit SNR 0 dB, but a 10^18 gain over 10^-300 mW of noise overflows the FTPA split.
+    with pytest.raises(ValidationError, match="^los_intercept_db/los_slope: .*gain / noise"):
+        make_config(los_intercept_db=-200.0, noise_power_dbm=-3000.0, uav_tx_power_dbm=-3000.0)
+
+
 def test_degenerate_initial_subregion_is_allowed():
     cfg = make_config(init_x_min=25.0, init_x_max=25.0, init_y_min=25.0, init_y_max=25.0)
-    assert cfg.mobility.initial_subregion.x_min == cfg.mobility.initial_subregion.x_max
+    assert cfg.initial_subregion.x_min == cfg.initial_subregion.x_max
 
 
 def test_derive_reference_transmit_snr():
@@ -116,14 +123,14 @@ def test_config_round_trips_through_document():
         mutation_prob_per_bit=0.02, max_slot_displacement_m=150.0,
         s_irs_x=120.0, s_irs_y=340.0, master_seed=9, num_seeds=3,
     )
-    again = scenario.parse_config(scenario.config_to_yaml(cfg))
+    again = scenario.parse_config(config_yaml(cfg))
     assert again == cfg
 
 
 def test_save_and_load_config(tmp_path):
     cfg = make_config(num_users=6)
     path = tmp_path / "cfg.yaml"
-    scenario.save_config(cfg, path)
+    path.write_text(config_yaml(cfg))
     assert scenario.load_config(path) == cfg
 
 

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import yaml
+
 from mirsim import scenario
 
 
@@ -14,3 +16,8 @@ def small_config(**overrides) -> scenario.ScenarioConfig:
                 bits_per_coordinate=6, num_seeds=2)
     base.update(overrides)
     return scenario.config_from_dict(base)
+
+
+def config_yaml(cfg: scenario.ScenarioConfig) -> str:
+    """The config document of cfg, keys in field order."""
+    return yaml.safe_dump(scenario.config_to_dict(cfg), sort_keys=False)
