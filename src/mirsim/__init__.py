@@ -3,7 +3,7 @@ vehicle-mounted reflecting surface serving mobile NOMA users."""
 
 from .channel import Placement
 from .cli import ExperimentReport, emit_outputs, run_experiment
-from .mobility import MobilityTrace, UserState, generate_trace
+from .mobility import MobilityTrace, Users, generate_trace
 from .noma import NomaPair, SlotResult, slot_sum_rate
 from .optimizer import GaRunRecord, Variant, optimize_slot, optimize_trajectory
 from .scenario import (ConfigError, ScenarioConfig, SchemaError,
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ExperimentReport", "GaRunRecord", "MobilityTrace",
     "NomaPair", "Placement", "ScenarioConfig", "SchemaError", "SlotResult",
-    "UserState", "ValidationError", "Variant", "derive", "emit_outputs",
+    "Users", "ValidationError", "Variant", "derive", "emit_outputs",
     "generate_trace", "load_config", "optimize_slot", "optimize_trajectory",
     "parse_config", "run_experiment", "slot_sum_rate",
 ]

@@ -156,11 +156,9 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
     for other in names:
         if other == base:
             continue
-        per_slot = []
-        for a, b in zip(report.avg_sum_rate[base], report.avg_sum_rate[other]):
-            per_slot.append(100.0 * (a - b) / b if b != 0 else None)
-        mean = (float(np.mean([v for v in per_slot]))
-                if all(v is not None for v in per_slot) else None)
+        per_slot = [100.0 * (a - b) / b if b != 0 else None
+                    for a, b in zip(report.avg_sum_rate[base], report.avg_sum_rate[other])]
+        mean = float(np.mean(per_slot)) if None not in per_slot else None
         report.improvement_pct[f"{base} vs {other}"] = {
             "baseline": other, "per_slot": per_slot, "mean": mean}
     return report
@@ -187,19 +185,12 @@ def _record_first_seed_detail(report, name, slot, placement, result, record):
             })
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
@@ -254,13 +245,6 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
 
     _write_csv(paths["users"], USERS_COLUMNS, report.user_rows)
     return paths
-
-
-def _default_placement(cfg: ScenarioConfig) -> channel.Placement:
-    r = cfg.region
-    cx = (r.x_min + r.x_max) / 2.0
-    cy = (r.y_min + r.y_max) / 2.0
-    return channel.Placement(uav=(cx, cy, cfg.uav_alt_min_m), irs=(cx, cy))
 
 
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -325,13 +309,11 @@ def _cmd_inspect_channel(args) -> int:
     trace = mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
     if not 0 <= args.slot < trace.num_slots:
         raise ConfigError(f"--slot: must be in [0, {trace.num_slots - 1}]")
-    placement = _default_placement(cfg)
-    if args.uav:
-        placement = channel.Placement(uav=_parse_floats(args.uav, 3, "--uav"),
-                                      irs=placement.irs)
-    if args.irs:
-        placement = channel.Placement(uav=placement.uav,
-                                      irs=_parse_floats(args.irs, 2, "--irs"))
+    r = cfg.region
+    center = ((r.x_min + r.x_max) / 2.0, (r.y_min + r.y_max) / 2.0)
+    placement = channel.Placement(
+        uav=_parse_floats(args.uav, 3, "--uav") if args.uav else (*center, cfg.uav_alt_min_m),
+        irs=_parse_floats(args.irs, 2, "--irs") if args.irs else center)
     try:
         channel.validate_placement(placement, cfg)
     except ValueError as exc:

@@ -3,13 +3,16 @@
 Each user repeatedly picks a uniform waypoint inside the region and a uniform
 speed from [speed_min, speed_max], walks straight toward it, pauses for a
 constant time on arrival, then repeats.  Users start uniformly inside the
-initial subregion.  The simulation advances in fixed sub-steps (default 1 s)
-and records positions at slot boundaries; the first slot records the initial
-distribution.
+initial subregion.  The simulation advances in fixed sub-steps (default 1 s),
+all users at once, and records positions at slot boundaries; the first slot
+records the initial distribution.
 
-Draw order is fixed so traces are reproducible: per user at init
-(x, y, waypoint_x, waypoint_y, speed); on re-waypointing
-(waypoint_x, waypoint_y, speed); users advance in id order within a sub-step.
+Draw order is fixed so traces are reproducible.  At init one (U, 5) block
+gives each user, row by row in id order, x, y, waypoint x, waypoint y and
+speed; in a sub-step, the k users that need a new waypoint draw one (k, 3)
+block in id order: waypoint x, waypoint y, speed.  Each uniform is
+lo + (hi - lo) * u for one ``rng.random`` double u, as numpy's scalar
+``uniform(lo, hi)`` computes it.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ TRACE_COLUMNS = ["slot", "user_id", "x", "y"]
 
 
 @dataclass
-class UserState:
-    id: int
-    position: tuple[float, float]
-    waypoint: tuple[float, float]
-    speed: float
-    pause_remaining: float = 0.0
+class Users:
+    """Random-waypoint state of every user; row i is user i."""
+
+    position: np.ndarray  # (U, 2), m
+    waypoint: np.ndarray  # (U, 2), m
+    speed: np.ndarray  # (U,), m/s
+    pause_remaining: np.ndarray  # (U,), s
 
 
 @dataclass(frozen=True)
@@ -55,29 +59,28 @@ class MobilityTrace:
         return self.positions.shape[1]
 
 
-def _draw_waypoint(region: Region, rng: np.random.Generator) -> tuple[float, float]:
-    return (rng.uniform(region.x_min, region.x_max),
-            rng.uniform(region.y_min, region.y_max))
+def _uniform(lo: list[float], hi: list[float], rows: int, rng: np.random.Generator):
+    """A (rows, len(lo)) block of uniforms on [lo, hi), column by column."""
+    lo, hi = np.array(lo), np.array(hi)
+    return lo + (hi - lo) * rng.random((rows, len(lo)))
 
 
-def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> list[UserState]:
+def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Users:
     """Place users uniformly in the initial subregion with fresh waypoints and speeds."""
     sub = cfg.initial_subregion
     region = cfg.region
     if not (region.contains(sub.x_min, sub.y_min) and region.contains(sub.x_max, sub.y_max)):
         raise ValidationError("init_x_*/init_y_*: initial subregion must lie inside the region")
-    users = []
-    for i in range(cfg.num_users):
-        pos = (rng.uniform(sub.x_min, sub.x_max), rng.uniform(sub.y_min, sub.y_max))
-        wp = _draw_waypoint(region, rng)
-        speed = rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps)
-        users.append(UserState(id=i, position=pos, waypoint=wp, speed=speed))
-    return users
+    draw = _uniform([sub.x_min, sub.y_min, region.x_min, region.y_min, cfg.speed_min_mps],
+                    [sub.x_max, sub.y_max, region.x_max, region.y_max, cfg.speed_max_mps],
+                    cfg.num_users, rng)
+    return Users(position=draw[:, 0:2].copy(), waypoint=draw[:, 2:4].copy(),
+                 speed=draw[:, 4].copy(), pause_remaining=np.zeros(cfg.num_users))
 
 
-def step(user: UserState, dt: float, region: Region, cfg: ScenarioConfig,
-         rng: np.random.Generator) -> UserState:
-    """Advance one user by dt seconds (in place).
+def step(users: Users, dt: float, region: Region, cfg: ScenarioConfig,
+         rng: np.random.Generator) -> Users:
+    """Advance every user by dt seconds (in place).
 
     Paused users only tick down their pause timer.  A moving user advances
     toward its waypoint by speed*dt; reaching the waypoint clamps to it and
@@ -86,40 +89,43 @@ def step(user: UserState, dt: float, region: Region, cfg: ScenarioConfig,
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if user.pause_remaining > 0:
-        user.pause_remaining = max(0.0, user.pause_remaining - dt)
-        return user
-    if user.position == user.waypoint:
-        user.waypoint = _draw_waypoint(region, rng)
-        user.speed = rng.uniform(cfg.speed_min_mps, cfg.speed_max_mps)
-    dx = user.waypoint[0] - user.position[0]
-    dy = user.waypoint[1] - user.position[1]
-    dist = math.hypot(dx, dy)
-    travel = user.speed * dt
-    if travel >= dist:
-        user.position = user.waypoint
-        user.pause_remaining = cfg.pause_duration_s
-    else:
-        user.position = (user.position[0] + dx / dist * travel,
-                         user.position[1] + dy / dist * travel)
-    return user
+    pos, wp, pause = users.position, users.waypoint, users.pause_remaining
+    moving = pause <= 0.0
+    np.maximum(pause - dt, 0.0, out=pause)
+    d = wp - pos
+    dist = np.hypot(d[:, 0], d[:, 1])
+    redraw = moving & (dist == 0.0)  # standing on the waypoint, pause over
+    if k := np.count_nonzero(redraw):
+        draw = _uniform([region.x_min, region.y_min, cfg.speed_min_mps],
+                        [region.x_max, region.y_max, cfg.speed_max_mps], k, rng)
+        wp[redraw] = draw[:, 0:2]
+        users.speed[redraw] = draw[:, 2]
+        d = wp - pos
+        dist = np.hypot(d[:, 0], d[:, 1])
+    travel = users.speed * dt
+    walk = moving & (travel < dist)
+    arrive = moving & ~walk
+    if np.count_nonzero(arrive):
+        pos[arrive] = wp[arrive]
+        pause[arrive] = cfg.pause_duration_s
+    # Only walking users divide; the others keep their position untouched.
+    unit = d / np.where(walk, dist, 1.0)[:, None]
+    np.add(pos, unit * travel[:, None], out=pos, where=walk[:, None])
+    return users
 
 
 def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTrace:
     """Simulate all users and record positions at slot boundaries."""
     dt = cfg.substep_duration_s
     n_sub = round(cfg.slot_duration_s / dt)
-    if abs(cfg.slot_duration_s - n_sub * dt) > 1e-9:
-        raise ValidationError("substep_duration_s: must divide slot_duration_s evenly")
     users = init_users(cfg, rng)
     region = cfg.region
     positions = np.empty((cfg.num_slots, cfg.num_users, 2), dtype=float)
-    positions[0] = [u.position for u in users]
+    positions[0] = users.position
     for slot in range(1, cfg.num_slots):
         for _ in range(n_sub):
-            for u in users:
-                step(u, dt, region, cfg, rng)
-        positions[slot] = [u.position for u in users]
+            step(users, dt, region, cfg, rng)
+        positions[slot] = users.position
     return MobilityTrace(positions=positions)
 
 
@@ -160,6 +166,8 @@ def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTra
                     raise ConfigError(f"{where}: slot and user_id must be >= 0")
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ConfigError(f"{where}: position ({x}, {y}) is not finite")
+                if region is not None and not region.contains(x, y):
+                    raise ConfigError(f"{where}: position ({x}, {y}) outside region")
                 if (slot, user) in entries:
                     raise ConfigError(f"{where}: duplicate entry for slot {slot}, user {user}")
                 entries[(slot, user)] = (x, y)
@@ -176,11 +184,4 @@ def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTra
         raise ConfigError(f"{path}: missing entry for slot {slot}, user {user}")
     positions = np.array([[entries[(slot, user)] for user in range(num_users)]
                           for slot in range(num_slots)], dtype=float)
-    if region is not None:
-        for slot in range(num_slots):
-            for user in range(num_users):
-                x, y = positions[slot, user]
-                if not region.contains(x, y):
-                    raise ConfigError(
-                        f"{path}: slot {slot} user {user} position ({x}, {y}) outside region")
     return MobilityTrace(positions=positions, source=str(path))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -286,8 +287,12 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.num_slots >= 1, "num_slots", "must be >= 1")
     _check(cfg.slot_duration_s > 0, "slot_duration_s", "must be > 0")
     _check(cfg.substep_duration_s > 0, "substep_duration_s", "must be > 0")
-    ratio = cfg.slot_duration_s / cfg.substep_duration_s
-    _check(abs(ratio - round(ratio)) < 1e-9, "substep_duration_s",
+    # A trace advances every user once per sub-step, over num_slots - 1 slots.
+    per_slot = cfg.slot_duration_s / cfg.substep_duration_s
+    _check((cfg.num_slots - 1) * per_slot <= 1e6 and round(per_slot) >= 1,
+           "slot_duration_s/substep_duration_s", "need at least one mobility sub-step "
+           "per slot and at most 10^6 in all, (num_slots - 1) x slot / substep")
+    _check(abs(per_slot - round(per_slot)) < 1e-9, "substep_duration_s",
            "must divide slot_duration_s evenly")
     _check(cfg.init_x_max >= cfg.init_x_min, "init_x_max", "must be >= init_x_min")
     _check(cfg.init_y_max >= cfg.init_y_min, "init_y_max", "must be >= init_y_min")
@@ -307,6 +312,9 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.uav_alt_max_m >= cfg.uav_alt_min_m, "uav_alt_max_m",
            "must be >= uav_alt_min_m")
     _check(cfg.irs_height_m > 0, "irs_height_m", "must be > 0")
+    _check(not cfg.irs_uav_leg_enabled or cfg.irs_height_m < cfg.uav_alt_min_m,
+           "irs_height_m", "must be below uav_alt_min_m when irs_uav_leg_enabled is true "
+           "(the UAV could otherwise sit on the surface)")
     _check(cfg.sinr_penalty_weight >= 0, "sinr_penalty_weight", "must be >= 0")
     if cfg.max_slot_displacement_m is not None:
         _check(cfg.max_slot_displacement_m > 0, "max_slot_displacement_m", "must be > 0")
@@ -333,6 +341,19 @@ def validate(cfg: ScenarioConfig) -> None:
                    "finite and > 0 (link lengths follow from region_x_min/region_x_max/"
                    "region_y_min/region_y_max, uav_alt_min_m/uav_alt_max_m and "
                    "irs_height_m; the SNR from uav_tx_power_dbm and noise_power_dbm)")
+    # The reflected gain peaks at N^2 times the NLoS gain at irs_height_m and,
+    # with the UAV leg, the LoS gain over the shortest UAV-to-surface hop.
+    n = cfg.irs_elements_per_user
+    peak_db = (20.0 * math.log10(n) - cfg.nlos_intercept_db
+               - 10.0 * cfg.nlos_slope * math.log10(cfg.irs_height_m))
+    if cfg.irs_uav_leg_enabled:
+        hop = cfg.uav_alt_min_m - cfg.irs_height_m
+        peak_db -= cfg.los_intercept_db + 10.0 * cfg.los_slope * math.log10(hop)
+    ratios_db = (peak_db, snr_db + peak_db, peak_db - cfg.noise_power_dbm)
+    _check(n * n <= sys.float_info.max and all(map(_linear_is_finite_positive, ratios_db)),
+           "irs_elements_per_user", "N^2 x the peak reflected gain (at irs_height_m, and "
+           "over uav_alt_min_m - irs_height_m with irs_uav_leg_enabled), alone, times the "
+           "transmit SNR and over the noise power must be finite and > 0")
     # A genome's penalty is at most the weight times every user's full SINR
     # threshold plus two region diagonals of move; a generation's mean sums
     # population_size of them.
@@ -361,14 +382,10 @@ def derive(cfg: ScenarioConfig) -> DerivedParams:
     )
 
 
-def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
-    """SeedSequence for a named sub-stream of the master seed."""
-    return np.random.SeedSequence(master_seed, spawn_key=tuple(key))
-
-
 def stream(master_seed: int, *key: int) -> np.random.Generator:
-    """PCG64 generator for a named sub-stream of the master seed."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *key)))
+    """PCG64 generator for a named sub-stream (SeedSequence spawn key) of the master seed."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=tuple(key))))
 
 
 def resolve_master_seed(cfg: ScenarioConfig, cli_seed: Optional[int] = None,

@@ -173,36 +173,38 @@ def test_criterion_7_mobility_properties():
     pause_ok = True
     pause_counts = 0
     pending: dict[int, int] = {}
-    prev = {u.id: u.position for u in users}
+    prev = users.position.copy()
     for _ in range(10_000):
-        for u in users:
-            arrived_before = u.position == u.waypoint and u.pause_remaining > 0
-            mobility.step(u, dt, cfg.region, cfg, rng)
-            moved = math.dist(prev[u.id], u.position)
+        arrived_before = (np.all(users.position == users.waypoint, axis=1)
+                          & (users.pause_remaining > 0))
+        mobility.step(users, dt, cfg.region, cfg, rng)
+        for i in range(cfg.num_users):
+            position = tuple(users.position[i])
+            moved = math.dist(prev[i], position)
             if moved > s_max * dt + 1e-9:
                 speed_ok = False
-            if not cfg.region.contains(*u.position):
+            if not cfg.region.contains(*position):
                 contained = False
-            if u.id in pending:
+            if i in pending:
                 if moved == 0.0:
-                    pending[u.id] += 1
+                    pending[i] += 1
                 else:
-                    if pending[u.id] != math.ceil(cfg.pause_duration_s / dt):
+                    if pending[i] != math.ceil(cfg.pause_duration_s / dt):
                         pause_ok = False
                     pause_counts += 1
-                    del pending[u.id]
-            elif not arrived_before and u.position == u.waypoint and u.pause_remaining > 0:
-                pending[u.id] = 0  # just arrived; count the stationary steps that follow
-            prev[u.id] = u.position
+                    del pending[i]
+            elif (not arrived_before[i] and position == tuple(users.waypoint[i])
+                  and users.pause_remaining[i] > 0):
+                pending[i] = 0  # just arrived; count the stationary steps that follow
+        prev = users.position.copy()
 
     zero_cfg = make_config(num_users=3, speed_min_mps=0.0, speed_max_mps=0.0)
     zrng = scenario.stream(6, scenario.MOBILITY_STREAM)
     zero_users = mobility.init_users(zero_cfg, zrng)
-    start_pos = [u.position for u in zero_users]
+    start_pos = zero_users.position.copy()
     for _ in range(100):
-        for u in zero_users:
-            mobility.step(u, dt, zero_cfg.region, zero_cfg, zrng)
-    frozen_ok = [u.position for u in zero_users] == start_pos
+        mobility.step(zero_users, dt, zero_cfg.region, zero_cfg, zrng)
+    frozen_ok = np.array_equal(zero_users.position, start_pos)
 
     ok = contained and speed_ok and pause_ok and pause_counts > 0 and frozen_ok
     _verdict(7, "mobility containment, speed bound, pause fidelity, zero-speed", ok,
