@@ -4,7 +4,7 @@ vehicle-mounted reflecting surface serving mobile NOMA users."""
 from .channel import Placement
 from .cli import ExperimentReport, emit_outputs, run_experiment
 from .mobility import MobilityTrace, Users, generate_trace
-from .noma import NomaPair, SlotResult, slot_sum_rate
+from .noma import SlotResult, slot_sum_rate
 from .optimizer import GaRunRecord, Variant, optimize_slot, optimize_trajectory
 from .scenario import (ConfigError, ScenarioConfig, SchemaError,
                        ValidationError, derive, load_config, parse_config)
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ExperimentReport", "GaRunRecord", "MobilityTrace",
-    "NomaPair", "Placement", "ScenarioConfig", "SchemaError", "SlotResult",
+    "Placement", "ScenarioConfig", "SchemaError", "SlotResult",
     "Users", "ValidationError", "Variant", "derive", "emit_outputs",
     "generate_trace", "load_config", "optimize_slot", "optimize_trajectory",
     "parse_config", "run_experiment", "slot_sum_rate",

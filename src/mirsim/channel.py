@@ -5,8 +5,9 @@ probability weights separate LoS/NLoS log-distance laws, and the averaged
 dB value converts to a linear power gain.  The vehicle-mounted reflecting
 surface serves each user through N elements in the horizontal plane at a
 fixed mounting height; its per-element NLoS gain combines coherently, so the
-aggregate scales as N^2.  All functions are pure and broadcast over leading
-axes, so a batch of candidate placements evaluates in one call.
+aggregate scales as N^2.  Users are always a (U, 2) array.  All functions
+are pure and broadcast over leading placement axes, so a batch of candidate
+placements evaluates in one call.
 """
 
 from __future__ import annotations
@@ -29,34 +30,20 @@ class Placement:
     irs: Optional[tuple[float, float]]
 
 
-def _as_users(users_xy):
-    """Normalize to a (U, 2) array; remembers whether input was a single point."""
-    users = np.asarray(users_xy, dtype=float)
-    if users.ndim == 1:
-        return users[None, :], True
-    return users, False
-
-
 def distance_3d(uav_xyz, users_xy):
-    """Slant distance from the UAV to ground users (users at z=0)."""
+    """Slant distance from the UAV to (U, 2) ground users (users at z=0)."""
     uav = np.asarray(uav_xyz, dtype=float)
-    users, single = _as_users(users_xy)
+    users = np.asarray(users_xy, dtype=float)
     dx = uav[..., 0, None] - users[:, 0]
     dy = uav[..., 1, None] - users[:, 1]
-    d = np.sqrt(dx * dx + dy * dy + uav[..., 2, None] ** 2)
-    if single:
-        d = d[..., 0]
-    return float(d) if d.ndim == 0 else d
+    return np.sqrt(dx * dx + dy * dy + uav[..., 2, None] ** 2)
 
 
 def horizontal_distance(uav_xyz, users_xy):
-    """2D distance between the UAV's ground projection and each user."""
+    """2D distance between the UAV's ground projection and each of (U, 2) users."""
     uav = np.asarray(uav_xyz, dtype=float)
-    users, single = _as_users(users_xy)
-    q = np.hypot(uav[..., 0, None] - users[:, 0], uav[..., 1, None] - users[:, 1])
-    if single:
-        q = q[..., 0]
-    return float(q) if q.ndim == 0 else q
+    users = np.asarray(users_xy, dtype=float)
+    return np.hypot(uav[..., 0, None] - users[:, 0], uav[..., 1, None] - users[:, 1])
 
 
 def pathloss_los(d, cfg: ScenarioConfig):
@@ -133,7 +120,7 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
     """
     irs_height = cfg.irs_height_m
     irs = np.asarray(irs_xy, dtype=float)
-    users, single = _as_users(users_xy)
+    users = np.asarray(users_xy, dtype=float)
     dx = irs[..., 0, None] - users[:, 0]
     dy = irs[..., 1, None] - users[:, 1]
     d_iu = np.sqrt(dx * dx + dy * dy + irs_height * irs_height)
@@ -150,9 +137,7 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
         if np.any(d_ui <= 0):
             raise ValueError("degenerate UAV-to-surface distance")
         gain = gain * np.asarray(db_to_linear(-pathloss_los(d_ui, cfg)))[..., None]
-    if single:
-        gain = gain[..., 0]
-    return float(gain) if gain.ndim == 0 else gain
+    return gain
 
 
 def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig):

@@ -10,10 +10,12 @@ scenario is defined, as an ``optimizer.Variant(surface, access)``:
 * No-IRS-NOMA -- UAV only, no reflected link
 * M-IRS-OMA   -- joint placement under the orthogonal-access baseline
 
-``emit_outputs`` writes results.json plus plot-ready CSVs with stable,
-documented schemas.  Exit codes: 0 success, 2 config/usage error, 3 when
-some slot's best placement leaves every user below the SINR threshold
-(reported in the outputs, not fatal).
+Each ExperimentReport field is the results.json key of the same name; the
+report's per-user and power-fraction rows are built here from each slot's
+``noma.SlotResult``.  ``emit_outputs`` writes results.json plus plot-ready
+CSVs with stable, documented schemas.  Exit codes: 0 success, 2
+config/usage error, 3 when some slot's best placement leaves every user
+below the SINR threshold (reported in the outputs, not fatal).
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ USERS_COLUMNS = ["slot", "scenario", "user", "pair_id", "alpha", "sinr_db", "rat
 
 @dataclass
 class ExperimentReport:
+    """A run's results; results.json holds each field under its own name."""
+
     config: dict = field(default_factory=dict)
     seeds: list[int] = field(default_factory=list)
-    scenario_names: list[str] = field(default_factory=list)
+    scenarios: list[str] = field(default_factory=list)
     num_slots: int = 0
     avg_sum_rate: dict[str, list[float]] = field(default_factory=dict)
     per_seed_sum_rate: dict[str, list[list[float]]] = field(default_factory=dict)
@@ -60,27 +64,14 @@ class ExperimentReport:
     fractions_scenario: Optional[str] = None
     trajectories: dict[str, list[dict]] = field(default_factory=dict)
     convergence: dict[str, list[dict]] = field(default_factory=dict)
-    user_rows: list[list] = field(default_factory=list)
-    infeasible: list[dict] = field(default_factory=list)
-    evaluations: int = 0
+    per_user: dict = field(default_factory=lambda: {"columns": USERS_COLUMNS, "rows": []})
+    infeasible_slots: list[dict] = field(default_factory=list)
+    ga_evaluations: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seeds": list(self.seeds),
-            "scenarios": list(self.scenario_names),
-            "num_slots": self.num_slots,
-            "avg_sum_rate": self.avg_sum_rate,
-            "per_seed_sum_rate": self.per_seed_sum_rate,
-            "improvement_pct": self.improvement_pct,
-            "power_fractions": self.power_fractions,
-            "fractions_scenario": self.fractions_scenario,
-            "trajectories": self.trajectories,
-            "convergence": self.convergence,
-            "per_user": {"columns": USERS_COLUMNS, "rows": self.user_rows},
-            "infeasible_slots": self.infeasible,
-            "ga_evaluations": self.evaluations,
-        }
+
+def _headline_scenario(names) -> Optional[str]:
+    """M-IRS-NOMA if names hold it, else the first name (None for no names)."""
+    return "M-IRS-NOMA" if "M-IRS-NOMA" in names else next(iter(names), None)
 
 
 def resolve_scenarios(names) -> list[str]:
@@ -116,13 +107,12 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
                           f"num_users is {cfg.num_users}")
 
     num_slots = trace.num_slots if trace is not None else cfg.num_slots
-    noma_names = [n for n in names if SCENARIOS[n].access == "noma"]
     report = ExperimentReport(
-        config=scenario.config_to_dict(cfg), seeds=seeds, scenario_names=names,
+        config=scenario.config_to_dict(cfg), seeds=seeds, scenarios=names,
         num_slots=num_slots,
         per_seed_sum_rate={name: [] for name in names},
-        fractions_scenario=("M-IRS-NOMA" if "M-IRS-NOMA" in noma_names
-                            else (noma_names[0] if noma_names else None)),
+        fractions_scenario=_headline_scenario(
+            [n for n in names if SCENARIOS[n].access == "noma"]),
     )
 
     for seed_index, seed in enumerate(seeds):
@@ -134,14 +124,14 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
         for name in names:
             variant = SCENARIOS[name]
             placements, records = optimizer.optimize_trajectory(seed_trace, cfg, seed, variant)
-            report.evaluations += sum(r.evaluations for r in records)
+            report.ga_evaluations += sum(r.evaluations for r in records)
             slot_rates = []
             for slot, placement in enumerate(placements):
                 result = noma.slot_sum_rate(placement, seed_trace.positions[slot], cfg,
                                             variant.access)
                 slot_rates.append(result.sum_rate)
                 if not result.any_feasible:
-                    report.infeasible.append(
+                    report.infeasible_slots.append(
                         {"scenario": name, "seed": seed, "slot": slot})
                 if seed_index == 0:
                     _record_first_seed_detail(report, name, slot, placement,
@@ -152,7 +142,7 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
         per_seed = np.asarray(report.per_seed_sum_rate[name])
         report.avg_sum_rate[name] = [float(v) for v in per_seed.mean(axis=0)]
 
-    base = "M-IRS-NOMA" if "M-IRS-NOMA" in names else names[0]
+    base = _headline_scenario(names)
     for other in names:
         if other == base:
             continue
@@ -165,7 +155,7 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
 
 
 def _record_first_seed_detail(report, name, slot, placement, result, record):
-    """Trajectories, convergence, fractions, and per-user rows from the first seed."""
+    """Trajectories, convergence, per-user rows, and fractions from the first seed."""
     entry = {"slot": slot,
              "uav": [float(v) for v in placement.uav],
              "irs": None if placement.irs is None else [float(v) for v in placement.irs]}
@@ -175,13 +165,21 @@ def _record_first_seed_detail(report, name, slot, placement, result, record):
         "best": [float(v) for v in record.best_fitness],
         "mean": [float(v) for v in record.mean_fitness],
     })
-    report.user_rows.extend(noma.slot_result_rows(result, slot, name))
+    for user, sinr in enumerate(result.sinr.tolist()):
+        report.per_user["rows"].append(
+            [slot, name, user, int(result.pair_id[user]), float(result.alpha[user]),
+             float(scenario.linear_to_db(sinr)) if sinr > 0 else float("-inf"),
+             float(result.rate[user])])
     if name == report.fractions_scenario:
-        for k, pair in enumerate(result.pairs):
+        pairs = list(zip(result.weak.tolist(), result.strong.tolist()))
+        if result.mid is not None:
+            pairs.append((result.mid, None))
+        for k, (weak, strong) in enumerate(pairs):
             report.power_fractions.append({
                 "scenario": name, "slot": slot, "pair": k,
-                "weak_user": pair.weak, "strong_user": pair.strong,
-                "alpha_weak": pair.alpha_weak, "alpha_strong": pair.alpha_strong,
+                "weak_user": weak, "strong_user": strong,
+                "alpha_weak": float(result.alpha[weak]),
+                "alpha_strong": 0.0 if strong is None else float(result.alpha[strong]),
             })
 
 
@@ -201,7 +199,7 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     A non-finite number in the report raises ValueError before any file is
     written.
     """
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(vars(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in
@@ -215,7 +213,7 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
 
     rate_rows = []
     for slot in range(report.num_slots):
-        for name in report.scenario_names:
+        for name in report.scenarios:
             rate_rows.append([slot, name, report.avg_sum_rate[name][slot]])
     _write_csv(paths["rates"], RATES_COLUMNS, rate_rows)
 
@@ -224,8 +222,7 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     _write_csv(paths["fractions"], FRACTIONS_COLUMNS, fraction_rows)
 
     trajectory_rows = []
-    main_scenario = ("M-IRS-NOMA" if "M-IRS-NOMA" in report.trajectories
-                     else next(iter(report.trajectories), None))
+    main_scenario = _headline_scenario(report.trajectories)
     if main_scenario is not None:
         irs_height = report.config.get("irs_height_m", 0.0)
         for entry in report.trajectories[main_scenario]:
@@ -237,13 +234,13 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     _write_csv(paths["trajectory"], TRAJECTORY_COLUMNS, trajectory_rows)
 
     convergence_rows = []
-    for name in report.scenario_names:
+    for name in report.scenarios:
         for rec in report.convergence.get(name, []):
             for gen, (best, mean) in enumerate(zip(rec["best"], rec["mean"])):
                 convergence_rows.append([name, rec["slot"], gen, best, mean])
     _write_csv(paths["convergence"], CONVERGENCE_COLUMNS, convergence_rows)
 
-    _write_csv(paths["users"], USERS_COLUMNS, report.user_rows)
+    _write_csv(paths["users"], USERS_COLUMNS, report.per_user["rows"])
     return paths
 
 
@@ -283,12 +280,12 @@ def _cmd_run(args) -> int:
     for label, imp in report.improvement_pct.items():
         if imp["mean"] is not None:
             print(f"  {label}: {imp['mean']:+.2f}% mean")
-    if report.infeasible:
-        print(f"  {len(report.infeasible)} slot(s) with no user meeting the "
+    if report.infeasible_slots:
+        print(f"  {len(report.infeasible_slots)} slot(s) with no user meeting the "
               f"SINR threshold (details in results.json)")
     print(f"wrote {paths['results'].parent}/: "
           + ", ".join(sorted(p.name for p in paths.values())))
-    return 3 if report.infeasible else 0
+    return 3 if report.infeasible_slots else 0
 
 
 def _cmd_trace(args) -> int:

@@ -14,37 +14,28 @@ The OMA baseline gives each user half the resource at full power.
 ``evaluate_batch`` does all of this for a whole batch of candidate
 placements at once, with ``ftpa_allocate`` splitting every pair's power;
 ``slot_sum_rate`` evaluates one placement under either access mode and
-assembles a SlotResult.
+returns its SlotResult, which keeps the pairing as index arrays; the CLI
+turns it into report rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import channel
-from .scenario import ScenarioConfig, derive, linear_to_db
-
-
-@dataclass
-class NomaPair:
-    """One sub-band: weak/strong user indices and their power fractions.
-
-    strong is None for the unpaired user of an odd count; it transmits
-    alone with alpha_weak = 1.
-    """
-
-    weak: int
-    strong: Optional[int]
-    alpha_weak: float = 1.0
-    alpha_strong: float = 0.0
+from .scenario import ScenarioConfig, derive
 
 
 @dataclass
 class SlotResult:
-    """Per-user SINRs, power fractions, rates, and the slot sum rate."""
+    """Per-user SINRs, power fractions, rates, and the slot sum rate.
+
+    Pair k is (weak[k], strong[k]); mid is the unpaired user of an odd
+    count, else None.
+    """
 
     sinr: np.ndarray
     rate: np.ndarray
@@ -52,7 +43,9 @@ class SlotResult:
     pair_id: np.ndarray
     feasible: np.ndarray
     sum_rate: float
-    pairs: list[NomaPair] = field(default_factory=list)
+    weak: np.ndarray
+    strong: np.ndarray
+    mid: Optional[int]
 
     @property
     def any_feasible(self) -> bool:
@@ -157,26 +150,9 @@ def slot_sum_rate(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
                         gamma_th=d.gamma_th_linear, noise_linear=d.noise_linear_mw,
                         decay=cfg.ftpa_decay,
                         favor_strong=cfg.ftpa_favor_strong, access=access)
-    alpha = ev["alpha"][0]
-    pairs = [NomaPair(weak=int(w), strong=int(s), alpha_weak=float(alpha[w]),
-                      alpha_strong=float(alpha[s]))
-             for w, s in zip(ev["weak"][0], ev["strong"][0])]
-    if ev["mid"] is not None:
-        pairs.append(NomaPair(weak=int(ev["mid"][0]), strong=None))
     return SlotResult(
-        sinr=ev["sinr"][0], rate=ev["rate"][0], alpha=alpha,
+        sinr=ev["sinr"][0], rate=ev["rate"][0], alpha=ev["alpha"][0],
         pair_id=ev["pair_id"][0], feasible=ev["feasible"][0],
-        sum_rate=float(ev["sum_rate"][0]), pairs=pairs,
+        sum_rate=float(ev["sum_rate"][0]), weak=ev["weak"][0], strong=ev["strong"][0],
+        mid=None if ev["mid"] is None else int(ev["mid"][0]),
     )
-
-
-def slot_result_rows(result: SlotResult, slot: int, scenario: str) -> list[list]:
-    """Flatten a SlotResult into CSV rows: slot, scenario, user, pair_id, alpha, sinr_db, rate."""
-    rows = []
-    for user in range(len(result.rate)):
-        s = float(result.sinr[user])
-        rows.append([slot, scenario, user, int(result.pair_id[user]),
-                     float(result.alpha[user]),
-                     float(linear_to_db(s)) if s > 0 else float("-inf"),
-                     float(result.rate[user])])
-    return rows

@@ -209,8 +209,7 @@ def _breed(population: np.ndarray, fitnesses: np.ndarray, cfg: ScenarioConfig,
 def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
                   variant: Variant = Variant("mobile", "noma"), *, fixed_irs=None,
                   warm_start_genome: Optional[np.ndarray] = None,
-                  prev_placement: Optional[Placement] = None,
-                  initial_population: Optional[np.ndarray] = None
+                  prev_placement: Optional[Placement] = None
                   ) -> tuple[Placement, GaRunRecord]:
     """Run the GA for one slot; returns the best placement and its run record.
 
@@ -222,14 +221,9 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
     derived = scenario.derive(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
 
-    if initial_population is not None:
-        population = np.array(initial_population, dtype=np.uint8)
-        if population.shape != (cfg.population_size, length):
-            raise ValueError("initial_population must have shape (population_size, genome_length)")
-    else:
-        population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
-        if warm_start_genome is not None:
-            population[0] = warm_start_genome
+    population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
+    if warm_start_genome is not None:
+        population[0] = warm_start_genome
 
     def evaluate(pop):
         return _fitness_batch(pop, users_xy, cfg, derived, variant, fixed_irs, prev_placement)

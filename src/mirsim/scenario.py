@@ -305,7 +305,9 @@ def validate(cfg: ScenarioConfig) -> None:
     if cfg.mutation_prob_per_bit is not None:
         _check(0.0 <= cfg.mutation_prob_per_bit <= 1.0, "mutation_prob_per_bit",
                "must be in [0, 1]")
-    _check(cfg.bits_per_coordinate >= 1, "bits_per_coordinate", "must be >= 1")
+    # Codes wider than 53 bits are inexact in float64; from 64 bits the int64
+    # decode weights overflow.
+    _check(1 <= cfg.bits_per_coordinate <= 53, "bits_per_coordinate", "must be in [1, 53]")
     _check(0 <= cfg.elitism_count < cfg.population_size, "elitism_count",
            "must be in [0, population_size)")
     _check(cfg.uav_alt_min_m >= 100.0, "uav_alt_min_m", "must be >= 100 m (safety floor)")

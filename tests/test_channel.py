@@ -19,7 +19,7 @@ CFG = make_config()
     ((30.0, 40.0, 120.0), (0.0, 0.0), 130.0),
 ])
 def test_distance_3d(uav, user, expected):
-    assert channel.distance_3d(np.array(uav), np.array(user)) == expected
+    assert channel.distance_3d(np.array(uav), np.array([user]))[0] == expected
 
 
 def test_distance_3d_vectorizes():
@@ -98,19 +98,19 @@ def test_sigmoid_model_is_selectable():
 
 def test_averaged_pathloss_is_pure_los_overhead():
     uav = np.array([50.0, 50.0, 150.0])
-    user = np.array([50.0, 50.0])
-    assert channel.uav_link_pathloss(uav, user, CFG) \
+    user = np.array([[50.0, 50.0]])
+    assert channel.uav_link_pathloss(uav, user, CFG)[0] \
         == channel.pathloss_los(150.0, CFG)
 
 
 def test_averaged_pathloss_composed_example():
     uav = np.array([0.0, 0.0, 100.0])
-    user = np.array([100.0, 0.0])
+    user = np.array([[100.0, 0.0]])
     d = math.sqrt(100.0 ** 2 + 100.0 ** 2)
     p_los = math.exp(-0.01 * 0.4 * 100.0 * 1.7 / 100.0)
     expected = (p_los * (61.4 + 20.0 * math.log10(d))
                 + (1.0 - p_los) * (72.0 + 29.2 * math.log10(d)))
-    assert math.isclose(channel.uav_link_pathloss(uav, user, CFG), expected,
+    assert math.isclose(channel.uav_link_pathloss(uav, user, CFG)[0], expected,
                         rel_tol=1e-14)
 
 
@@ -127,19 +127,19 @@ def test_averaged_pathloss_between_endpoints():
 def test_single_element_gain_reduces_to_nlos_law():
     irs = np.array([10.0, 20.0])
     uav = np.array([0.0, 0.0, 150.0])
-    user = np.array([13.0, 24.0])
+    user = np.array([[13.0, 24.0]])
     d = math.sqrt(3.0 ** 2 + 4.0 ** 2 + 6.0 ** 2)
     expected = 10.0 ** (-(72.0 + 29.2 * math.log10(d)) / 10.0)
-    got = channel.irs_combined_gain(irs, uav, user, CFG)
+    got = channel.irs_combined_gain(irs, uav, user, CFG)[0]
     assert math.isclose(got, expected, rel_tol=1e-14)
 
 
 def test_colocated_user_sees_mounting_height_distance():
     irs = np.array([100.0, 100.0])
     uav = np.array([0.0, 0.0, 150.0])
-    user = np.array([100.0, 100.0])
+    user = np.array([[100.0, 100.0]])
     expected = 10.0 ** (-channel.pathloss_nlos(6.0, CFG) / 10.0)
-    assert math.isclose(channel.irs_combined_gain(irs, uav, user, CFG),
+    assert math.isclose(channel.irs_combined_gain(irs, uav, user, CFG)[0],
                         expected, rel_tol=1e-14)
 
 
@@ -165,9 +165,9 @@ def test_uav_leg_multiplies_in_when_enabled():
     params = dataclasses.replace(CFG, irs_uav_leg_enabled=True)
     irs = np.array([0.0, 0.0])
     uav = np.array([0.0, 0.0, 100.0])
-    user = np.array([3.0, 4.0])
-    without = channel.irs_combined_gain(irs, uav, user, CFG)
-    with_leg = channel.irs_combined_gain(irs, uav, user, params)
+    user = np.array([[3.0, 4.0]])
+    without = channel.irs_combined_gain(irs, uav, user, CFG)[0]
+    with_leg = channel.irs_combined_gain(irs, uav, user, params)[0]
     leg = 10.0 ** (-channel.pathloss_los(94.0, CFG) / 10.0)
     assert math.isclose(with_leg, without * leg, rel_tol=1e-14)
 

@@ -12,7 +12,8 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from mirsim import cli, mobility, scenario
+from mirsim import cli, mobility, noma, scenario
+from mirsim.channel import Placement
 from mirsim.scenario import ConfigError
 
 from testutil import config_yaml, small_config
@@ -103,15 +104,67 @@ def test_fraction_rows_are_normalized():
         assert row["alpha_weak"] >= row["alpha_strong"]
 
 
+def test_fractions_match_users_csv_with_odd_count_and_favor_strong(tmp_path):
+    cfg = small_config(num_slots=2, num_users=5, ftpa_favor_strong=True)
+    report = cli.run_experiment(cfg, ["M-IRS-NOMA"], [1])
+    paths = cli.emit_outputs(report, tmp_path)
+    fractions = json.loads(paths["results"].read_text())["power_fractions"]
+    users = {(int(row[0]), int(row[2])): row for row in _read_csv(paths["users"])[1:]}
+    assert [(f["slot"], f["pair"]) for f in fractions] == [(s, k) for s in (0, 1) for k in (0, 1, 2)]
+    for f in fractions:
+        if f["pair"] == 2:
+            assert f["strong_user"] is None
+            assert (f["alpha_weak"], f["alpha_strong"]) == (1.0, 0.0)
+        else:
+            assert f["alpha_weak"] < f["alpha_strong"]
+        for role in ("weak", "strong"):
+            if f[f"{role}_user"] is not None:
+                row = users[f["slot"], f[f"{role}_user"]]
+                assert int(row[3]) == f["pair"]
+                assert float(row[4]) == f[f"alpha_{role}"]
+
+
+def test_headline_scenario_falls_back_without_m_irs_noma(tmp_path):
+    cfg = small_config(num_slots=2)
+    report = cli.run_experiment(cfg, ["M-IRS-OMA", "S-IRS-NOMA"], [1])
+    assert report.fractions_scenario == "S-IRS-NOMA"
+    assert list(report.improvement_pct) == ["M-IRS-OMA vs S-IRS-NOMA"]
+    paths = cli.emit_outputs(report, tmp_path)
+    fractions = json.loads(paths["results"].read_text())["power_fractions"]
+    assert fractions and {f["scenario"] for f in fractions} == {"S-IRS-NOMA"}
+    expected = []
+    for entry in report.trajectories["M-IRS-OMA"]:
+        expected.append([entry["slot"], "uav", *entry["uav"]])
+        expected.append([entry["slot"], "irs", *entry["irs"], cfg.irs_height_m])
+    rows = [[int(r[0]), r[1], *map(float, r[2:])] for r in _read_csv(paths["trajectory"])[1:]]
+    assert rows == expected
+
+
 def test_user_rows_cover_first_seed(tmp_path):
     cfg = small_config(num_slots=2, num_users=4)
     names = ["M-IRS-NOMA", "M-IRS-OMA"]
     report = cli.run_experiment(cfg, names, [1, 2])
-    assert len(report.user_rows) == len(names) * 2 * 4
+    assert len(report.per_user["rows"]) == len(names) * 2 * 4
     paths = cli.emit_outputs(report, tmp_path)
     users = _read_csv(paths["users"])
     assert users[0] == cli.USERS_COLUMNS
-    assert len(users) == 1 + len(report.user_rows)
+    assert len(users) == 1 + len(report.per_user["rows"])
+
+
+def test_user_rows_format():
+    cfg = small_config(num_slots=2)
+    report = cli.run_experiment(cfg, ["M-IRS-NOMA"], [1])
+    trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
+    rows = report.per_user["rows"]
+    assert [row[:3] for row in rows] == [[s, "M-IRS-NOMA", u] for s in (0, 1) for u in range(4)]
+    for slot, entry in enumerate(report.trajectories["M-IRS-NOMA"]):
+        placement = Placement(uav=tuple(entry["uav"]), irs=tuple(entry["irs"]))
+        result = noma.slot_sum_rate(placement, trace.positions[slot], cfg)
+        for user, row in enumerate(rows[4 * slot:4 * slot + 4]):
+            _, _, _, pair_id, alpha, sinr_db, rate = row
+            assert (pair_id, alpha, rate) == (result.pair_id[user], result.alpha[user],
+                                              result.rate[user])
+            assert math.isclose(sinr_db, 10.0 * math.log10(result.sinr[user]), rel_tol=1e-12)
 
 
 def test_external_trace_reproduces_internal_run(tmp_path):
@@ -207,6 +260,8 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     # no mobility sub-step per slot
     ("slot_duration_s: 1.0e-10\n", ["slot_duration_s", "substep_duration_s"]),
     ("substep_duration_s: 1.0e+12\n", ["slot_duration_s", "substep_duration_s"]),
+    # int64 decode weights overflow
+    ("bits_per_coordinate: 64\n", ["bits_per_coordinate"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"
@@ -250,7 +305,7 @@ def test_cli_rejects_malformed_trace_csv(tmp_path, capsys, rows, message):
 
 
 def test_emit_outputs_writes_nothing_for_non_finite_values(tmp_path):
-    report = cli.ExperimentReport(scenario_names=["M-IRS-NOMA"], num_slots=1,
+    report = cli.ExperimentReport(scenarios=["M-IRS-NOMA"], num_slots=1,
                                   avg_sum_rate={"M-IRS-NOMA": [math.nan]})
     with pytest.raises(ValueError, match="JSON compliant"):
         cli.emit_outputs(report, tmp_path / "out")
@@ -343,6 +398,10 @@ def test_results_json_structure(tmp_path):
     assert doc["config"]["num_users"] == cfg.num_users
     assert "M-IRS-NOMA vs S-IRS-NOMA" in doc["improvement_pct"]
     assert doc["per_user"]["columns"] == cli.USERS_COLUMNS
+    assert set(doc) == {"config", "seeds", "scenarios", "num_slots", "avg_sum_rate",
+                        "per_seed_sum_rate", "improvement_pct", "power_fractions",
+                        "fractions_scenario", "trajectories", "convergence", "per_user",
+                        "infeasible_slots", "ga_evaluations"}
 
 
 # Every float key.

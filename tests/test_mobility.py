@@ -256,12 +256,13 @@ def test_pause_lasts_ceil_of_duration_over_dt():
     assert np.array_equal(users.position[0], users.waypoint[0])
     still = 0
     pos = users.position[0].copy()
-    while True:
+    for _ in range(100):
         mobility.step(users, 1.0, cfg.region, cfg, rng)
-        if np.array_equal(users.position[0], pos):
-            still += 1
-        else:
+        if not np.array_equal(users.position[0], pos):
             break
+        still += 1
+    else:
+        pytest.fail("user 0 never left its waypoint in 100 steps")
     assert still == math.ceil(3.5 / 1.0)
 
 

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,9 +8,22 @@ from hypothesis import given, strategies as st
 
 from mirsim import channel, noma, scenario
 from mirsim.channel import Placement
-from mirsim.noma import NomaPair
 
 from testutil import make_config
+
+
+@dataclass
+class NomaPair:
+    """Oracle record of one sub-band: weak/strong user indices and their power fractions.
+
+    strong is None for the unpaired user of an odd count; it transmits
+    alone with alpha_weak = 1.
+    """
+
+    weak: int
+    strong: Optional[int]
+    alpha_weak: float = 1.0
+    alpha_strong: float = 0.0
 
 
 def pair_users(gains) -> list[NomaPair]:
@@ -206,6 +220,8 @@ def test_slot_sum_rate_matches_scalar_composition():
     uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users, cfg)
     heff = uav_gain + irs_gain
     pairs = pair_users(heff)
+    assert (result.weak.tolist(), result.strong.tolist(), result.mid) == (
+        [pairs[0].weak], [pairs[0].strong], None)
     d = scenario.derive(cfg)
     aw, a_s = noma.ftpa_allocate(heff[pairs[0].weak], heff[pairs[0].strong],
                                  d.noise_linear_mw, cfg.ftpa_decay)
@@ -230,14 +246,18 @@ def test_slot_result_pair_bookkeeping():
     users = np.array([[30.0, 30.0], [60.0, 60.0], [90.0, 120.0],
                       [300.0, 300.0], [450.0, 80.0]])
     result = noma.slot_sum_rate(placement, users, cfg)
-    assert len(result.pairs) == 3
-    assert result.pairs[-1].strong is None
-    assert result.alpha[result.pairs[-1].weak] == 1.0
-    covered = {result.pairs[-1].weak}
-    for pair in result.pairs[:2]:
-        covered.update((pair.weak, pair.strong))
-        assert pair.alpha_weak >= pair.alpha_strong
+    assert result.weak.shape == result.strong.shape == (2,)
+    assert result.alpha[result.mid] == 1.0
+    assert result.pair_id[result.mid] == 2
+    covered = {result.mid}
+    for k, (weak, strong) in enumerate(zip(result.weak, result.strong)):
+        covered.update((weak, strong))
+        assert result.pair_id[weak] == result.pair_id[strong] == k
+        assert result.alpha[weak] >= result.alpha[strong]
     assert covered == set(range(5))
+    uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users, cfg)
+    assert [(p.weak, p.strong) for p in pair_users(uav_gain + irs_gain)] == [
+        *zip(result.weak.tolist(), result.strong.tolist()), (result.mid, None)]
 
 
 def test_no_irs_kind_equals_zero_reflection():
@@ -315,14 +335,3 @@ def test_evaluate_batch_input_validation():
         noma.evaluate_batch(np.ones((1, 2)), np.ones((1, 2)), rho=1.0, gamma_th=1.0,
                             noise_linear=1.0, decay=0.0, access="tdma")
 
-
-def test_slot_result_rows_format():
-    cfg = make_config(num_users=2)
-    placement = Placement(uav=(100.0, 100.0, 100.0), irs=(80.0, 80.0))
-    users = np.array([[90.0, 90.0], [400.0, 400.0]])
-    result = noma.slot_sum_rate(placement, users, cfg)
-    rows = noma.slot_result_rows(result, 3, "M-IRS-NOMA")
-    assert len(rows) == 2
-    slot, name, user, pair_id, alpha, sinr_db, rate = rows[0]
-    assert (slot, name, user) == (3, "M-IRS-NOMA", 0)
-    assert math.isclose(sinr_db, 10.0 * math.log10(result.sinr[0]), rel_tol=1e-12)

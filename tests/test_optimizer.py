@@ -68,6 +68,20 @@ def test_decode_extremes():
     assert high.uav == (500.0, 500.0, 300.0) and high.irs == (500.0, 500.0)
 
 
+def test_widest_genome_decodes_inside_the_constraints():
+    bits = 53
+    cfg = make_config(bits_per_coordinate=bits)
+    bounds = optimizer.genome_bounds(cfg)
+    top_bit = np.tile(np.eye(1, bits, dtype=np.uint8)[0], optimizer.NUM_COORDS)
+    high = optimizer.decode(np.ones(optimizer.genome_length(cfg), dtype=np.uint8), bounds, bits)
+    middle = optimizer.decode(top_bit, bounds, bits)
+    assert high.uav == (500.0, 500.0, 300.0) and high.irs == (500.0, 500.0)
+    for value, expected in zip((*middle.uav, *middle.irs), (250.0, 250.0, 200.0, 250.0, 250.0)):
+        assert math.isclose(value, expected, rel_tol=1e-15)
+    for placement in (high, middle):
+        channel.validate_placement(placement, cfg)
+
+
 def test_round_trip_error_within_quantization_bound():
     cfg = make_config(bits_per_coordinate=12)
     bounds = optimizer.genome_bounds(cfg)
@@ -230,19 +244,23 @@ def test_mutation_flip_rate_statistics():
     assert abs(mean - 2.0) <= 3.0 * sigma
 
 
-def test_closed_population_returns_the_seed_genome():
-    cfg = small_config(mutation_prob_per_bit=0.0, population_size=6, max_iterations=4)
+def test_closed_population_never_returns_worse_than_the_seed_genome():
+    # Without crossover and mutation no genome outside the initial population appears.
+    cfg = small_config(crossover_prob=0.0, mutation_prob_per_bit=0.0, population_size=6,
+                       max_iterations=4)
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     bounds = optimizer.genome_bounds(cfg)
     genome = encode(Placement(uav=(120.0, 80.0, 150.0), irs=(100.0, 100.0)),
                     bounds, cfg.bits_per_coordinate)
-    seeded = np.tile(genome, (cfg.population_size, 1))
-    placement, record = optimizer.optimize_slot(users, cfg, _ga_rng(7),
-                                                initial_population=seeded)
-    expected = optimizer.decode(genome, bounds, cfg.bits_per_coordinate)
-    assert placement == expected
-    assert record.best_fitness[0] == record.best_fitness[-1]
-    assert np.array_equal(record.best_genome, genome)
+    initial = (_ga_rng(7).random((cfg.population_size, optimizer.genome_length(cfg)))
+               < 0.5).astype(np.uint8)
+    initial[0] = genome
+    fit = _fitness(initial, users, cfg)
+    placement, record = optimizer.optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
+    assert record.best_fitness == [fit.max()] * (cfg.max_iterations + 1)
+    assert record.best_fitness[-1] >= fit[0]
+    assert np.array_equal(record.best_genome, initial[np.argmax(fit)])
+    assert placement == optimizer.decode(record.best_genome, bounds, cfg.bits_per_coordinate)
 
 
 def test_optimize_slot_is_deterministic():
@@ -299,14 +317,6 @@ def test_optimized_placements_respect_bounds():
     for seed in range(3):
         placement, _ = optimizer.optimize_slot(users, cfg, _ga_rng(seed))
         channel.validate_placement(placement, cfg)
-
-
-def test_initial_population_shape_is_checked():
-    cfg = small_config()
-    users = np.array([[10.0, 10.0], [40.0, 30.0]])
-    with pytest.raises(ValueError, match="initial_population"):
-        optimizer.optimize_slot(users, cfg, _ga_rng(),
-                                initial_population=np.zeros((3, 4), dtype=np.uint8))
 
 
 def test_trajectory_lengths_follow_the_trace():

@@ -81,6 +81,8 @@ def test_half_specified_static_position_rejected():
     {"blocker_density_per_m2": 0.0},
     {"max_slot_displacement_m": 20.0, "sinr_penalty_weight": 0.0},
     {"sinr_penalty_weight": 1e300, "snr_threshold_db": 100.0},
+    {"bits_per_coordinate": 54},
+    {"bits_per_coordinate": 64},
 ])
 def test_invariant_violations_rejected(overrides):
     # the message names the first override key
