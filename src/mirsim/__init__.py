@@ -4,17 +4,17 @@ vehicle-mounted reflecting surface serving mobile NOMA users."""
 from .channel import Placement
 from .cli import ExperimentReport, emit_outputs, run_experiment
 from .mobility import MobilityTrace, Users, generate_trace
-from .noma import SlotResult, slot_sum_rate
+from .noma import SlotResult
 from .optimizer import GaRunRecord, Variant, optimize_slot, optimize_trajectory
 from .scenario import (ConfigError, ScenarioConfig, SchemaError,
-                       ValidationError, derive, load_config, parse_config)
+                       ValidationError, load_config, parse_config)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ExperimentReport", "GaRunRecord", "MobilityTrace",
     "Placement", "ScenarioConfig", "SchemaError", "SlotResult",
-    "Users", "ValidationError", "Variant", "derive", "emit_outputs",
-    "generate_trace", "load_config", "optimize_slot", "optimize_trajectory",
-    "parse_config", "run_experiment", "slot_sum_rate",
+    "Users", "ValidationError", "Variant", "emit_outputs", "generate_trace",
+    "load_config", "optimize_slot", "optimize_trajectory", "parse_config",
+    "run_experiment",
 ]

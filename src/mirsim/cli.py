@@ -1,9 +1,9 @@
 """Experiment runner and command-line interface.
 
 ``run_experiment`` reproduces the benchmark protocol: one shared mobility
-trace per seed, then per scenario a per-slot placement search and slot
-evaluation, averaged across seeds.  ``SCENARIOS`` is the one place a
-scenario is defined, as an ``optimizer.Variant(surface, access)``:
+trace per seed, then per scenario a per-slot placement search whose final
+generation scores the slot, averaged across seeds.  ``SCENARIOS`` is the
+one place a scenario is defined, as an ``optimizer.Variant(surface, access)``:
 
 * M-IRS-NOMA  -- joint UAV + vehicle placement every slot
 * S-IRS-NOMA  -- vehicle frozen at the slot-1 joint optimum (or configured point)
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channel, mobility, noma, optimizer, scenario
+from . import channel, mobility, optimizer, scenario
 from .optimizer import Variant
 from .scenario import ConfigError, ScenarioConfig
 
@@ -125,18 +125,13 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
             variant = SCENARIOS[name]
             placements, records = optimizer.optimize_trajectory(seed_trace, cfg, seed, variant)
             report.ga_evaluations += sum(r.evaluations for r in records)
-            slot_rates = []
-            for slot, placement in enumerate(placements):
-                result = noma.slot_sum_rate(placement, seed_trace.positions[slot], cfg,
-                                            variant.access)
-                slot_rates.append(result.sum_rate)
-                if not result.any_feasible:
+            for slot, (placement, record) in enumerate(zip(placements, records)):
+                if not record.result.any_feasible:
                     report.infeasible_slots.append(
                         {"scenario": name, "seed": seed, "slot": slot})
                 if seed_index == 0:
-                    _record_first_seed_detail(report, name, slot, placement,
-                                              result, records[slot])
-            report.per_seed_sum_rate[name].append(slot_rates)
+                    _record_first_seed_detail(report, name, slot, placement, record)
+            report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
 
     for name in names:
         per_seed = np.asarray(report.per_seed_sum_rate[name])
@@ -154,8 +149,9 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
     return report
 
 
-def _record_first_seed_detail(report, name, slot, placement, result, record):
+def _record_first_seed_detail(report, name, slot, placement, record):
     """Trajectories, convergence, per-user rows, and fractions from the first seed."""
+    result = record.result
     entry = {"slot": slot,
              "uav": [float(v) for v in placement.uav],
              "irs": None if placement.irs is None else [float(v) for v in placement.irs]}
@@ -262,8 +258,8 @@ def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
     base_seed = scenario.resolve_master_seed(cfg, args.seed)
     num_seeds = args.seeds if args.seeds is not None else cfg.num_seeds
-    if num_seeds < 1:
-        raise ConfigError("--seeds: must be >= 1")
+    if not 1 <= num_seeds <= scenario.MAX_SEEDS:
+        raise ConfigError("--seeds: must be in [1, 10^4]")
     seeds = [base_seed + i for i in range(num_seeds)]
     names = resolve_scenarios(args.scenarios.split(",")) if args.scenarios \
         else list(SCENARIOS)

@@ -12,10 +12,12 @@ count leaves the middle user alone on its band at full sub-band power.
 The OMA baseline gives each user half the resource at full power.
 
 ``evaluate_batch`` does all of this for a whole batch of candidate
-placements at once, with ``ftpa_allocate`` splitting every pair's power;
-``slot_sum_rate`` evaluates one placement under either access mode and
-returns its SlotResult, which keeps the pairing as index arrays; the CLI
-turns it into report rows.
+placements at once, with ``ftpa_allocate`` splitting every pair's power; it
+reads the power, threshold and FTPA keys straight from the config and
+linearizes the dB ones.  The GA keeps its final generation's evaluation,
+and ``SlotResult.from_batch`` copies the winner's row out of it: the slot's
+result, which keeps the pairing as index arrays; the CLI turns it into
+report rows.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import channel
-from .scenario import ScenarioConfig, derive
+from .scenario import ScenarioConfig, db_to_linear
 
 
 @dataclass
@@ -51,6 +52,14 @@ class SlotResult:
     def any_feasible(self) -> bool:
         return bool(np.any(self.feasible))
 
+    @classmethod
+    def from_batch(cls, ev: dict, row: int) -> "SlotResult":
+        """Row `row` of an evaluate_batch result, copied out of the batch arrays."""
+        arrays = ("sinr", "rate", "alpha", "pair_id", "feasible", "weak", "strong")
+        return cls(**{key: ev[key][row].copy() for key in arrays},
+                   sum_rate=float(ev["sum_rate"][row]),
+                   mid=None if ev["mid"] is None else int(ev["mid"][row]))
+
 
 def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
                   decay: float, favor_strong: bool = False):
@@ -70,10 +79,11 @@ def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
     return x_weak / total, x_strong / total
 
 
-def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
-                   noise_linear: float, decay: float, favor_strong: bool = False,
-                   access: str = "noma") -> dict:
+def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict:
     """Vectorized pairing/allocation/SINR/rates for (P, U) gain arrays.
+
+    access is "noma" or "oma".  The transmit SNR, SINR threshold and noise
+    power are the linear forms of cfg's dB keys.
 
     Returns a dict of arrays: sinr, rate, alpha, pair_id, feasible (all
     (P, U)), sum_rate and deficit (both (P,)), the pairing index arrays
@@ -87,6 +97,8 @@ def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
     batch, n = gu.shape
     if n == 0:
         raise ValueError("at least one user required")
+    rho = db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
+    gamma_th = db_to_linear(cfg.snr_threshold_db)
     heff = gu + gi
     order = np.argsort(heff, axis=1, kind="stable")
     half = n // 2
@@ -106,8 +118,9 @@ def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
     if access == "noma":
         sinr_arr = np.empty((batch, n), dtype=float)
         if half:
-            alpha_weak, alpha_strong = ftpa_allocate(heff[rows, weak], heff[rows, strong],
-                                                     noise_linear, decay, favor_strong)
+            alpha_weak, alpha_strong = ftpa_allocate(
+                heff[rows, weak], heff[rows, strong], db_to_linear(cfg.noise_power_dbm),
+                cfg.ftpa_decay, cfg.ftpa_favor_strong)
             sig_weak = alpha_weak * gu[rows, weak] + gi[rows, weak]
             sinr_arr[rows, weak] = sig_weak / (alpha_strong * gu[rows, strong] + 1.0 / rho)
             sinr_arr[rows, strong] = (alpha_strong * gu[rows, strong]
@@ -137,22 +150,3 @@ def evaluate_batch(uav_gain, irs_gain, *, rho: float, gamma_th: float,
         "mid": mid,
     }
 
-
-def slot_sum_rate(placement: channel.Placement, users_xy, cfg: ScenarioConfig,
-                  access: str = "noma") -> SlotResult:
-    """Full slot evaluation at one placement under NOMA or OMA access.
-
-    A placement without a surface (irs None) has no reflected link.
-    """
-    gu, gi = channel.link_gains(placement.uav, placement.irs, users_xy, cfg)
-    d = derive(cfg)
-    ev = evaluate_batch(gu[None, :], gi[None, :], rho=d.rho_linear,
-                        gamma_th=d.gamma_th_linear, noise_linear=d.noise_linear_mw,
-                        decay=cfg.ftpa_decay,
-                        favor_strong=cfg.ftpa_favor_strong, access=access)
-    return SlotResult(
-        sinr=ev["sinr"][0], rate=ev["rate"][0], alpha=ev["alpha"][0],
-        pair_id=ev["pair_id"][0], feasible=ev["feasible"][0],
-        sum_rate=float(ev["sum_rate"][0]), weak=ev["weak"][0], strong=ev["strong"][0],
-        mid=None if ev["mid"] is None else int(ev["mid"][0]),
-    )

@@ -29,12 +29,14 @@ generation:
    (P - E, L), after a trailing odd child is dropped.
 
 Fitness evaluation draws no randomness and is batched over the whole
-population.
+population.  The final generation's evaluation is the slot's result: the
+winner's row becomes its run record's noma.SlotResult, so a slot is scored
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,12 +77,14 @@ class Variant:
 
 @dataclass
 class GaRunRecord:
-    """Per-generation best/mean fitness, the winning genome, and eval count."""
+    """Per-generation best/mean fitness, the winning genome, eval count, and
+    the winner's evaluation from the final generation."""
 
     best_fitness: list[float]
     mean_fitness: list[float]
     best_genome: np.ndarray
     evaluations: int
+    result: noma.SlotResult
 
 
 def genome_bounds(cfg: ScenarioConfig) -> list[tuple[float, float]]:
@@ -111,18 +115,14 @@ def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
     return lo + codes / ((1 << bits) - 1) * (hi - lo)
 
 
-def decode(genome: np.ndarray, bounds, bits: int) -> Placement:
-    coords = decode_batch(genome, bounds, bits)[0]
-    return Placement(uav=(coords[0], coords[1], coords[2]), irs=(coords[3], coords[4]))
+def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig, variant: Variant,
+                   fixed_irs=None, prev_placement: Optional[Placement] = None):
+    """Score every genome in one vectorized pass.
 
-
-def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
-                   derived: scenario.DerivedParams, variant: Variant,
-                   fixed_irs=None, prev_placement: Optional[Placement] = None) -> np.ndarray:
-    """Penalized fitness for every genome in one vectorized pass.
-
-    The encoded vehicle position is ignored when the variant has no surface
-    or fixed_irs pins it.
+    Returns (fitness, uav, irs, evaluation): the penalized fitness (P,), the
+    scored UAV (P, 3) and vehicle (P, 2) positions, and the
+    noma.evaluate_batch result.  The encoded vehicle position is ignored
+    when the variant has no surface (irs None) or fixed_irs pins it.
     """
     bounds = genome_bounds(cfg)
     coords = decode_batch(genomes, bounds, cfg.bits_per_coordinate)
@@ -135,11 +135,7 @@ def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
     else:
         irs = np.broadcast_to(np.asarray(fixed_irs, dtype=float), (len(uav), 2))
     gu, gi = channel.link_gains(uav, irs, users_xy, cfg)
-    ev = noma.evaluate_batch(gu, gi, rho=derived.rho_linear,
-                             gamma_th=derived.gamma_th_linear,
-                             noise_linear=derived.noise_linear_mw,
-                             decay=cfg.ftpa_decay,
-                             favor_strong=cfg.ftpa_favor_strong, access=variant.access)
+    ev = noma.evaluate_batch(gu, gi, cfg, variant.access)
     fit = ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]
     limit = cfg.max_slot_displacement_m
     if limit is not None and prev_placement is not None:
@@ -150,7 +146,7 @@ def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig,
             qx, qy = prev_placement.irs
             excess = excess + np.maximum(0.0, np.hypot(irs[:, 0] - qx, irs[:, 1] - qy) - limit)
         fit = fit - cfg.sinr_penalty_weight * excess
-    return fit
+    return fit, uav, irs, ev
 
 
 def tournament_select(population: np.ndarray, fitnesses: np.ndarray,
@@ -217,38 +213,30 @@ def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
     placement carries it, or irs None when the variant has no surface.
     """
     length = genome_length(cfg)
-    bounds = genome_bounds(cfg)
-    derived = scenario.derive(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
 
     population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
     if warm_start_genome is not None:
         population[0] = warm_start_genome
 
-    def evaluate(pop):
-        return _fitness_batch(pop, users_xy, cfg, derived, variant, fixed_irs, prev_placement)
-
-    fit = evaluate(population)
-    evaluations = cfg.population_size
-    best_per_gen = [float(fit.max())]
-    mean_per_gen = [float(fit.mean())]
-
-    for _ in range(cfg.max_iterations):
-        population = _breed(population, fit, cfg, mut_p, rng)
-        fit = evaluate(population)
-        evaluations += cfg.population_size
+    best_per_gen: list[float] = []
+    mean_per_gen: list[float] = []
+    for generation in range(cfg.max_iterations + 1):
+        if generation:
+            population = _breed(population, fit, cfg, mut_p, rng)
+            ev = None  # release the previous generation's evaluation before scoring this one
+        fit, uav, irs, ev = _fitness_batch(population, users_xy, cfg, variant, fixed_irs,
+                                           prev_placement)
         best_per_gen.append(float(fit.max()))
         mean_per_gen.append(float(fit.mean()))
 
-    best_idx = int(np.argmax(fit))
-    best_genome = population[best_idx].copy()
-    placement = decode(best_genome, bounds, cfg.bits_per_coordinate)
-    if variant.surface == "none":
-        placement = replace(placement, irs=None)
-    elif fixed_irs is not None:
-        placement = replace(placement, irs=(float(fixed_irs[0]), float(fixed_irs[1])))
+    best = int(np.argmax(fit))
+    placement = Placement(uav=tuple(uav[best].tolist()),
+                          irs=None if irs is None else tuple(irs[best].tolist()))
     record = GaRunRecord(best_fitness=best_per_gen, mean_fitness=mean_per_gen,
-                         best_genome=best_genome, evaluations=evaluations)
+                         best_genome=population[best].copy(),
+                         evaluations=cfg.population_size * len(best_per_gen),
+                         result=noma.SlotResult.from_batch(ev, best))
     return placement, record
 
 

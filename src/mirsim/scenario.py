@@ -1,11 +1,13 @@
-"""Scenario configuration: schema, validation, derived quantities, RNG seeding.
+"""Scenario configuration: schema, validation, size caps, RNG seeding.
 
 Configuration is a flat key/value document (a YAML mapping).  The fields of
 ``ScenarioConfig`` are the schema: each field is named as its document key,
 and its type annotation and default are the only declaration of that key's
 kind and default.  Units and ranges are documented in README.md.  All power
-quantities are kept linear inside the simulator -- dB and dBm appear only at
-the config boundary and in emitted reports.
+quantities are kept linear inside the simulator -- dB and dBm appear only in
+the config, which the layers linearize where they read it (``db_to_linear``),
+and in emitted reports.  ``validate`` also caps the problem size, so an
+oversized run is refused before it allocates anything.
 
 Randomness is reproducible: a single master seed feeds PCG64 generators whose
 sub-streams are derived with ``numpy.random.SeedSequence`` spawn keys, one per
@@ -28,6 +30,9 @@ import numpy as np
 import yaml
 
 ENV_SEED_VAR = "MIRSIM_SEED"
+
+# Most seeds one run averages (num_seeds, --seeds).
+MAX_SEEDS = 10**4
 
 # SeedSequence spawn-key prefixes for per-module sub-streams.
 MOBILITY_STREAM = 0
@@ -144,15 +149,6 @@ class ScenarioConfig:
     @property
     def initial_subregion(self) -> Region:
         return Region(self.init_x_min, self.init_y_min, self.init_x_max, self.init_y_max)
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Linear-domain quantities derived from a validated config."""
-
-    rho_linear: float        # transmit SNR, P/noise
-    gamma_th_linear: float   # SINR threshold
-    noise_linear_mw: float   # noise power in mW
 
 
 # Document key -> type, e.g. float or Optional[float] (None allowed).
@@ -285,6 +281,8 @@ def validate(cfg: ScenarioConfig) -> None:
            "need 0 <= speed_min <= speed_max")
     _check(cfg.pause_duration_s >= 0, "pause_duration_s", "must be >= 0")
     _check(cfg.num_slots >= 1, "num_slots", "must be >= 1")
+    _check(cfg.num_users * cfg.num_slots <= 10**5, "num_users/num_slots",
+           "num_users x num_slots (trace and users.csv rows) must be <= 10^5")
     _check(cfg.slot_duration_s > 0, "slot_duration_s", "must be > 0")
     _check(cfg.substep_duration_s > 0, "substep_duration_s", "must be > 0")
     # A trace advances every user once per sub-step, over num_slots - 1 slots.
@@ -294,11 +292,16 @@ def validate(cfg: ScenarioConfig) -> None:
            "per slot and at most 10^6 in all, (num_slots - 1) x slot / substep")
     _check(abs(per_slot - round(per_slot)) < 1e-9, "substep_duration_s",
            "must divide slot_duration_s evenly")
+    _check(cfg.num_users * (cfg.num_slots - 1) * per_slot <= 1e8,
+           "num_users/num_slots/slot_duration_s/substep_duration_s",
+           "at most 10^8 user-steps in a trace, num_users x (num_slots - 1) x slot / substep")
     _check(cfg.init_x_max >= cfg.init_x_min, "init_x_max", "must be >= init_x_min")
     _check(cfg.init_y_max >= cfg.init_y_min, "init_y_max", "must be >= init_y_min")
 
     _check(cfg.population_size >= 2, "population_size", "must be >= 2")
-    _check(cfg.max_iterations >= 1, "max_iterations", "must be >= 1")
+    _check(cfg.num_users * cfg.population_size <= 10**6, "num_users/population_size",
+           "num_users x population_size (one fitness call's arrays) must be <= 10^6")
+    _check(1 <= cfg.max_iterations <= 10**4, "max_iterations", "must be in [1, 10^4]")
     _check(1 <= cfg.tournament_size <= cfg.population_size, "tournament_size",
            "must be in [1, population_size]")
     _check(0.0 <= cfg.crossover_prob <= 1.0, "crossover_prob", "must be in [0, 1]")
@@ -372,16 +375,7 @@ def validate(cfg: ScenarioConfig) -> None:
                "must lie inside the region")
 
     _check(cfg.master_seed >= 0, "master_seed", "must be >= 0")
-    _check(cfg.num_seeds >= 1, "num_seeds", "must be >= 1")
-
-
-def derive(cfg: ScenarioConfig) -> DerivedParams:
-    """Linearize the dB-domain power parameters."""
-    return DerivedParams(
-        rho_linear=db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm),
-        gamma_th_linear=db_to_linear(cfg.snr_threshold_db),
-        noise_linear_mw=db_to_linear(cfg.noise_power_dbm),
-    )
+    _check(1 <= cfg.num_seeds <= MAX_SEEDS, "num_seeds", "must be in [1, 10^4]")
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -393,13 +387,17 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
 def resolve_master_seed(cfg: ScenarioConfig, cli_seed: Optional[int] = None,
                         env: Optional[dict] = None) -> int:
     """Master-seed precedence: CLI flag > environment variable > config value."""
-    if cli_seed is not None:
-        return int(cli_seed)
     env = os.environ if env is None else env
-    if ENV_SEED_VAR in env:
-        raw = env[ENV_SEED_VAR]
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise SchemaError(f"{ENV_SEED_VAR}: expected an integer, got {raw!r}") from exc
-    return cfg.master_seed
+    if cli_seed is not None:
+        source, raw = "--seed", cli_seed
+    elif ENV_SEED_VAR in env:
+        source, raw = ENV_SEED_VAR, env[ENV_SEED_VAR]
+    else:
+        return cfg.master_seed
+    try:
+        seed = int(raw)
+    except ValueError as exc:
+        raise SchemaError(f"{source}: expected an integer, got {raw!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"{source}: must be >= 0, got {seed}")
+    return seed

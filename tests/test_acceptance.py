@@ -71,11 +71,9 @@ def test_criterion_3_ga_matches_exhaustive_search():
                       num_users=4)
     users = np.array([[40.0, 60.0], [120.0, 380.0], [410.0, 90.0], [300.0, 300.0]])
     length = optimizer.genome_length(cfg)
-    derived = scenario.derive(cfg)
     space = np.array(list(itertools.product((0, 1), repeat=length)), dtype=np.uint8)
     assert space.shape[0] == 1024
-    optimum = optimizer._fitness_batch(space, users, cfg, derived,
-                                       cli.SCENARIOS["M-IRS-NOMA"]).max()
+    optimum = optimizer._fitness_batch(space, users, cfg, cli.SCENARIOS["M-IRS-NOMA"])[0].max()
 
     start = time.perf_counter()
     hits = 0

@@ -12,11 +12,11 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from mirsim import cli, mobility, noma, scenario
+from mirsim import cli, mobility, scenario
 from mirsim.channel import Placement
 from mirsim.scenario import ConfigError
 
-from testutil import config_yaml, small_config
+from testutil import config_yaml, slot_result, small_config
 
 
 def _read_csv(path):
@@ -159,12 +159,31 @@ def test_user_rows_format():
     assert [row[:3] for row in rows] == [[s, "M-IRS-NOMA", u] for s in (0, 1) for u in range(4)]
     for slot, entry in enumerate(report.trajectories["M-IRS-NOMA"]):
         placement = Placement(uav=tuple(entry["uav"]), irs=tuple(entry["irs"]))
-        result = noma.slot_sum_rate(placement, trace.positions[slot], cfg)
+        result = slot_result(placement, trace.positions[slot], cfg)
         for user, row in enumerate(rows[4 * slot:4 * slot + 4]):
             _, _, _, pair_id, alpha, sinr_db, rate = row
             assert (pair_id, alpha, rate) == (result.pair_id[user], result.alpha[user],
                                               result.rate[user])
             assert math.isclose(sinr_db, 10.0 * math.log10(result.sinr[user]), rel_tol=1e-12)
+
+
+def test_seed_results_do_not_depend_on_the_other_seeds():
+    cfg = small_config(num_slots=3, population_size=12, max_iterations=6)
+    names = list(cli.SCENARIOS)
+    pair = cli.run_experiment(cfg, names, [7, 8])
+    alone = cli.run_experiment(cfg, names, [8])
+    first = cli.run_experiment(cfg, names, [8, 7])
+    for name in names:
+        assert pair.per_seed_sum_rate[name][1] == alone.per_seed_sum_rate[name][0]
+        assert first.per_seed_sum_rate[name][0] == alone.per_seed_sum_rate[name][0]
+
+    def seed_8_rows(report):
+        return [row for row in report.infeasible_slots if row["seed"] == 8]
+
+    assert seed_8_rows(pair) == seed_8_rows(alone) == seed_8_rows(first)
+    # first-seed detail: seed 8 leading [8, 7] reports what seed 8 alone reports
+    for key in ("trajectories", "convergence", "per_user", "power_fractions"):
+        assert getattr(first, key) == getattr(alone, key)
 
 
 def test_external_trace_reproduces_internal_run(tmp_path):
@@ -262,6 +281,14 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     ("substep_duration_s: 1.0e+12\n", ["slot_duration_s", "substep_duration_s"]),
     # int64 decode weights overflow
     ("bits_per_coordinate: 64\n", ["bits_per_coordinate"]),
+    # size caps: 1.001 x 10^6 users x population, 1.01 x 10^5 trace rows,
+    # 2 x 10^8 user-steps, 10^4 + 1 generations and seeds
+    ("num_users: 1001\npopulation_size: 1000\n", ["num_users", "population_size"]),
+    ("num_users: 1000\nnum_slots: 101\n", ["num_users", "num_slots"]),
+    ("num_users: 1000\nnum_slots: 3\nslot_duration_s: 100000\n",
+     ["num_users", "num_slots", "slot_duration_s", "substep_duration_s"]),
+    ("max_iterations: 10001\n", ["max_iterations"]),
+    ("num_seeds: 10001\n", ["num_seeds"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"
@@ -322,6 +349,23 @@ def test_cli_run_with_external_trace(tmp_path):
                    "--out", str(tmp_path / "out")])
     assert rc in (0, 3)
     assert (tmp_path / "out" / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("argv, env_seed, flag", [
+    (["run", "--seed", "-1", "--seeds", "1"], None, "--seed"),
+    (["trace"], "-3", "MIRSIM_SEED"),
+    (["run", "--seeds", "10001"], None, "--seeds"),
+    (["run", "--seeds", "0"], None, "--seeds"),
+])
+def test_cli_rejects_out_of_range_seeds(tmp_path, capsys, monkeypatch, argv, env_seed, flag):
+    if env_seed is not None:
+        monkeypatch.setenv(scenario.ENV_SEED_VAR, env_seed)
+    cfg_path = _write_small_config(tmp_path)
+    rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must be" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):
@@ -415,9 +459,8 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in results.json")
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, min_size=1, max_size=2))
-def test_cli_run_survives_extreme_config_numbers(overrides):
+def _run_fuzzed_config(overrides):
+    """Run a small config with overrides through cli.main: a clean exit, finite outputs."""
     doc = dict(num_users=3, num_slots=2, slot_duration_s=10.0, population_size=4,
                max_iterations=2, bits_per_coordinate=4)
     doc.update(overrides)
@@ -432,3 +475,32 @@ def test_cli_run_survives_extreme_config_numbers(overrides):
         assert "Traceback" not in err.getvalue()
         if rc != 2:
             json.loads((out / "results.json").read_text(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, min_size=1, max_size=2))
+def test_cli_run_survives_extreme_config_numbers(overrides):
+    _run_fuzzed_config(overrides)
+
+
+# Every integer key of the GA and of the problem size: small values, and
+# values outside their ranges or beyond the size caps (only small draws pass
+# validation, so accepted draws stay cheap).
+_INT_FUZZ = {
+    "num_users": [1, 2, 5, -1, 0, 10**5 + 1, 10**400],
+    "num_slots": [1, 3, 0, 10**5 + 1, 10**400],
+    "population_size": [2, 3, 7, 1, 10**6 + 1, 10**400],
+    "max_iterations": [1, 3, 0, 10**4 + 1, 10**400],
+    "tournament_size": [1, 2, 3, 0, 10**6 + 1],
+    "elitism_count": [0, 1, 2, -1, 10**6 + 1],
+    "bits_per_coordinate": [1, 2, 53, 0, 54, 64, 10**400],
+    "irs_elements_per_user": [1, 30, 10**9, 0, 10**180, 10**400],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries(
+    {}, optional={key: st.sampled_from(values) for key, values in _INT_FUZZ.items()}),
+    st.sampled_from(["blockage", "sigmoid"]))
+def test_cli_run_survives_extreme_config_integers(overrides, los_model):
+    _run_fuzzed_config({**overrides, "los_model": los_model})

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirsim import channel, noma, scenario
+from mirsim import channel, noma
 from mirsim.channel import Placement
+from mirsim.scenario import ScenarioConfig, db_to_linear
 
-from testutil import make_config
+from testutil import make_config, slot_result
 
 
 @dataclass
@@ -62,11 +63,16 @@ def sinr(role: str, pair: NomaPair, uav_gains, irs_gains, rho: float) -> float:
     raise ValueError(f"unknown role {role!r}")
 
 
+def _power_config(rho_db=0.0, threshold_db=0.0, decay=0.0):
+    """Config with the given transmit SNR, SINR threshold and FTPA decay (noise -80 dBm)."""
+    return make_config(uav_tx_power_dbm=-80.0 + rho_db, noise_power_dbm=-80.0,
+                       snr_threshold_db=threshold_db, ftpa_decay=decay)
+
+
 def _batch_pairs(gains):
     """(weak, strong) pairs that evaluate_batch forms for each row of gains."""
     gains = np.atleast_2d(gains)
-    ev = noma.evaluate_batch(gains, np.zeros_like(gains), rho=1.0, gamma_th=1.0,
-                             noise_linear=1.0, decay=0.0)
+    ev = noma.evaluate_batch(gains, np.zeros_like(gains), _power_config(), "noma")
     return [list(zip(w.tolist(), s.tolist())) for w, s in zip(ev["weak"], ev["strong"])]
 
 
@@ -215,20 +221,20 @@ def test_slot_sum_rate_matches_scalar_composition():
     cfg = make_config(num_users=2)
     placement = Placement(uav=(30.0, 40.0, 100.0), irs=(20.0, 20.0))
     users = np.array([[10.0, 10.0], [200.0, 250.0]])
-    result = noma.slot_sum_rate(placement, users, cfg)
+    result = slot_result(placement, users, cfg)
 
     uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users, cfg)
     heff = uav_gain + irs_gain
     pairs = pair_users(heff)
     assert (result.weak.tolist(), result.strong.tolist(), result.mid) == (
         [pairs[0].weak], [pairs[0].strong], None)
-    d = scenario.derive(cfg)
     aw, a_s = noma.ftpa_allocate(heff[pairs[0].weak], heff[pairs[0].strong],
-                                 d.noise_linear_mw, cfg.ftpa_decay)
+                                 db_to_linear(cfg.noise_power_dbm), cfg.ftpa_decay)
     pair = NomaPair(weak=pairs[0].weak, strong=pairs[0].strong,
                     alpha_weak=aw, alpha_strong=a_s)
-    weak_gamma = sinr("weak", pair, uav_gain, irs_gain, d.rho_linear)
-    strong_gamma = sinr("strong", pair, uav_gain, irs_gain, d.rho_linear)
+    rho = db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
+    weak_gamma = sinr("weak", pair, uav_gain, irs_gain, rho)
+    strong_gamma = sinr("strong", pair, uav_gain, irs_gain, rho)
 
     assert math.isclose(result.sinr[pair.weak], weak_gamma, rel_tol=1e-12)
     assert math.isclose(result.sinr[pair.strong], strong_gamma, rel_tol=1e-12)
@@ -245,7 +251,7 @@ def test_slot_result_pair_bookkeeping():
     placement = Placement(uav=(100.0, 100.0, 120.0), irs=(60.0, 60.0))
     users = np.array([[30.0, 30.0], [60.0, 60.0], [90.0, 120.0],
                       [300.0, 300.0], [450.0, 80.0]])
-    result = noma.slot_sum_rate(placement, users, cfg)
+    result = slot_result(placement, users, cfg)
     assert result.weak.shape == result.strong.shape == (2,)
     assert result.alpha[result.mid] == 1.0
     assert result.pair_id[result.mid] == 2
@@ -265,8 +271,8 @@ def test_no_irs_kind_equals_zero_reflection():
     dead = make_config(irs_reflection_coeff=0.0)
     placement = Placement(uav=(100.0, 100.0, 150.0), irs=(50.0, 50.0))
     users = np.array([[20.0, 30.0], [120.0, 80.0], [340.0, 420.0], [60.0, 250.0]])
-    a = noma.slot_sum_rate(replace(placement, irs=None), users, cfg)
-    b = noma.slot_sum_rate(placement, users, dead)
+    a = slot_result(replace(placement, irs=None), users, cfg)
+    b = slot_result(placement, users, dead)
     assert np.array_equal(a.sinr, b.sinr)
     assert a.sum_rate == b.sum_rate
 
@@ -275,32 +281,43 @@ def test_removing_reflected_path_never_raises_sinr():
     # monotone gains keep the pairing identical with and without the surface
     gu = np.array([[1e-12, 3e-12, 6e-12, 9e-12]])
     gi = np.array([[1e-13, 2e-13, 3e-13, 4e-13]])
-    with_irs = noma.evaluate_batch(gu, gi, rho=1e11, gamma_th=100.0,
-                                   noise_linear=1e-8, decay=0.28)
-    without = noma.evaluate_batch(gu, np.zeros_like(gi), rho=1e11, gamma_th=100.0,
-                                  noise_linear=1e-8, decay=0.28)
+    cfg = _power_config(rho_db=110.0, threshold_db=20.0, decay=0.28)
+    with_irs = noma.evaluate_batch(gu, gi, cfg, "noma")
+    without = noma.evaluate_batch(gu, np.zeros_like(gi), cfg, "noma")
     assert np.array_equal(with_irs["pair_id"], without["pair_id"])
     assert np.all(without["sinr"] <= with_irs["sinr"])
 
 
 def test_vanishing_snr_gives_vanishing_sum_rate():
     gu = np.array([[1e-12, 3e-12, 6e-12, 9e-12]])
-    ev = noma.evaluate_batch(gu, np.zeros_like(gu), rho=1e-9, gamma_th=100.0,
-                             noise_linear=1e-8, decay=0.28)
+    ev = noma.evaluate_batch(gu, np.zeros_like(gu),
+                             _power_config(rho_db=-90.0, threshold_db=20.0, decay=0.28), "noma")
     assert ev["sum_rate"][0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_reference_transmit_snr_and_threshold():
+    # unit direct gain sees the linear transmit SNR under OMA; a user with no
+    # gain falls short by the whole linear threshold
+    ev = noma.evaluate_batch(np.array([[1.0, 0.0]]), np.zeros((1, 2)), ScenarioConfig(), "oma")
+    assert math.isclose(ev["sinr"][0, 0], 10.0 ** 11.6, rel_tol=1e-12)
+    assert ev["deficit"][0] == 100.0
+
+
+def test_equal_power_and_noise_gives_unit_snr():
+    cfg = make_config(uav_tx_power_dbm=-10.0, noise_power_dbm=-10.0)
+    ev = noma.evaluate_batch(np.array([[1.0]]), np.zeros((1, 1)), cfg, "oma")
+    assert ev["sinr"][0, 0] == 1.0
+
+
 def test_oma_single_user_halves_the_resource():
-    ev = noma.evaluate_batch(np.array([[0.2]]), np.array([[0.0]]), rho=100.0,
-                             gamma_th=1.0, noise_linear=1e-8, decay=0.28,
-                             access="oma")
+    ev = noma.evaluate_batch(np.array([[0.2]]), np.array([[0.0]]),
+                             _power_config(rho_db=20.0, decay=0.28), "oma")
     assert math.isclose(ev["rate"][0, 0], 0.5 * math.log2(21.0), rel_tol=1e-12)
 
 
 def test_oma_zero_gain_gives_zero_rate():
-    ev = noma.evaluate_batch(np.array([[0.0]]), np.array([[0.0]]), rho=100.0,
-                             gamma_th=1.0, noise_linear=1e-8, decay=0.28,
-                             access="oma")
+    ev = noma.evaluate_batch(np.array([[0.0]]), np.array([[0.0]]),
+                             _power_config(rho_db=20.0, decay=0.28), "oma")
     assert ev["rate"][0, 0] == 0.0
 
 
@@ -308,14 +325,15 @@ def test_oma_symmetric_users_get_equal_rates():
     cfg = make_config(num_users=2)
     placement = Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0))
     users = np.array([[200.0, 250.0], [300.0, 250.0]])  # mirror images
-    result = noma.slot_sum_rate(placement, users, cfg, "oma")
+    result = slot_result(placement, users, cfg, "oma")
     assert math.isclose(result.rate[0], result.rate[1], rel_tol=1e-12)
     assert np.all(result.alpha == 1.0)
 
 
 def test_feasibility_flags_respect_threshold():
-    ev = noma.evaluate_batch(np.array([[0.5, 2.0]]), np.zeros((1, 2)), rho=100.0,
-                             gamma_th=30.0, noise_linear=1e-8, decay=0.0)
+    ev = noma.evaluate_batch(np.array([[0.5, 2.0]]), np.zeros((1, 2)),
+                             _power_config(rho_db=20.0, threshold_db=10.0 * math.log10(30.0)),
+                             "noma")
     # strong user: 0.5 * 2.0 * 100 = 100 >= 30; weak user is interference limited
     strong = ev["strong"][0, 0]
     weak = ev["weak"][0, 0]
@@ -325,13 +343,11 @@ def test_feasibility_flags_respect_threshold():
 
 
 def test_evaluate_batch_input_validation():
+    cfg = make_config()
     with pytest.raises(ValueError):
-        noma.evaluate_batch(np.ones((1, 2)), np.ones((1, 3)), rho=1.0, gamma_th=1.0,
-                            noise_linear=1.0, decay=0.0)
+        noma.evaluate_batch(np.ones((1, 2)), np.ones((1, 3)), cfg, "noma")
     with pytest.raises(ValueError):
-        noma.evaluate_batch(np.ones((1, 0)), np.ones((1, 0)), rho=1.0, gamma_th=1.0,
-                            noise_linear=1.0, decay=0.0)
+        noma.evaluate_batch(np.ones((1, 0)), np.ones((1, 0)), cfg, "noma")
     with pytest.raises(ValueError):
-        noma.evaluate_batch(np.ones((1, 2)), np.ones((1, 2)), rho=1.0, gamma_th=1.0,
-                            noise_linear=1.0, decay=0.0, access="tdma")
+        noma.evaluate_batch(np.ones((1, 2)), np.ones((1, 2)), cfg, "tdma")
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mirsim import channel, mobility, noma, optimizer, scenario
+from mirsim import channel, mobility, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.optimizer import Variant
 
-from testutil import make_config, small_config
+from testutil import make_config, slot_result, small_config
 
 MOBILE = Variant("mobile", "noma")
 
@@ -16,8 +16,14 @@ def _ga_rng(seed=0, slot=0):
     return scenario.stream(seed, scenario.GA_STREAM, 0, slot)
 
 
+def decode(genome: np.ndarray, bounds, bits: int) -> Placement:
+    """The placement one genome encodes."""
+    coords = optimizer.decode_batch(genome, bounds, bits)[0]
+    return Placement(uav=(coords[0], coords[1], coords[2]), irs=(coords[3], coords[4]))
+
+
 def encode(placement: Placement, bounds, bits: int) -> np.ndarray:
-    """Genome oracle, the inverse of optimizer.decode: quantize a placement onto the bit grid.
+    """Genome oracle, the inverse of decode: quantize a placement onto the bit grid.
 
     Raises if a coordinate is out of bounds.
     """
@@ -35,8 +41,7 @@ def encode(placement: Placement, bounds, bits: int) -> np.ndarray:
 
 def _fitness(genomes, users, cfg, **kwargs):
     """M-IRS-NOMA fitness of a (P, L) stack of genomes."""
-    return optimizer._fitness_batch(np.atleast_2d(genomes), users, cfg, scenario.derive(cfg),
-                                    MOBILE, **kwargs)
+    return optimizer._fitness_batch(np.atleast_2d(genomes), users, cfg, MOBILE, **kwargs)[0]
 
 
 def test_encode_bounds_map_to_all_zero_and_all_one():
@@ -62,8 +67,8 @@ def test_decode_extremes():
     cfg = make_config(bits_per_coordinate=6)
     bounds = optimizer.genome_bounds(cfg)
     length = optimizer.genome_length(cfg)
-    low = optimizer.decode(np.zeros(length, dtype=np.uint8), bounds, 6)
-    high = optimizer.decode(np.ones(length, dtype=np.uint8), bounds, 6)
+    low = decode(np.zeros(length, dtype=np.uint8), bounds, 6)
+    high = decode(np.ones(length, dtype=np.uint8), bounds, 6)
     assert low.uav == (0.0, 0.0, 100.0) and low.irs == (0.0, 0.0)
     assert high.uav == (500.0, 500.0, 300.0) and high.irs == (500.0, 500.0)
 
@@ -73,8 +78,8 @@ def test_widest_genome_decodes_inside_the_constraints():
     cfg = make_config(bits_per_coordinate=bits)
     bounds = optimizer.genome_bounds(cfg)
     top_bit = np.tile(np.eye(1, bits, dtype=np.uint8)[0], optimizer.NUM_COORDS)
-    high = optimizer.decode(np.ones(optimizer.genome_length(cfg), dtype=np.uint8), bounds, bits)
-    middle = optimizer.decode(top_bit, bounds, bits)
+    high = decode(np.ones(optimizer.genome_length(cfg), dtype=np.uint8), bounds, bits)
+    middle = decode(top_bit, bounds, bits)
     assert high.uav == (500.0, 500.0, 300.0) and high.irs == (500.0, 500.0)
     for value, expected in zip((*middle.uav, *middle.irs), (250.0, 250.0, 200.0, 250.0, 250.0)):
         assert math.isclose(value, expected, rel_tol=1e-15)
@@ -91,7 +96,7 @@ def test_round_trip_error_within_quantization_bound():
         placement = Placement(
             uav=(rng.uniform(0, 500), rng.uniform(0, 500), rng.uniform(100, 300)),
             irs=(rng.uniform(0, 500), rng.uniform(0, 500)))
-        decoded = optimizer.decode(encode(placement, bounds, 12), bounds, 12)
+        decoded = decode(encode(placement, bounds, 12), bounds, 12)
         values = [*placement.uav, *placement.irs]
         back = [*decoded.uav, *decoded.irs]
         for v, w, (lo, hi) in zip(values, back, bounds):
@@ -106,7 +111,7 @@ def test_encode_and_decode_reject_bad_input():
     with pytest.raises(ValueError, match="outside"):
         encode(Placement(uav=(0.0, 0.0, 50.0), irs=(0.0, 0.0)), bounds, 6)
     with pytest.raises(ValueError, match="length"):
-        optimizer.decode(np.zeros(7, dtype=np.uint8), bounds, 6)
+        decode(np.zeros(7, dtype=np.uint8), bounds, 6)
 
 
 def test_fitness_equals_sum_rate_when_feasible():
@@ -116,7 +121,7 @@ def test_fitness_equals_sum_rate_when_feasible():
     genome = encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
                     bounds, 8)
     fit = _fitness(genome, users, cfg)[0]
-    result = noma.slot_sum_rate(optimizer.decode(genome, bounds, 8), users, cfg)
+    result = slot_result(decode(genome, bounds, 8), users, cfg)
     assert fit == result.sum_rate
 
 
@@ -126,7 +131,7 @@ def test_fitness_boundary_threshold_costs_nothing():
     users = np.array([[30.0, 30.0], [60.0, 10.0], [200.0, 300.0], [400.0, 100.0]])
     genome = encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
                     bounds, 8)
-    result = noma.slot_sum_rate(optimizer.decode(genome, bounds, 8), users, cfg)
+    result = slot_result(decode(genome, bounds, 8), users, cfg)
     at_boundary = make_config(
         num_users=4, bits_per_coordinate=8,
         snr_threshold_db=float(scenario.linear_to_db(result.sinr.min())))
@@ -260,7 +265,7 @@ def test_closed_population_never_returns_worse_than_the_seed_genome():
     assert record.best_fitness == [fit.max()] * (cfg.max_iterations + 1)
     assert record.best_fitness[-1] >= fit[0]
     assert np.array_equal(record.best_genome, initial[np.argmax(fit)])
-    assert placement == optimizer.decode(record.best_genome, bounds, cfg.bits_per_coordinate)
+    assert placement == decode(record.best_genome, bounds, cfg.bits_per_coordinate)
 
 
 def test_optimize_slot_is_deterministic():

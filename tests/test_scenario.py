@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mirsim import scenario
-from mirsim.scenario import (SchemaError, ScenarioConfig, ValidationError,
-                             db_to_linear, derive, linear_to_db)
+from mirsim.scenario import SchemaError, ValidationError, db_to_linear, linear_to_db
 
 from testutil import config_yaml, make_config
 
@@ -99,17 +98,6 @@ def test_direct_gain_over_noise_must_stay_finite():
 def test_degenerate_initial_subregion_is_allowed():
     cfg = make_config(init_x_min=25.0, init_x_max=25.0, init_y_min=25.0, init_y_max=25.0)
     assert cfg.initial_subregion.x_min == cfg.initial_subregion.x_max
-
-
-def test_derive_reference_transmit_snr():
-    d = derive(ScenarioConfig())
-    assert math.isclose(d.rho_linear, 10.0 ** 11.6, rel_tol=1e-12)
-    assert d.gamma_th_linear == 100.0
-
-
-def test_derive_equal_power_and_noise_gives_unit_snr():
-    cfg = make_config(uav_tx_power_dbm=-10.0, noise_power_dbm=-10.0)
-    assert derive(cfg).rho_linear == 1.0
 
 
 @given(st.floats(min_value=1e-15, max_value=1e15))

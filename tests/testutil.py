@@ -2,7 +2,7 @@
 
 import yaml
 
-from mirsim import scenario
+from mirsim import channel, noma, scenario
 
 
 def make_config(**overrides) -> scenario.ScenarioConfig:
@@ -21,3 +21,10 @@ def small_config(**overrides) -> scenario.ScenarioConfig:
 def config_yaml(cfg: scenario.ScenarioConfig) -> str:
     """The config document of cfg, keys in field order."""
     return yaml.safe_dump(scenario.config_to_dict(cfg), sort_keys=False)
+
+
+def slot_result(placement, users_xy, cfg: scenario.ScenarioConfig,
+                access: str = "noma") -> noma.SlotResult:
+    """Score one placement as the GA scores a candidate: a one-row batch."""
+    uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users_xy, cfg)
+    return noma.SlotResult.from_batch(noma.evaluate_batch(uav_gain, irs_gain, cfg, access), 0)
