@@ -5,9 +5,10 @@ probability weights separate LoS/NLoS log-distance laws, and the averaged
 dB value converts to a linear power gain.  The vehicle-mounted reflecting
 surface serves each user through N elements in the horizontal plane at a
 fixed mounting height; its per-element NLoS gain combines coherently, so the
-aggregate scales as N^2.  Users are always a (U, 2) array.  All functions
+aggregate scales as N^2.  Users are a (..., U, 2) array.  All functions
 are pure and broadcast over leading placement axes, so a batch of candidate
-placements evaluates in one call.
+placements evaluates in one call; (J, 1, U, 2) users against (J, P, .)
+placements score P candidates of each of J jobs, each job with its own users.
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ class Placement:
 
 
 def distance_3d(uav_xyz, users_xy):
-    """Slant distance from the UAV to (U, 2) ground users (users at z=0)."""
+    """Slant distance from the UAV to (..., U, 2) ground users (users at z=0)."""
     uav = np.asarray(uav_xyz, dtype=float)
     users = np.asarray(users_xy, dtype=float)
-    dx = uav[..., 0, None] - users[:, 0]
-    dy = uav[..., 1, None] - users[:, 1]
+    dx = uav[..., 0, None] - users[..., 0]
+    dy = uav[..., 1, None] - users[..., 1]
     return np.sqrt(dx * dx + dy * dy + uav[..., 2, None] ** 2)
 
 
 def horizontal_distance(uav_xyz, users_xy):
-    """2D distance between the UAV's ground projection and each of (U, 2) users."""
+    """2D distance between the UAV's ground projection and each of (..., U, 2) users."""
     uav = np.asarray(uav_xyz, dtype=float)
     users = np.asarray(users_xy, dtype=float)
-    return np.hypot(uav[..., 0, None] - users[:, 0], uav[..., 1, None] - users[:, 1])
+    return np.hypot(uav[..., 0, None] - users[..., 0], uav[..., 1, None] - users[..., 1])
 
 
 def pathloss_los(d, cfg: ScenarioConfig):
@@ -121,8 +122,8 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
     irs_height = cfg.irs_height_m
     irs = np.asarray(irs_xy, dtype=float)
     users = np.asarray(users_xy, dtype=float)
-    dx = irs[..., 0, None] - users[:, 0]
-    dy = irs[..., 1, None] - users[:, 1]
+    dx = irs[..., 0, None] - users[..., 0]
+    dy = irs[..., 1, None] - users[..., 1]
     d_iu = np.sqrt(dx * dx + dy * dy + irs_height * irs_height)
     if np.any(d_iu <= 0):
         raise ValueError("degenerate surface-to-user distance")

@@ -1,8 +1,9 @@
 """Experiment runner and command-line interface.
 
 ``run_experiment`` reproduces the benchmark protocol: one shared mobility
-trace per seed, then per scenario a per-slot placement search whose final
-generation scores the slot, averaged across seeds.  ``SCENARIOS`` is the
+trace per seed, then every (seed, scenario) job's per-slot placement
+searches as one lockstep GA stack (``optimizer.optimize_jobs``) whose final
+generations score the slots, averaged across seeds.  ``SCENARIOS`` is the
 one place a scenario is defined, as an ``optimizer.Variant(surface, access)``:
 
 * M-IRS-NOMA  -- joint UAV + vehicle placement every slot
@@ -47,6 +48,7 @@ FRACTIONS_COLUMNS = ["slot", "pair", "alpha_weak", "alpha_strong"]
 TRAJECTORY_COLUMNS = ["slot", "entity", "x", "y", "z"]
 CONVERGENCE_COLUMNS = ["scenario", "slot", "generation", "best_fitness", "mean_fitness"]
 USERS_COLUMNS = ["slot", "scenario", "user", "pair_id", "alpha", "sinr_db", "rate"]
+_STACK_NUMBERS = 2**18  # numbers one lockstep GA stack of seeds holds at most
 
 
 @dataclass
@@ -115,23 +117,28 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
             [n for n in names if SCENARIOS[n].access == "noma"]),
     )
 
-    for seed_index, seed in enumerate(seeds):
-        if trace is not None:
-            seed_trace = trace
-        else:
-            seed_trace = mobility.generate_trace(
-                cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
-        for name in names:
-            variant = SCENARIOS[name]
-            placements, records = optimizer.optimize_trajectory(seed_trace, cfg, seed, variant)
-            report.ga_evaluations += sum(r.evaluations for r in records)
-            for slot, (placement, record) in enumerate(zip(placements, records)):
-                if not record.result.any_feasible:
-                    report.infeasible_slots.append(
-                        {"scenario": name, "seed": seed, "slot": slot})
-                if seed_index == 0:
-                    _record_first_seed_detail(report, name, slot, placement, record)
-            report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
+    # Numbers a seed's jobs hold: genomes, and slot records until the report takes them.
+    per_seed = len(names) * (cfg.population_size * optimizer.genome_length(cfg) + num_slots
+                             * (2 * cfg.max_iterations + 8 * cfg.num_users))
+    per_stack = max(1, _STACK_NUMBERS // per_seed)
+    for first in range(0, len(seeds), per_stack):
+        stack = seeds[first:first + per_stack]
+        traces = [trace if trace is not None else mobility.generate_trace(
+            cfg, scenario.stream(seed, scenario.MOBILITY_STREAM)) for seed in stack]
+        jobs = [(seed_trace, seed, SCENARIOS[name])
+                for seed_trace, seed in zip(traces, stack) for name in names]
+        outcomes = iter(optimizer.optimize_jobs(jobs, cfg))
+        for seed_index, seed in enumerate(stack, first):
+            for name in names:
+                placements, records = next(outcomes)
+                report.ga_evaluations += sum(r.evaluations for r in records)
+                for slot, (placement, record) in enumerate(zip(placements, records)):
+                    if not record.result.feasible.any():
+                        report.infeasible_slots.append(
+                            {"scenario": name, "seed": seed, "slot": slot})
+                    if seed_index == 0:
+                        _record_first_seed_detail(report, name, slot, placement, record)
+                report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
 
     for name in names:
         per_seed = np.asarray(report.per_seed_sum_rate[name])

@@ -48,10 +48,6 @@ class SlotResult:
     strong: np.ndarray
     mid: Optional[int]
 
-    @property
-    def any_feasible(self) -> bool:
-        return bool(np.any(self.feasible))
-
     @classmethod
     def from_batch(cls, ev: dict, row: int) -> "SlotResult":
         """Row `row` of an evaluate_batch result, copied out of the batch arrays."""

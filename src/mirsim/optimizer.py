@@ -1,9 +1,7 @@
-"""Per-slot placement search with a genetic algorithm.
+"""Per-slot placement search with a genetic algorithm, all jobs in lockstep.
 
-A scenario is a Variant: where the reflecting surface is ("mobile",
-re-optimized every slot; "static", frozen after the first slot; "none")
-and how users share the band ("noma" or "oma").  The same GA serves all
-of them; the variant only decides which surface position the fitness sees.
+A scenario is a Variant(surface, access).  The same GA serves all of them;
+the variant only decides which surface position the fitness sees.
 
 One genome is a bitstring of 5 * bits_per_coordinate bits encoding
 (uav_x, uav_y, uav_z, vehicle_x, vehicle_y) as fixed-point fractions of
@@ -14,11 +12,12 @@ tournament, crossover single-point, mutation independent bit flips, and the
 top elitism_count genomes carry over unchanged, which makes the
 per-generation best fitness non-decreasing.
 
-Randomness is consumed in a fixed order, so a run is reproducible from its
-generator.  With P the population size, E the elitism count, L the genome
-length and pairs = ceil((P - E) / 2), a search draws the initial population
-bits, then per generation, each step one array operation over the whole
-generation:
+``optimize_jobs`` runs every job, one (trace, seed, variant), in lockstep
+slot by slot (warm starts and a static surface's freeze point chain along
+slots, so jobs stack and slots do not) as a (J, P, L) stack: J jobs, P
+genomes of L bits each.  A job draws from its own (1, access, slot) stream,
+in an order no other job affects: the initial bits, shape (P, L), then per
+generation, with E the elitism count and pairs = ceil((P - E) / 2):
 
 1. tournaments: one uniform key per (tournament, genome), shape
    (2 * pairs, P); the tournament_size smallest keys of a row pick its
@@ -28,16 +27,18 @@ generation:
 4. mutation: one uniform draw per bit of the P - E children, shape
    (P - E, L), after a trailing odd child is dropped.
 
-Fitness evaluation draws no randomness and is batched over the whole
-population.  The final generation's evaluation is the slot's result: the
-winner's row becomes its run record's noma.SlotResult, so a slot is scored
-once.
+Fitness draws nothing and no draw depends on it, so a generation makes each
+job's draws, then breeds the whole stack with array operations.  Memory
+stays bounded: a job's tournament keys shrink to entrants as drawn; a
+fitness call scores jobs of one access mode and surface presence, at most
+max(P * U, 2^16) candidate x user cells for U users; and only the final
+generation's evaluation is kept, as each job's winner row (the slot's
+noma.SlotResult) copied out before the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,6 +54,9 @@ NUM_COORDS = 5
 # particular the static variant's first slot and a no-surface run with a
 # zero reflection coefficient reproduce the joint run exactly.
 _GA_KINDS = {"noma": 0, "oma": 1}
+
+# A fitness call holds at most max(P * U, _CALL_CELLS) candidate x user cells.
+_CALL_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -90,13 +94,8 @@ class GaRunRecord:
 def genome_bounds(cfg: ScenarioConfig) -> list[tuple[float, float]]:
     """(lo, hi) per encoded coordinate, in genome order."""
     r = cfg.region
-    return [
-        (r.x_min, r.x_max),
-        (r.y_min, r.y_max),
-        (cfg.uav_alt_min_m, cfg.uav_alt_max_m),
-        (r.x_min, r.x_max),
-        (r.y_min, r.y_max),
-    ]
+    ground = [(r.x_min, r.x_max), (r.y_min, r.y_max)]  # the UAV's and the vehicle's
+    return [*ground, (cfg.uav_alt_min_m, cfg.uav_alt_max_m), *ground]
 
 
 def genome_length(cfg: ScenarioConfig) -> int:
@@ -104,168 +103,149 @@ def genome_length(cfg: ScenarioConfig) -> int:
 
 
 def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
-    """Decode (P, L) bit arrays to (P, 5) coordinates."""
+    """Decode (..., L) bit arrays to (..., 5) coordinates."""
     genomes = np.atleast_2d(genomes)
-    if genomes.shape[1] != NUM_COORDS * bits:
-        raise ValueError(f"genome length {genomes.shape[1]} != {NUM_COORDS * bits}")
+    if genomes.shape[-1] != NUM_COORDS * bits:
+        raise ValueError(f"genome length {genomes.shape[-1]} != {NUM_COORDS * bits}")
     weights = (1 << np.arange(bits - 1, -1, -1)).astype(np.int64)
-    codes = genomes.reshape(genomes.shape[0], NUM_COORDS, bits).astype(np.int64) @ weights
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    codes = genomes.reshape(*genomes.shape[:-1], NUM_COORDS, bits).astype(np.int64) @ weights
+    lo, hi = np.array(bounds, dtype=float).T
     return lo + codes / ((1 << bits) - 1) * (hi - lo)
 
 
-def _fitness_batch(genomes: np.ndarray, users_xy, cfg: ScenarioConfig, variant: Variant,
-                   fixed_irs=None, prev_placement: Optional[Placement] = None):
-    """Score every genome in one vectorized pass.
+def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, pinned, prev):
+    """Score a (J, P, L) stack of jobs of one access mode and surface presence.
 
-    Returns (fitness, uav, irs, evaluation): the penalized fitness (P,), the
-    scored UAV (P, 3) and vehicle (P, 2) positions, and the
-    noma.evaluate_batch result.  The encoded vehicle position is ignored
-    when the variant has no surface (irs None) or fixed_irs pins it.
+    users is (J, U, 2); pinned[j] is job j's fixed vehicle point (None: the
+    encoded one moves); prev[j] is job j's previous placement (prev None: no
+    displacement penalty).  Returns the penalized fitness (J, P), the scored
+    UAV (J, P, 3) and vehicle (J, P, 2, or None) positions, and the
+    noma.evaluate_batch result over the J * P rows.
     """
-    bounds = genome_bounds(cfg)
-    coords = decode_batch(genomes, bounds, cfg.bits_per_coordinate)
-    uav = coords[:, :3]
-    irs_moves = variant.surface != "none" and fixed_irs is None
-    if irs_moves:
-        irs = coords[:, 3:]
-    elif variant.surface == "none":
+    jobs, size = genomes.shape[:2]
+    coords = decode_batch(genomes, genome_bounds(cfg), cfg.bits_per_coordinate)
+    uav, irs = coords[..., :3], coords[..., 3:]
+    moves = np.array([variant.surface != "none" and p is None for p in pinned])
+    if variant.surface == "none":
         irs = None
-    else:
-        irs = np.broadcast_to(np.asarray(fixed_irs, dtype=float), (len(uav), 2))
-    gu, gi = channel.link_gains(uav, irs, users_xy, cfg)
-    ev = noma.evaluate_batch(gu, gi, cfg, variant.access)
-    fit = ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]
+    elif not moves.all():
+        irs = irs.copy()
+        irs[~moves] = np.array([p for p in pinned if p is not None], dtype=float)[:, None]
+    gu, gi = channel.link_gains(uav, irs, users[:, None], cfg)
+    ev = noma.evaluate_batch(gu.reshape(jobs * size, -1), gi.reshape(jobs * size, -1), cfg,
+                             variant.access)
+    fit = (ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]).reshape(jobs, size)
     limit = cfg.max_slot_displacement_m
-    if limit is not None and prev_placement is not None:
-        px, py, _ = prev_placement.uav
-        uav_move = np.hypot(uav[:, 0] - px, uav[:, 1] - py)
-        excess = np.maximum(0.0, uav_move - limit)
-        if irs_moves:
-            qx, qy = prev_placement.irs
-            excess = excess + np.maximum(0.0, np.hypot(irs[:, 0] - qx, irs[:, 1] - qy) - limit)
+    if limit is not None and prev is not None:
+        px, py = np.array([p.uav[:2] for p in prev]).T[:, :, None]
+        excess = np.maximum(0.0, np.hypot(uav[..., 0] - px, uav[..., 1] - py) - limit)
+        if moves.any():
+            qx, qy = np.array([p.irs for p, m in zip(prev, moves) if m]).T[:, :, None]
+            excess[moves] += np.maximum(
+                0.0, np.hypot(irs[moves, :, 0] - qx, irs[moves, :, 1] - qy) - limit)
         fit = fit - cfg.sinr_penalty_weight * excess
     return fit, uav, irs, ev
 
 
-def tournament_select(population: np.ndarray, fitnesses: np.ndarray,
-                      tournament_size: int, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Run count tournaments of tournament_size distinct genomes each.
-
-    Returns the winners, shape (count, L); a winner is the fittest entrant,
-    ties going to the lowest index.
-    """
-    n = len(population)
-    if n == 0:
-        raise ValueError("empty population")
-    keys = rng.random((count, n))
-    entrants = np.sort(np.argpartition(keys, tournament_size - 1, axis=1)[:, :tournament_size],
-                       axis=1)
-    best = np.argmax(fitnesses[entrants], axis=1)
-    return population[entrants[np.arange(count), best]]
-
-
-def crossover(parents_a: np.ndarray, parents_b: np.ndarray, crossover_prob: float,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point suffix swap per row pair with the given probability, else copies."""
-    if parents_a.shape != parents_b.shape:
-        raise ValueError("parent genomes must have equal shape")
-    pairs, length = parents_a.shape
-    coin = rng.random(pairs) < crossover_prob
-    cut = rng.integers(1, length, pairs)
-    swap = coin[:, None] & (np.arange(length) >= cut[:, None])
-    return np.where(swap, parents_b, parents_a), np.where(swap, parents_a, parents_b)
-
-
-def mutate(genomes: np.ndarray, mutation_prob_per_bit: float,
-           rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with the given probability."""
-    flips = (rng.random(genomes.shape) < mutation_prob_per_bit).astype(np.uint8)
-    return genomes ^ flips
-
-
-def _breed(population: np.ndarray, fitnesses: np.ndarray, cfg: ScenarioConfig,
-           mutation_prob_per_bit: float, rng: np.random.Generator) -> np.ndarray:
-    """Next generation: the elitism_count fittest genomes, then mutated children.
+def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
+           mutation_prob_per_bit: float, rngs) -> np.ndarray:
+    """Next generation of a (J, P, L) stack: each job's elitism_count fittest
+    genomes, then its mutated children.
 
     Children come in crossover pairs of tournament winners; a trailing odd
-    child is dropped so the generation keeps population_size genomes.
+    child is dropped so a job keeps population_size genomes.  Job j draws
+    from rngs[j], in the order the module docstring gives.
     """
-    num_children = len(population) - cfg.elitism_count
+    jobs, size, length = population.shape
+    num_children = size - cfg.elitism_count
     pairs = (num_children + 1) // 2
-    elites = population[np.argsort(-fitnesses, kind="stable")[:cfg.elitism_count]]
-    parents = tournament_select(population, fitnesses, cfg.tournament_size, 2 * pairs, rng)
-    child_a, child_b = crossover(parents[0::2], parents[1::2], cfg.crossover_prob, rng)
-    children = np.stack([child_a, child_b], axis=1).reshape(2 * pairs, -1)[:num_children]
-    return np.concatenate([elites, mutate(children, mutation_prob_per_bit, rng)])
+    k = cfg.tournament_size
+    entrants = np.empty((jobs, 2 * pairs, k), dtype=np.intp)
+    coin = np.empty((jobs, pairs), dtype=bool)
+    cut = np.empty((jobs, pairs), dtype=np.int64)
+    flips = np.empty((jobs, num_children, length), dtype=np.uint8)
+    for j, rng in enumerate(rngs):
+        entrants[j] = np.argpartition(rng.random((2 * pairs, size)), k - 1, axis=1)[:, :k]
+        coin[j] = rng.random(pairs) < cfg.crossover_prob
+        cut[j] = rng.integers(1, length, pairs)
+        flips[j] = rng.random((num_children, length)) < mutation_prob_per_bit
+    entrants.sort(axis=2)  # ties go to the lowest index
+    rows = np.arange(jobs)[:, None]
+    best = np.argmax(fit[rows[:, :, None], entrants], axis=2)
+    parents = population[rows, entrants[rows, np.arange(2 * pairs), best]]
+    parents_a, parents_b = parents[:, 0::2], parents[:, 1::2]
+    swap = coin[:, :, None] & (np.arange(length) >= cut[:, :, None])
+    children = np.stack([np.where(swap, parents_b, parents_a),
+                         np.where(swap, parents_a, parents_b)], axis=2)
+    children = children.reshape(jobs, 2 * pairs, length)[:, :num_children]
+    elites = population[rows, np.argsort(-fit, axis=1, kind="stable")[:, :cfg.elitism_count]]
+    return np.concatenate([elites, children ^ flips], axis=1)
 
 
-def optimize_slot(users_xy, cfg: ScenarioConfig, rng: np.random.Generator,
-                  variant: Variant = Variant("mobile", "noma"), *, fixed_irs=None,
-                  warm_start_genome: Optional[np.ndarray] = None,
-                  prev_placement: Optional[Placement] = None
-                  ) -> tuple[Placement, GaRunRecord]:
-    """Run the GA for one slot; returns the best placement and its run record.
+def optimize_jobs(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], list[GaRunRecord]]]:
+    """Optimize every slot of every (trace, master_seed, variant) job in lockstep.
 
-    fixed_irs pins the vehicle (a frozen static surface); the returned
-    placement carries it, or irs None when the variant has no surface.
+    Every trace has the same slot and user counts.  Returns each job's
+    (placements, records), in job order, as if the job ran alone.  A static
+    surface is optimized jointly on the first slot and frozen there (or at
+    the configured point from the start); it shares the mobile variant's
+    streams, so its first slot reproduces the mobile one exactly.
     """
-    length = genome_length(cfg)
+    size, length = cfg.population_size, genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
+    variants = [variant for _, _, variant in jobs]
+    pinned = [(cfg.s_irs_x, cfg.s_irs_y) if v.surface == "static" and cfg.s_irs_x is not None
+              else None for v in variants]
+    results = [([], []) for _ in jobs]
+    per_call = max(1, _CALL_CELLS // (size * jobs[0][0].num_users))
+    groups: dict[tuple, list[int]] = {}
+    for j, v in enumerate(variants):
+        groups.setdefault((v.access, v.surface == "none"), []).append(j)
+    calls = [members[i:i + per_call] for members in groups.values()
+             for i in range(0, len(members), per_call)]
 
-    population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
-    if warm_start_genome is not None:
-        population[0] = warm_start_genome
+    for slot in range(jobs[0][0].num_slots):
+        rngs = [scenario.stream(seed, scenario.GA_STREAM, _GA_KINDS[v.access], slot)
+                for _, seed, v in jobs]
+        population = np.stack([(rng.random((size, length)) < 0.5).astype(np.uint8)
+                               for rng in rngs])
+        if cfg.warm_start and slot:
+            population[:, 0] = [records[-1].best_genome for _, records in results]
+        scoring = [(call, np.stack([jobs[j][0].positions[slot] for j in call]),
+                    variants[call[0]], [pinned[j] for j in call],
+                    [results[j][0][-1] for j in call] if slot else None) for call in calls]
+        fit = np.empty((len(jobs), size))
+        history, winners = [], [None] * len(jobs)
+        for generation in range(cfg.max_iterations + 1):
+            if generation:
+                population = _breed(population, fit, cfg, mut_p, rngs)
+            for call, users, variant, call_pinned, prev in scoring:
+                fit[call], uav, irs, ev = _fitness(population[call], users, cfg, variant,
+                                                   call_pinned, prev)
+                if generation == cfg.max_iterations:
+                    for row, j in enumerate(call):
+                        best = int(np.argmax(fit[j]))
+                        winners[j] = (best, Placement(
+                            uav=tuple(uav[row, best].tolist()),
+                            irs=None if irs is None else tuple(irs[row, best].tolist())),
+                            noma.SlotResult.from_batch(ev, row * size + best))
+                ev = None  # release this call's evaluation before the next one
+            history.append((fit.max(axis=1), fit.mean(axis=1)))
 
-    best_per_gen: list[float] = []
-    mean_per_gen: list[float] = []
-    for generation in range(cfg.max_iterations + 1):
-        if generation:
-            population = _breed(population, fit, cfg, mut_p, rng)
-            ev = None  # release the previous generation's evaluation before scoring this one
-        fit, uav, irs, ev = _fitness_batch(population, users_xy, cfg, variant, fixed_irs,
-                                           prev_placement)
-        best_per_gen.append(float(fit.max()))
-        mean_per_gen.append(float(fit.mean()))
-
-    best = int(np.argmax(fit))
-    placement = Placement(uav=tuple(uav[best].tolist()),
-                          irs=None if irs is None else tuple(irs[best].tolist()))
-    record = GaRunRecord(best_fitness=best_per_gen, mean_fitness=mean_per_gen,
-                         best_genome=population[best].copy(),
-                         evaluations=cfg.population_size * len(best_per_gen),
-                         result=noma.SlotResult.from_batch(ev, best))
-    return placement, record
+        best_per_gen, mean_per_gen = np.array(history).transpose(1, 2, 0).tolist()
+        for j, (best, placement, result) in enumerate(winners):
+            if variants[j].surface == "static" and pinned[j] is None:
+                pinned[j] = placement.irs
+            results[j][0].append(placement)
+            results[j][1].append(GaRunRecord(
+                best_fitness=best_per_gen[j], mean_fitness=mean_per_gen[j],
+                best_genome=population[j, best].copy(),
+                evaluations=size * (cfg.max_iterations + 1), result=result))
+    return results
 
 
 def optimize_trajectory(trace, cfg: ScenarioConfig, master_seed: int,
                         variant: Variant = Variant("mobile", "noma")
                         ) -> tuple[list[Placement], list[GaRunRecord]]:
-    """Optimize every slot of a trace independently.
-
-    A static surface is optimized jointly on the first slot and frozen
-    there (or at the configured point from the start).  Each slot draws its
-    own generator from the master seed, so the static variant's first slot
-    reproduces the mobile variant's first slot exactly.
-    """
-    placements: list[Placement] = []
-    records: list[GaRunRecord] = []
-    frozen = None
-    if variant.surface == "static" and cfg.s_irs_x is not None:
-        frozen = (cfg.s_irs_x, cfg.s_irs_y)
-    warm: Optional[np.ndarray] = None
-    prev: Optional[Placement] = None
-    for slot in range(trace.num_slots):
-        rng = scenario.stream(master_seed, scenario.GA_STREAM, _GA_KINDS[variant.access], slot)
-        placement, record = optimize_slot(
-            trace.positions[slot], cfg, rng, variant, fixed_irs=frozen,
-            warm_start_genome=warm if cfg.warm_start else None, prev_placement=prev)
-        if variant.surface == "static" and frozen is None:
-            frozen = placement.irs
-        placements.append(placement)
-        records.append(record)
-        warm = record.best_genome
-        prev = placement
-    return placements, records
+    """Optimize every slot of one trace: the one-job case of optimize_jobs."""
+    return optimize_jobs([(trace, master_seed, variant)], cfg)[0]

@@ -298,7 +298,7 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.init_x_max >= cfg.init_x_min, "init_x_max", "must be >= init_x_min")
     _check(cfg.init_y_max >= cfg.init_y_min, "init_y_max", "must be >= init_y_min")
 
-    _check(cfg.population_size >= 2, "population_size", "must be >= 2")
+    _check(2 <= cfg.population_size <= 10**3, "population_size", "must be in [2, 10^3]")
     _check(cfg.num_users * cfg.population_size <= 10**6, "num_users/population_size",
            "num_users x population_size (one fitness call's arrays) must be <= 10^6")
     _check(1 <= cfg.max_iterations <= 10**4, "max_iterations", "must be in [1, 10^4]")
@@ -346,6 +346,18 @@ def validate(cfg: ScenarioConfig) -> None:
                    "finite and > 0 (link lengths follow from region_x_min/region_x_max/"
                    "region_y_min/region_y_max, uav_alt_min_m/uav_alt_max_m and "
                    "irs_height_m; the SNR from uav_tx_power_dbm and noise_power_dbm)")
+    # The blockage exponent peaks at the region diagonal and uav_alt_min_m.
+    _check(math.isfinite(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * diagonal
+                         * cfg.blocker_height_m / cfg.uav_alt_min_m),
+           "blocker_density_per_m2/blocker_diameter_m/blocker_height_m",
+           "times the region diagonal over uav_alt_min_m must be finite")
+    if cfg.los_model == "sigmoid":  # the exponent is linear in the elevation: its ends bound it
+        a, b = cfg.sigmoid_alpha, cfg.sigmoid_beta
+        ends = [-b * (theta - a) for theta in (0.0, 90.0)]
+        _check(a >= 0 and all(map(math.isfinite, ends)) and max(ends) < 709.0
+               and math.isfinite(a * math.exp(max(ends))), "sigmoid_alpha/sigmoid_beta",
+               "need sigmoid_alpha >= 0 and, at every elevation in [0, 90] degrees, -sigmoid_beta"
+               " x (elevation - sigmoid_alpha) < 709 and sigmoid_alpha x its exp finite")
     # The reflected gain peaks at N^2 times the NLoS gain at irs_height_m and,
     # with the UAV leg, the LoS gain over the shortest UAV-to-surface hop.
     n = cfg.irs_elements_per_user

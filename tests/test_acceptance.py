@@ -73,13 +73,15 @@ def test_criterion_3_ga_matches_exhaustive_search():
     length = optimizer.genome_length(cfg)
     space = np.array(list(itertools.product((0, 1), repeat=length)), dtype=np.uint8)
     assert space.shape[0] == 1024
-    optimum = optimizer._fitness_batch(space, users, cfg, cli.SCENARIOS["M-IRS-NOMA"])[0].max()
+    optimum = optimizer._fitness(space[None], users[None], cfg, cli.SCENARIOS["M-IRS-NOMA"],
+                                 [None], None)[0].max()
 
     start = time.perf_counter()
     hits = 0
     for seed in range(100):
-        rng = scenario.stream(seed, scenario.GA_STREAM, 0, 0)
-        _, record = optimizer.optimize_slot(users, cfg, rng)
+        # draws from slot 0's NOMA stream, scenario.stream(seed, scenario.GA_STREAM, 0, 0)
+        _, (record,) = optimizer.optimize_trajectory(mobility.MobilityTrace(users[None]),
+                                                     cfg, seed)
         if record.best_fitness[-1] >= optimum - 1e-9 * max(1.0, abs(optimum)):
             hits += 1
     elapsed = time.perf_counter() - start

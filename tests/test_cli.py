@@ -10,7 +10,7 @@ from typing import Optional
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirsim import cli, mobility, scenario
 from mirsim.channel import Placement
@@ -186,6 +186,14 @@ def test_seed_results_do_not_depend_on_the_other_seeds():
         assert getattr(first, key) == getattr(alone, key)
 
 
+def test_seed_stacks_do_not_change_the_report(monkeypatch):
+    cfg = small_config(num_slots=2, population_size=6, max_iterations=3)
+    names = list(cli.SCENARIOS)
+    whole = cli.run_experiment(cfg, names, [7, 8, 9])
+    monkeypatch.setattr(cli, "_STACK_NUMBERS", 1)  # one seed per lockstep stack
+    assert vars(cli.run_experiment(cfg, names, [7, 8, 9])) == vars(whole)
+
+
 def test_external_trace_reproduces_internal_run(tmp_path):
     cfg = small_config(num_slots=2)
     internal = cli.run_experiment(cfg, ["No-IRS-NOMA"], [7])
@@ -289,6 +297,13 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
      ["num_users", "num_slots", "slot_duration_s", "substep_duration_s"]),
     ("max_iterations: 10001\n", ["max_iterations"]),
     ("num_seeds: 10001\n", ["num_seeds"]),
+    # one job's tournament keys, (population_size)^2 doubles per generation
+    ("population_size: 1001\n", ["population_size"]),
+    # overflow in the blockage exponent and the sigmoid's exp; a LoS probability above 1
+    ("blocker_density_per_m2: 1.0e+300\nblocker_height_m: 1.0e+300\n",
+     ["blocker_density_per_m2", "blocker_height_m"]),
+    ("los_model: sigmoid\nsigmoid_alpha: 1.0e+300\n", ["sigmoid_alpha", "sigmoid_beta"]),
+    ("los_model: sigmoid\nsigmoid_alpha: -1\n", ["sigmoid_alpha", "sigmoid_beta"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"
@@ -420,6 +435,28 @@ def test_cli_converge(tmp_path):
     assert len(rows) == 1 + small_config().max_iterations + 1
 
 
+def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path):
+    # A job's results do not depend on which jobs share the GA stack.
+    cfg_path = _write_small_config(tmp_path, num_users=5, num_slots=3,
+                                   max_slot_displacement_m=40.0)
+    common = ["run", "--config", str(cfg_path), "--seeds", "2", "--seed", "3"]
+    assert cli.main(common + ["--out", str(tmp_path / "all")]) in (0, 3)
+    assert cli.main(common + ["--scenarios", "S-IRS-NOMA",
+                              "--out", str(tmp_path / "one")]) in (0, 3)
+    both = {}
+    for run in ("all", "one"):
+        out = tmp_path / run
+        doc = json.loads((out / "results.json").read_text())
+        both[run] = (
+            [row for row in _read_csv(out / "rates.csv") if row[1] == "S-IRS-NOMA"],
+            [row for row in _read_csv(out / "users.csv") if row[1] == "S-IRS-NOMA"],
+            [row for row in _read_csv(out / "convergence.csv") if row[0] == "S-IRS-NOMA"],
+            [row for row in doc["infeasible_slots"] if row["scenario"] == "S-IRS-NOMA"],
+            doc["per_seed_sum_rate"]["S-IRS-NOMA"], doc["trajectories"]["S-IRS-NOMA"])
+    assert all(both["one"][:3])
+    assert both["all"] == both["one"]
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     cfg_path = _write_small_config(tmp_path, num_slots=2)
     common = ["run", "--config", str(cfg_path), "--seeds", "2",
@@ -478,9 +515,13 @@ def _run_fuzzed_config(overrides):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, min_size=1, max_size=2))
-def test_cli_run_survives_extreme_config_numbers(overrides):
-    _run_fuzzed_config(overrides)
+@given(st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES, min_size=1, max_size=2),
+       st.sampled_from(["blockage", "sigmoid"]))
+@example({"blocker_density_per_m2": 1e300, "blocker_height_m": 1e300}, "blockage")
+@example({"sigmoid_alpha": 1e300}, "sigmoid")
+@example({"sigmoid_alpha": -1.0}, "sigmoid")
+def test_cli_run_survives_extreme_config_numbers(overrides, los_model):
+    _run_fuzzed_config({**overrides, "los_model": los_model})
 
 
 # Every integer key of the GA and of the problem size: small values, and
@@ -489,7 +530,7 @@ def test_cli_run_survives_extreme_config_numbers(overrides):
 _INT_FUZZ = {
     "num_users": [1, 2, 5, -1, 0, 10**5 + 1, 10**400],
     "num_slots": [1, 3, 0, 10**5 + 1, 10**400],
-    "population_size": [2, 3, 7, 1, 10**6 + 1, 10**400],
+    "population_size": [2, 3, 7, 1, 1001, 10**6 + 1, 10**400],
     "max_iterations": [1, 3, 0, 10**4 + 1, 10**400],
     "tournament_size": [1, 2, 3, 0, 10**6 + 1],
     "elitism_count": [0, 1, 2, -1, 10**6 + 1],

@@ -1,9 +1,11 @@
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mirsim import channel, mobility, optimizer, scenario
+from mirsim import channel, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.optimizer import Variant
 
@@ -39,9 +41,131 @@ def encode(placement: Placement, bounds, bits: int) -> np.ndarray:
     return genome
 
 
-def _fitness(genomes, users, cfg, **kwargs):
-    """M-IRS-NOMA fitness of a (P, L) stack of genomes."""
-    return optimizer._fitness_batch(np.atleast_2d(genomes), users, cfg, MOBILE, **kwargs)[0]
+def _fitness(genomes, users, cfg, prev_placement=None):
+    """M-IRS-NOMA fitness of a (P, L) stack of genomes: a one-job optimizer._fitness call."""
+    prev = None if prev_placement is None else [prev_placement]
+    return optimizer._fitness(np.atleast_2d(genomes)[None], np.asarray(users)[None], cfg,
+                              MOBILE, [None], prev)[0][0]
+
+
+# -- Per-job GA oracle: one slot search at a time, one job at a time ---------
+# optimizer.optimize_jobs must reproduce it exactly, draw for draw.
+
+def oracle_fitness_batch(genomes, users_xy, cfg, variant, fixed_irs=None,
+                         prev_placement: Optional[Placement] = None):
+    """Oracle: (fitness, uav, irs, evaluation) of a (P, L) population of one job."""
+    coords = optimizer.decode_batch(genomes, optimizer.genome_bounds(cfg),
+                                    cfg.bits_per_coordinate)
+    uav = coords[:, :3]
+    irs_moves = variant.surface != "none" and fixed_irs is None
+    if irs_moves:
+        irs = coords[:, 3:]
+    elif variant.surface == "none":
+        irs = None
+    else:
+        irs = np.broadcast_to(np.asarray(fixed_irs, dtype=float), (len(uav), 2))
+    gu, gi = channel.link_gains(uav, irs, users_xy, cfg)
+    ev = noma.evaluate_batch(gu, gi, cfg, variant.access)
+    fit = ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]
+    limit = cfg.max_slot_displacement_m
+    if limit is not None and prev_placement is not None:
+        px, py, _ = prev_placement.uav
+        excess = np.maximum(0.0, np.hypot(uav[:, 0] - px, uav[:, 1] - py) - limit)
+        if irs_moves:
+            qx, qy = prev_placement.irs
+            excess = excess + np.maximum(0.0, np.hypot(irs[:, 0] - qx, irs[:, 1] - qy) - limit)
+        fit = fit - cfg.sinr_penalty_weight * excess
+    return fit, uav, irs, ev
+
+
+def tournament_select(population, fitnesses, tournament_size, count, rng):
+    """Oracle: count tournaments of tournament_size distinct genomes each.
+
+    Returns the winners, shape (count, L); a winner is the fittest entrant,
+    ties going to the lowest index.
+    """
+    n = len(population)
+    if n == 0:
+        raise ValueError("empty population")
+    keys = rng.random((count, n))
+    entrants = np.sort(np.argpartition(keys, tournament_size - 1, axis=1)[:, :tournament_size],
+                       axis=1)
+    best = np.argmax(fitnesses[entrants], axis=1)
+    return population[entrants[np.arange(count), best]]
+
+
+def crossover(parents_a, parents_b, crossover_prob, rng):
+    """Oracle: single-point suffix swap per row pair with the given probability."""
+    if parents_a.shape != parents_b.shape:
+        raise ValueError("parent genomes must have equal shape")
+    pairs, length = parents_a.shape
+    coin = rng.random(pairs) < crossover_prob
+    cut = rng.integers(1, length, pairs)
+    swap = coin[:, None] & (np.arange(length) >= cut[:, None])
+    return np.where(swap, parents_b, parents_a), np.where(swap, parents_a, parents_b)
+
+
+def mutate(genomes, mutation_prob_per_bit, rng):
+    """Oracle: flip each bit independently with the given probability."""
+    return genomes ^ (rng.random(genomes.shape) < mutation_prob_per_bit).astype(np.uint8)
+
+
+def oracle_breed(population, fitnesses, cfg, mutation_prob_per_bit, rng):
+    """Oracle: the elitism_count fittest genomes, then mutated crossover children."""
+    num_children = len(population) - cfg.elitism_count
+    pairs = (num_children + 1) // 2
+    elites = population[np.argsort(-fitnesses, kind="stable")[:cfg.elitism_count]]
+    parents = tournament_select(population, fitnesses, cfg.tournament_size, 2 * pairs, rng)
+    child_a, child_b = crossover(parents[0::2], parents[1::2], cfg.crossover_prob, rng)
+    children = np.stack([child_a, child_b], axis=1).reshape(2 * pairs, -1)[:num_children]
+    return np.concatenate([elites, mutate(children, mutation_prob_per_bit, rng)])
+
+
+def optimize_slot(users_xy, cfg, rng, variant=MOBILE, *, fixed_irs=None,
+                  warm_start_genome=None, prev_placement=None):
+    """Oracle: the GA for one slot of one job; the best placement and its run record."""
+    length = optimizer.genome_length(cfg)
+    mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
+    population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
+    if warm_start_genome is not None:
+        population[0] = warm_start_genome
+    best_per_gen, mean_per_gen = [], []
+    for generation in range(cfg.max_iterations + 1):
+        if generation:
+            population = oracle_breed(population, fit, cfg, mut_p, rng)
+        fit, uav, irs, ev = oracle_fitness_batch(population, users_xy, cfg, variant, fixed_irs,
+                                                 prev_placement)
+        best_per_gen.append(float(fit.max()))
+        mean_per_gen.append(float(fit.mean()))
+    best = int(np.argmax(fit))
+    placement = Placement(uav=tuple(uav[best].tolist()),
+                          irs=None if irs is None else tuple(irs[best].tolist()))
+    record = optimizer.GaRunRecord(
+        best_fitness=best_per_gen, mean_fitness=mean_per_gen,
+        best_genome=population[best].copy(),
+        evaluations=cfg.population_size * len(best_per_gen),
+        result=noma.SlotResult.from_batch(ev, best))
+    return placement, record
+
+
+def oracle_trajectory(trace, cfg, master_seed, variant=MOBILE):
+    """Oracle: one job's slot searches one after another, warm starts chained."""
+    placements, records = [], []
+    frozen = None
+    if variant.surface == "static" and cfg.s_irs_x is not None:
+        frozen = (cfg.s_irs_x, cfg.s_irs_y)
+    for slot in range(trace.num_slots):
+        rng = scenario.stream(master_seed, scenario.GA_STREAM,
+                              {"noma": 0, "oma": 1}[variant.access], slot)
+        placement, record = optimize_slot(
+            trace.positions[slot], cfg, rng, variant, fixed_irs=frozen,
+            warm_start_genome=records[-1].best_genome if cfg.warm_start and records else None,
+            prev_placement=placements[-1] if placements else None)
+        if variant.surface == "static" and frozen is None:
+            frozen = placement.irs
+        placements.append(placement)
+        records.append(record)
+    return placements, records
 
 
 def test_encode_bounds_map_to_all_zero_and_all_one():
@@ -155,7 +279,7 @@ def test_full_tournament_returns_global_best():
     rng = _ga_rng(0)
     population = np.eye(4, dtype=np.uint8)
     fitnesses = np.array([0.3, 2.0, 1.0, -1.0])
-    winners = optimizer.tournament_select(population, fitnesses, 4, 20, rng)
+    winners = tournament_select(population, fitnesses, 4, 20, rng)
     assert winners.shape == (20, 4)
     assert np.all(winners == population[1])
 
@@ -164,7 +288,7 @@ def test_two_candidate_tournament_always_picks_the_fitter():
     rng = _ga_rng(1)
     population = np.array([[0, 0], [1, 1]], dtype=np.uint8)
     fitnesses = np.array([1.0, 2.0])
-    winners = optimizer.tournament_select(population, fitnesses, 2, 50, rng)
+    winners = tournament_select(population, fitnesses, 2, 50, rng)
     assert np.all(winners == population[1])
 
 
@@ -172,7 +296,7 @@ def test_tournament_ties_break_to_lowest_index():
     rng = _ga_rng(2)
     population = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8)
     fitnesses = np.array([5.0, 5.0, 5.0])
-    winners = optimizer.tournament_select(population, fitnesses, 3, 20, rng)
+    winners = tournament_select(population, fitnesses, 3, 20, rng)
     assert np.all(winners == population[0])
 
 
@@ -182,7 +306,7 @@ def test_tournament_entrants_are_distinct():
     rng = _ga_rng(10)
     n, k = 6, 4
     population = np.arange(n, dtype=np.uint8)[:, None]
-    winners = optimizer.tournament_select(population, np.arange(n, dtype=float), k,
+    winners = tournament_select(population, np.arange(n, dtype=float), k,
                                           5_000, rng)[:, 0]
     assert winners.min() == k - 1
     assert set(winners.tolist()) == set(range(k - 1, n))
@@ -190,14 +314,14 @@ def test_tournament_entrants_are_distinct():
 
 def test_tournament_rejects_empty_population():
     with pytest.raises(ValueError):
-        optimizer.tournament_select(np.empty((0, 4)), np.empty(0), 1, 2, _ga_rng())
+        tournament_select(np.empty((0, 4)), np.empty(0), 1, 2, _ga_rng())
 
 
 def test_size_one_tournament_returns_a_member():
     rng = _ga_rng(3)
     population = np.array([[0, 0], [1, 1]], dtype=np.uint8)
     fitnesses = np.array([1.0, 2.0])
-    winners = optimizer.tournament_select(population, fitnesses, 1, 10, rng)
+    winners = tournament_select(population, fitnesses, 1, 10, rng)
     assert all(any(np.array_equal(w, row) for row in population) for w in winners)
 
 
@@ -217,7 +341,7 @@ class _ScriptedRng:
 def test_crossover_swaps_suffixes_at_the_cut():
     a = np.zeros((2, 4), dtype=np.uint8)
     b = np.ones((2, 4), dtype=np.uint8)
-    child_a, child_b = optimizer.crossover(a, b, 1.0, _ScriptedRng([2, 1]))
+    child_a, child_b = crossover(a, b, 1.0, _ScriptedRng([2, 1]))
     assert child_a.tolist() == [[0, 0, 1, 1], [0, 1, 1, 1]]
     assert child_b.tolist() == [[1, 1, 0, 0], [1, 0, 0, 0]]
 
@@ -225,26 +349,26 @@ def test_crossover_swaps_suffixes_at_the_cut():
 def test_crossover_identity_cases():
     rng = _ga_rng(4)
     a = np.array([[0, 1, 0, 1]] * 3, dtype=np.uint8)
-    child_a, child_b = optimizer.crossover(a, a.copy(), 1.0, rng)
+    child_a, child_b = crossover(a, a.copy(), 1.0, rng)
     assert np.array_equal(child_a, a) and np.array_equal(child_b, a)
     c = np.array([[1, 1, 0, 0]] * 3, dtype=np.uint8)
-    child_a, child_b = optimizer.crossover(a, c, 0.0, rng)
+    child_a, child_b = crossover(a, c, 0.0, rng)
     assert np.array_equal(child_a, a) and np.array_equal(child_b, c)
     with pytest.raises(ValueError):
-        optimizer.crossover(a, np.zeros((3, 5), dtype=np.uint8), 1.0, rng)
+        crossover(a, np.zeros((3, 5), dtype=np.uint8), 1.0, rng)
 
 
 def test_mutation_extremes():
     rng = _ga_rng(5)
     genomes = np.array([[0, 1, 1, 0, 1], [1, 1, 0, 0, 0]], dtype=np.uint8)
-    assert np.array_equal(optimizer.mutate(genomes, 0.0, rng), genomes)
-    assert np.array_equal(optimizer.mutate(genomes, 1.0, rng), 1 - genomes)
+    assert np.array_equal(mutate(genomes, 0.0, rng), genomes)
+    assert np.array_equal(mutate(genomes, 1.0, rng), 1 - genomes)
 
 
 def test_mutation_flip_rate_statistics():
     rng = _ga_rng(6)
     genomes = np.zeros((10_000, 200), dtype=np.uint8)
-    mean = optimizer.mutate(genomes, 0.01, rng).sum() / 10_000
+    mean = mutate(genomes, 0.01, rng).sum() / 10_000
     sigma = math.sqrt(200 * 0.01 * 0.99 / 10_000)
     assert abs(mean - 2.0) <= 3.0 * sigma
 
@@ -261,7 +385,7 @@ def test_closed_population_never_returns_worse_than_the_seed_genome():
                < 0.5).astype(np.uint8)
     initial[0] = genome
     fit = _fitness(initial, users, cfg)
-    placement, record = optimizer.optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
+    placement, record = optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
     assert record.best_fitness == [fit.max()] * (cfg.max_iterations + 1)
     assert record.best_fitness[-1] >= fit[0]
     assert np.array_equal(record.best_genome, initial[np.argmax(fit)])
@@ -271,8 +395,8 @@ def test_closed_population_never_returns_worse_than_the_seed_genome():
 def test_optimize_slot_is_deterministic():
     cfg = small_config()
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
-    a = optimizer.optimize_slot(users, cfg, _ga_rng(8))
-    b = optimizer.optimize_slot(users, cfg, _ga_rng(8))
+    a = optimize_slot(users, cfg, _ga_rng(8))
+    b = optimize_slot(users, cfg, _ga_rng(8))
     assert a[0] == b[0]
     assert a[1].best_fitness == b[1].best_fitness
     assert np.array_equal(a[1].best_genome, b[1].best_genome)
@@ -281,11 +405,15 @@ def test_optimize_slot_is_deterministic():
 def test_elitism_keeps_best_fitness_monotone():
     cfg = small_config(max_iterations=12)
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
-    _, record = optimizer.optimize_slot(users, cfg, _ga_rng(9))
+    _, (record,) = optimizer.optimize_trajectory(_one_slot(users), cfg, 9)
     best = record.best_fitness
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert best[-1] >= best[0]
     assert record.evaluations == cfg.population_size * (cfg.max_iterations + 1)
+
+
+def _one_slot(users) -> mobility.MobilityTrace:
+    return mobility.MobilityTrace(np.asarray(users, dtype=float)[None])
 
 
 def _random_generation(cfg, rng):
@@ -299,7 +427,7 @@ def test_elites_are_carried_over_bit_for_bit():
     cfg = small_config(population_size=9, elitism_count=3, mutation_prob_per_bit=0.5)
     rng = _ga_rng(11)
     population, fit = _random_generation(cfg, rng)
-    nxt = optimizer._breed(population, fit, cfg, 0.5, rng)
+    nxt = optimizer._breed(population[None], fit[None], cfg, 0.5, [rng])[0]
     assert nxt.shape == population.shape and nxt.dtype == np.uint8
     assert np.array_equal(nxt[:3], population[np.argsort(-fit, kind="stable")[:3]])
 
@@ -308,10 +436,10 @@ def test_odd_population_without_elitism_keeps_its_size():
     cfg = small_config(population_size=7, elitism_count=0)
     rng = _ga_rng(12)
     population, fit = _random_generation(cfg, rng)
-    nxt = optimizer._breed(population, fit, cfg, 0.1, rng)
+    nxt = optimizer._breed(population[None], fit[None], cfg, 0.1, [rng])[0]
     assert nxt.shape == (7, optimizer.genome_length(cfg))
     users = np.array([[10.0, 10.0], [250.0, 250.0]])
-    _, record = optimizer.optimize_slot(users, cfg, rng)
+    _, (record,) = optimizer.optimize_trajectory(_one_slot(users), cfg, 12)
     assert len(record.best_fitness) == cfg.max_iterations + 1
     assert record.evaluations == 7 * (cfg.max_iterations + 1)
 
@@ -320,7 +448,7 @@ def test_optimized_placements_respect_bounds():
     cfg = small_config()
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     for seed in range(3):
-        placement, _ = optimizer.optimize_slot(users, cfg, _ga_rng(seed))
+        (placement,), _ = optimizer.optimize_trajectory(_one_slot(users), cfg, seed)
         channel.validate_placement(placement, cfg)
 
 
@@ -394,3 +522,45 @@ def test_displacement_limit_penalizes_long_hops():
     unconstrained = _fitness(genome, users, cfg)
     constrained = _fitness(genome, users, cfg, prev_placement=prev)
     assert constrained[0] < unconstrained[0]
+
+
+_VARIANTS = [Variant(surface, access) for access in ("noma", "oma")
+             for surface in ("mobile", "static", "none")]
+
+
+def _assert_same_records(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.best_fitness == b.best_fitness and a.mean_fitness == b.mean_fitness
+        assert np.array_equal(a.best_genome, b.best_genome)
+        assert a.evaluations == b.evaluations
+        for key, value in vars(b.result).items():
+            assert np.array_equal(getattr(a.result, key), value), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_users=st.sampled_from([1, 2, 3, 4, 5]),
+       population_size=st.integers(2, 9), elitism_count=st.integers(0, 3),
+       tournament_size=st.integers(1, 4), pinned=st.booleans(),
+       limit=st.sampled_from([None, 30.0]), warm_start=st.booleans(),
+       variants=st.lists(st.sampled_from(_VARIANTS), min_size=1, max_size=4),
+       seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3),
+       call_cells=st.sampled_from([1, 40, 2**16]))
+def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitism_count,
+                                              tournament_size, pinned, limit, warm_start,
+                                              variants, seeds, call_cells):
+    cfg = small_config(num_users=num_users, num_slots=3, population_size=population_size,
+                       max_iterations=3, bits_per_coordinate=4,
+                       elitism_count=min(elitism_count, population_size - 1),
+                       tournament_size=min(tournament_size, population_size),
+                       max_slot_displacement_m=limit, warm_start=warm_start,
+                       **(dict(s_irs_x=420.0, s_irs_y=35.0) if pinned else {}))
+    jobs = [(mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM)),
+             seed, variant) for seed in seeds for variant in variants]
+    with pytest.MonkeyPatch.context() as patch:
+        # a small floor splits the stack into one fitness call per job or two
+        patch.setattr(optimizer, "_CALL_CELLS", call_cells)
+        stacked = optimizer.optimize_jobs(jobs, cfg)
+    for (placements, records), job in zip(stacked, jobs, strict=True):
+        want_placements, want_records = oracle_trajectory(job[0], cfg, job[1], job[2])
+        assert placements == want_placements
+        _assert_same_records(records, want_records)
