@@ -5,7 +5,7 @@ from .channel import Placement
 from .cli import ExperimentReport, emit_outputs, run_experiment
 from .mobility import MobilityTrace, Users, generate_trace
 from .noma import SlotResult
-from .optimizer import GaRunRecord, Variant, optimize_jobs, optimize_trajectory
+from .optimizer import GaRunRecord, Variant, optimize_jobs
 from .scenario import (ConfigError, ScenarioConfig, SchemaError,
                        ValidationError, load_config, parse_config)
 
@@ -15,6 +15,5 @@ __all__ = [
     "ConfigError", "ExperimentReport", "GaRunRecord", "MobilityTrace",
     "Placement", "ScenarioConfig", "SchemaError", "SlotResult",
     "Users", "ValidationError", "Variant", "emit_outputs", "generate_trace",
-    "load_config", "optimize_jobs", "optimize_trajectory", "parse_config",
-    "run_experiment",
+    "load_config", "optimize_jobs", "parse_config", "run_experiment",
 ]

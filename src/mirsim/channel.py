@@ -105,8 +105,7 @@ def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig):
     uav = np.asarray(uav_xyz, dtype=float)
     d = distance_3d(uav, users_xy)
     q = horizontal_distance(uav, users_xy)
-    z = uav[..., 2, None] if uav.ndim >= 2 else uav[..., 2]
-    p_los = los_probability(q, z, cfg)
+    p_los = los_probability(q, uav[..., 2, None], cfg)
     return p_los * pathloss_los(d, cfg) + (1.0 - p_los) * pathloss_nlos(d, cfg)
 
 

@@ -2,9 +2,11 @@
 
 ``run_experiment`` reproduces the benchmark protocol: one shared mobility
 trace per seed, then every (seed, scenario) job's per-slot placement
-searches as one lockstep GA stack (``optimizer.optimize_jobs``) whose final
-generations score the slots, averaged across seeds.  ``SCENARIOS`` is the
-one place a scenario is defined, as an ``optimizer.Variant(surface, access)``:
+searches, fed lazily to ``optimizer.optimize_jobs`` (which stacks them in
+lockstep and bounds its own memory), whose final generations score the
+slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
+``SCENARIOS`` is the one place a scenario is defined, as an
+``optimizer.Variant(surface, access)``:
 
 * M-IRS-NOMA  -- joint UAV + vehicle placement every slot
 * S-IRS-NOMA  -- vehicle frozen at the slot-1 joint optimum (or configured point)
@@ -48,7 +50,6 @@ FRACTIONS_COLUMNS = ["slot", "pair", "alpha_weak", "alpha_strong"]
 TRAJECTORY_COLUMNS = ["slot", "entity", "x", "y", "z"]
 CONVERGENCE_COLUMNS = ["scenario", "slot", "generation", "best_fitness", "mean_fitness"]
 USERS_COLUMNS = ["slot", "scenario", "user", "pair_id", "alpha", "sinr_db", "rate"]
-_STACK_NUMBERS = 2**18  # numbers one lockstep GA stack of seeds holds at most
 
 
 @dataclass
@@ -108,37 +109,31 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
         raise ConfigError(f"{where}trace has {trace.num_users} users but "
                           f"num_users is {cfg.num_users}")
 
-    num_slots = trace.num_slots if trace is not None else cfg.num_slots
     report = ExperimentReport(
         config=scenario.config_to_dict(cfg), seeds=seeds, scenarios=names,
-        num_slots=num_slots,
+        num_slots=trace.num_slots if trace is not None else cfg.num_slots,
         per_seed_sum_rate={name: [] for name in names},
         fractions_scenario=_headline_scenario(
             [n for n in names if SCENARIOS[n].access == "noma"]),
     )
 
-    # Numbers a seed's jobs hold: genomes, and slot records until the report takes them.
-    per_seed = len(names) * (cfg.population_size * optimizer.genome_length(cfg) + num_slots
-                             * (2 * cfg.max_iterations + 8 * cfg.num_users))
-    per_stack = max(1, _STACK_NUMBERS // per_seed)
-    for first in range(0, len(seeds), per_stack):
-        stack = seeds[first:first + per_stack]
-        traces = [trace if trace is not None else mobility.generate_trace(
-            cfg, scenario.stream(seed, scenario.MOBILITY_STREAM)) for seed in stack]
-        jobs = [(seed_trace, seed, SCENARIOS[name])
-                for seed_trace, seed in zip(traces, stack) for name in names]
-        outcomes = iter(optimizer.optimize_jobs(jobs, cfg))
-        for seed_index, seed in enumerate(stack, first):
-            for name in names:
-                placements, records = next(outcomes)
-                report.ga_evaluations += sum(r.evaluations for r in records)
-                for slot, (placement, record) in enumerate(zip(placements, records)):
-                    if not record.result.feasible.any():
-                        report.infeasible_slots.append(
-                            {"scenario": name, "seed": seed, "slot": slot})
-                    if seed_index == 0:
-                        _record_first_seed_detail(report, name, slot, placement, record)
-                report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
+    # Lazy: a seed's trace is made when optimize_jobs pulls the seed's first job.
+    traces = (trace if trace is not None else mobility.generate_trace(
+        cfg, scenario.stream(seed, scenario.MOBILITY_STREAM)) for seed in seeds)
+    jobs = ((seed_trace, seed, SCENARIOS[name])
+            for seed_trace, seed in zip(traces, seeds) for name in names)
+    outcomes = optimizer.optimize_jobs(jobs, cfg)
+    for seed_index, seed in enumerate(seeds):
+        for name in names:
+            placements, records = next(outcomes)
+            report.ga_evaluations += sum(r.evaluations for r in records)
+            for slot, (placement, record) in enumerate(zip(placements, records)):
+                if not record.result.feasible.any():
+                    report.infeasible_slots.append(
+                        {"scenario": name, "seed": seed, "slot": slot})
+                if seed_index == 0:
+                    _record_first_seed_detail(report, name, slot, placement, record)
+            report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
 
     for name in names:
         per_seed = np.asarray(report.per_seed_sum_rate[name])
@@ -168,9 +163,9 @@ def _record_first_seed_detail(report, name, slot, placement, record):
         "best": [float(v) for v in record.best_fitness],
         "mean": [float(v) for v in record.mean_fitness],
     })
-    for user, sinr in enumerate(result.sinr.tolist()):
+    for user, (pair, sinr) in enumerate(zip(result.pair_id.tolist(), result.sinr.tolist())):
         report.per_user["rows"].append(
-            [slot, name, user, int(result.pair_id[user]), float(result.alpha[user]),
+            [slot, name, user, pair, float(result.alpha[user]),
              float(scenario.linear_to_db(sinr)) if sinr > 0 else float("-inf"),
              float(result.rate[user])])
     if name == report.fractions_scenario:
@@ -331,17 +326,14 @@ def _cmd_inspect_channel(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_cfg(args)
     seed = scenario.resolve_master_seed(cfg, args.seed)
-    variant = SCENARIOS[resolve_scenarios([args.scenario])[0]]
-    trace = mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
-    if not 0 <= args.slot < trace.num_slots:
-        raise ConfigError(f"--slot: must be in [0, {trace.num_slots - 1}]")
-    _, records = optimizer.optimize_trajectory(trace, cfg, seed, variant)
-    record = records[args.slot]
+    name = resolve_scenarios([args.scenario])[0]
+    if not 0 <= args.slot < cfg.num_slots:
+        raise ConfigError(f"--slot: must be in [0, {cfg.num_slots - 1}]")
+    record = run_experiment(cfg, [name], [seed]).convergence[name][args.slot]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "convergence.csv"
-    rows = [[gen, best, mean] for gen, (best, mean)
-            in enumerate(zip(record.best_fitness, record.mean_fitness))]
+    rows = [[gen, *pair] for gen, pair in enumerate(zip(record["best"], record["mean"]))]
     _write_csv(path, ["generation", "best_fitness", "mean_fitness"], rows)
     print(f"wrote {path} ({len(rows)} generations)")
     return 0

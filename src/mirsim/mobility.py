@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import ConfigError, Region, ScenarioConfig, ValidationError
+from .scenario import MAX_TRACE_ROWS, ConfigError, Region, ScenarioConfig, ValidationError
 
 TRACE_COLUMNS = ["slot", "user_id", "x", "y"]
 
@@ -170,6 +170,8 @@ def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTra
                     raise ConfigError(f"{where}: position ({x}, {y}) outside region")
                 if (slot, user) in entries:
                     raise ConfigError(f"{where}: duplicate entry for slot {slot}, user {user}")
+                if len(entries) == MAX_TRACE_ROWS:
+                    raise ConfigError(f"{where}: more than 10^5 entries (num_users x num_slots)")
                 entries[(slot, user)] = (x, y)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not a readable CSV text file: {exc}") from exc

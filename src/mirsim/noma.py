@@ -41,7 +41,6 @@ class SlotResult:
     sinr: np.ndarray
     rate: np.ndarray
     alpha: np.ndarray
-    pair_id: np.ndarray
     feasible: np.ndarray
     sum_rate: float
     weak: np.ndarray
@@ -51,10 +50,17 @@ class SlotResult:
     @classmethod
     def from_batch(cls, ev: dict, row: int) -> "SlotResult":
         """Row `row` of an evaluate_batch result, copied out of the batch arrays."""
-        arrays = ("sinr", "rate", "alpha", "pair_id", "feasible", "weak", "strong")
+        arrays = ("sinr", "rate", "alpha", "feasible", "weak", "strong")
         return cls(**{key: ev[key][row].copy() for key in arrays},
                    sum_rate=float(ev["sum_rate"][row]),
                    mid=None if ev["mid"] is None else int(ev["mid"][row]))
+
+    @property
+    def pair_id(self) -> np.ndarray:
+        """Each user's pair k; the unpaired mid user's is the pair count."""
+        pair_id = np.full(len(self.sinr), len(self.weak))
+        pair_id[self.weak] = pair_id[self.strong] = np.arange(len(self.weak))
+        return pair_id
 
 
 def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
@@ -81,10 +87,10 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
     access is "noma" or "oma".  The transmit SNR, SINR threshold and noise
     power are the linear forms of cfg's dB keys.
 
-    Returns a dict of arrays: sinr, rate, alpha, pair_id, feasible (all
-    (P, U)), sum_rate and deficit (both (P,)), the pairing index arrays
-    weak/strong ((P, K)) and mid, the unpaired user of an odd count ((P,),
-    or None).  Under OMA every alpha is 1.
+    Returns a dict of arrays: sinr, rate, alpha, feasible (all (P, U)),
+    sum_rate and deficit (both (P,)), the pairing index arrays weak/strong
+    ((P, K)) and mid, the unpaired user of an odd count ((P,), or None).
+    Under OMA every alpha is 1.
     """
     gu = np.atleast_2d(np.asarray(uav_gain, dtype=float))
     gi = np.atleast_2d(np.asarray(irs_gain, dtype=float))
@@ -101,31 +107,22 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
     rows = np.arange(batch)[:, None]
     weak = order[:, :half]
     strong = order[:, ::-1][:, :half]
-
-    pair_id = np.empty((batch, n), dtype=int)
-    if half:
-        pair_id[rows, weak] = np.arange(half)[None, :]
-        pair_id[rows, strong] = np.arange(half)[None, :]
     mid = order[:, half] if n % 2 else None
-    if mid is not None:
-        pair_id[np.arange(batch), mid] = half
 
     alpha = np.ones((batch, n), dtype=float)
     if access == "noma":
         sinr_arr = np.empty((batch, n), dtype=float)
-        if half:
-            alpha_weak, alpha_strong = ftpa_allocate(
-                heff[rows, weak], heff[rows, strong], db_to_linear(cfg.noise_power_dbm),
-                cfg.ftpa_decay, cfg.ftpa_favor_strong)
-            sig_weak = alpha_weak * gu[rows, weak] + gi[rows, weak]
-            sinr_arr[rows, weak] = sig_weak / (alpha_strong * gu[rows, strong] + 1.0 / rho)
-            sinr_arr[rows, strong] = (alpha_strong * gu[rows, strong]
-                                      + gi[rows, strong]) * rho
-            alpha[rows, weak] = alpha_weak
-            alpha[rows, strong] = alpha_strong
+        alpha_weak, alpha_strong = ftpa_allocate(
+            heff[rows, weak], heff[rows, strong], db_to_linear(cfg.noise_power_dbm),
+            cfg.ftpa_decay, cfg.ftpa_favor_strong)
+        sig_weak = alpha_weak * gu[rows, weak] + gi[rows, weak]
+        sinr_arr[rows, weak] = sig_weak / (alpha_strong * gu[rows, strong] + 1.0 / rho)
+        sinr_arr[rows, strong] = (alpha_strong * gu[rows, strong]
+                                  + gi[rows, strong]) * rho
+        alpha[rows, weak] = alpha_weak
+        alpha[rows, strong] = alpha_strong
         if mid is not None:
-            mrows = np.arange(batch)
-            sinr_arr[mrows, mid] = (gu[mrows, mid] + gi[mrows, mid]) * rho
+            sinr_arr[rows[:, 0], mid] = heff[rows[:, 0], mid] * rho
         rate = np.log2(1.0 + sinr_arr)
     elif access == "oma":
         sinr_arr = heff * rho
@@ -137,7 +134,6 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
         "sinr": sinr_arr,
         "rate": rate,
         "alpha": alpha,
-        "pair_id": pair_id,
         "feasible": sinr_arr >= gamma_th,
         "sum_rate": rate.sum(axis=1),
         "deficit": np.maximum(0.0, gamma_th - sinr_arr).sum(axis=1),

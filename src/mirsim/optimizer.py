@@ -12,12 +12,13 @@ tournament, crossover single-point, mutation independent bit flips, and the
 top elitism_count genomes carry over unchanged, which makes the
 per-generation best fitness non-decreasing.
 
-``optimize_jobs`` runs every job, one (trace, seed, variant), in lockstep
-slot by slot (warm starts and a static surface's freeze point chain along
-slots, so jobs stack and slots do not) as a (J, P, L) stack: J jobs, P
-genomes of L bits each.  A job draws from its own (1, access, slot) stream,
-in an order no other job affects: the initial bits, shape (P, L), then per
-generation, with E the elitism count and pairs = ceil((P - E) / 2):
+``optimize_jobs`` pulls its jobs, one (trace, seed, variant) each, a stack
+at a time and runs a stack in lockstep slot by slot (warm starts and a
+static surface's freeze point chain along slots, so jobs stack and slots do
+not) as a (J, P, L) array: J jobs, P genomes of L bits each.  A job draws
+from its own (1, access, slot) stream, in an order no other job affects:
+the initial bits, shape (P, L), then per generation, with E the elitism
+count and pairs = ceil((P - E) / 2):
 
 1. tournaments: one uniform key per (tournament, genome), shape
    (2 * pairs, P); the tournament_size smallest keys of a row pick its
@@ -29,15 +30,19 @@ generation, with E the elitism count and pairs = ceil((P - E) / 2):
 
 Fitness draws nothing and no draw depends on it, so a generation makes each
 job's draws, then breeds the whole stack with array operations.  Memory
-stays bounded: a job's tournament keys shrink to entrants as drawn; a
-fitness call scores jobs of one access mode and surface presence, at most
-max(P * U, 2^16) candidate x user cells for U users; and only the final
-generation's evaluation is kept, as each job's winner row (the slot's
-noma.SlotResult) copied out before the next call.
+is bounded here alone: a job holds about P * L + S * (2G + 8U) numbers for
+S slots, G generations and U users (genomes, and slot records until the
+caller takes them), and a stack takes as many jobs as fit in 2^18 numbers
+and 2^16 candidate x user cells, at least one.  A fitness call scores a
+stack's jobs of one access mode and surface presence; a job's tournament
+keys shrink to entrants as drawn; only the final generation's evaluation is
+kept, as each job's winner row (the slot's noma.SlotResult).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +60,8 @@ NUM_COORDS = 5
 # zero reflection coefficient reproduce the joint run exactly.
 _GA_KINDS = {"noma": 0, "oma": 1}
 
-# A fitness call holds at most max(P * U, _CALL_CELLS) candidate x user cells.
+# A stack's bounds: numbers held, and candidate x user cells (one job at least).
+_STACK_NUMBERS = 2**18
 _CALL_CELLS = 2**16
 
 
@@ -182,27 +188,35 @@ def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
     return np.concatenate([elites, children ^ flips], axis=1)
 
 
-def optimize_jobs(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], list[GaRunRecord]]]:
+def optimize_jobs(jobs, cfg: ScenarioConfig) -> Iterator[tuple[list[Placement], list[GaRunRecord]]]:
     """Optimize every slot of every (trace, master_seed, variant) job in lockstep.
 
-    Every trace has the same slot and user counts.  Returns each job's
-    (placements, records), in job order, as if the job ran alone.  A static
-    surface is optimized jointly on the first slot and frozen there (or at
-    the configured point from the start); it shares the mobile variant's
-    streams, so its first slot reproduces the mobile one exactly.
+    jobs is any iterable, pulled one stack at a time; every trace has the
+    same slot and user counts.  Yields each job's (placements, records), in
+    job order, as if the job ran alone.  A static surface is optimized
+    jointly on the first slot and frozen there (or at the configured point
+    from the start); it shares the mobile variant's streams, so its first
+    slot reproduces the mobile one exactly.
     """
+    jobs = iter(jobs)
+    for first in jobs:  # a stack per pass, sized from its first job's trace
+        size, slots, users = cfg.population_size, first[0].num_slots, first[0].num_users
+        held = size * genome_length(cfg) + slots * (2 * cfg.max_iterations + 8 * users)
+        per_stack = max(1, min(_STACK_NUMBERS // held, _CALL_CELLS // (size * users)))
+        yield from _optimize_stack([first, *itertools.islice(jobs, per_stack - 1)], cfg)
+
+
+def _optimize_stack(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], list[GaRunRecord]]]:
+    """optimize_jobs on one stack; a generation scores each access-surface group in one call."""
     size, length = cfg.population_size, genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
     variants = [variant for _, _, variant in jobs]
     pinned = [(cfg.s_irs_x, cfg.s_irs_y) if v.surface == "static" and cfg.s_irs_x is not None
               else None for v in variants]
     results = [([], []) for _ in jobs]
-    per_call = max(1, _CALL_CELLS // (size * jobs[0][0].num_users))
-    groups: dict[tuple, list[int]] = {}
+    calls: dict[tuple, list[int]] = {}
     for j, v in enumerate(variants):
-        groups.setdefault((v.access, v.surface == "none"), []).append(j)
-    calls = [members[i:i + per_call] for members in groups.values()
-             for i in range(0, len(members), per_call)]
+        calls.setdefault((v.access, v.surface == "none"), []).append(j)
 
     for slot in range(jobs[0][0].num_slots):
         rngs = [scenario.stream(seed, scenario.GA_STREAM, _GA_KINDS[v.access], slot)
@@ -213,7 +227,8 @@ def optimize_jobs(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], list
             population[:, 0] = [records[-1].best_genome for _, records in results]
         scoring = [(call, np.stack([jobs[j][0].positions[slot] for j in call]),
                     variants[call[0]], [pinned[j] for j in call],
-                    [results[j][0][-1] for j in call] if slot else None) for call in calls]
+                    [results[j][0][-1] for j in call] if slot else None)
+                   for call in calls.values()]
         fit = np.empty((len(jobs), size))
         history, winners = [], [None] * len(jobs)
         for generation in range(cfg.max_iterations + 1):
@@ -242,10 +257,3 @@ def optimize_jobs(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], list
                 best_genome=population[j, best].copy(),
                 evaluations=size * (cfg.max_iterations + 1), result=result))
     return results
-
-
-def optimize_trajectory(trace, cfg: ScenarioConfig, master_seed: int,
-                        variant: Variant = Variant("mobile", "noma")
-                        ) -> tuple[list[Placement], list[GaRunRecord]]:
-    """Optimize every slot of one trace: the one-job case of optimize_jobs."""
-    return optimize_jobs([(trace, master_seed, variant)], cfg)[0]

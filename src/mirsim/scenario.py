@@ -33,6 +33,8 @@ ENV_SEED_VAR = "MIRSIM_SEED"
 
 # Most seeds one run averages (num_seeds, --seeds).
 MAX_SEEDS = 10**4
+# Most trace entries, num_users x num_slots (config or trace CSV).
+MAX_TRACE_ROWS = 10**5
 
 # SeedSequence spawn-key prefixes for per-module sub-streams.
 MOBILITY_STREAM = 0
@@ -281,7 +283,7 @@ def validate(cfg: ScenarioConfig) -> None:
            "need 0 <= speed_min <= speed_max")
     _check(cfg.pause_duration_s >= 0, "pause_duration_s", "must be >= 0")
     _check(cfg.num_slots >= 1, "num_slots", "must be >= 1")
-    _check(cfg.num_users * cfg.num_slots <= 10**5, "num_users/num_slots",
+    _check(cfg.num_users * cfg.num_slots <= MAX_TRACE_ROWS, "num_users/num_slots",
            "num_users x num_slots (trace and users.csv rows) must be <= 10^5")
     _check(cfg.slot_duration_s > 0, "slot_duration_s", "must be > 0")
     _check(cfg.substep_duration_s > 0, "substep_duration_s", "must be > 0")

@@ -14,7 +14,7 @@ import pytest
 from mirsim import channel, cli, mobility, noma, optimizer, scenario
 from mirsim.scenario import ScenarioConfig
 
-from testutil import make_config
+from testutil import make_config, optimize_trajectory
 
 NUM_SEEDS = 20
 
@@ -80,8 +80,7 @@ def test_criterion_3_ga_matches_exhaustive_search():
     hits = 0
     for seed in range(100):
         # draws from slot 0's NOMA stream, scenario.stream(seed, scenario.GA_STREAM, 0, 0)
-        _, (record,) = optimizer.optimize_trajectory(mobility.MobilityTrace(users[None]),
-                                                     cfg, seed)
+        _, (record,) = optimize_trajectory(mobility.MobilityTrace(users[None]), cfg, seed)
         if record.best_fitness[-1] >= optimum - 1e-9 * max(1.0, abs(optimum)):
             hits += 1
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from mirsim import cli, mobility, scenario
+from mirsim import cli, mobility, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.scenario import ConfigError
 
@@ -190,7 +190,7 @@ def test_seed_stacks_do_not_change_the_report(monkeypatch):
     cfg = small_config(num_slots=2, population_size=6, max_iterations=3)
     names = list(cli.SCENARIOS)
     whole = cli.run_experiment(cfg, names, [7, 8, 9])
-    monkeypatch.setattr(cli, "_STACK_NUMBERS", 1)  # one seed per lockstep stack
+    monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 1)  # one job per lockstep stack
     assert vars(cli.run_experiment(cfg, names, [7, 8, 9])) == vars(whole)
 
 
@@ -332,6 +332,10 @@ def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     ("slot,user_id,x,y\n0,0,\xff,1.0\n", "not a readable CSV text file"),
     ("slot,user_id,x,y\n0,0,1.0," + "9" * 200_000 + "\n", "not a readable CSV text file"),
     ("slot,user_id,x,y\n0,0,1.0,1.0\n", "trace has 1 users but num_users is 4"),
+    # 10 users x 10,001 slots: one entry past the cap of 10^5
+    ("slot,user_id,x,y\n" + "".join(f"{slot},{user},1.0,1.0\n" for slot in range(10_001)
+                                    for user in range(10)),
+     "line 100002: more than 10^5 entries"),
 ])
 def test_cli_rejects_malformed_trace_csv(tmp_path, capsys, rows, message):
     cfg_path = _write_small_config(tmp_path)
@@ -344,6 +348,52 @@ def test_cli_rejects_malformed_trace_csv(tmp_path, capsys, rows, message):
     err = capsys.readouterr().err
     assert f"{bad}: " in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+_TRACE_JUNK = st.one_of(
+    st.sampled_from(["", "-1", "3", "1e400", "nan", "-inf", "600.0", "abc", '"', "\x00"]),
+    st.text(st.characters(max_codepoint=255), max_size=4))
+
+
+@st.composite
+def _trace_csvs(draw) -> bytes:
+    """A trace CSV for up to 3 slots of mostly 2 users, often with a cell, row or line broken."""
+    coordinate = st.floats(0.0, 500.0).map(repr)
+    num_users = draw(st.sampled_from([2, 2, 1, 3]))
+    rows = [["slot", "user_id", "x", "y"]] + [
+        [str(slot), str(user), draw(coordinate), draw(coordinate)]
+        for slot in range(draw(st.integers(1, 3))) for user in range(num_users)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["cell", "drop", "repeat", "short"]))
+        if fault == "cell" and rows[row]:
+            rows[row][draw(st.integers(0, len(rows[row]) - 1))] = draw(_TRACE_JUNK)
+        elif fault == "drop":
+            del rows[row]
+        elif fault == "repeat":
+            rows.append(list(rows[row]))
+        else:
+            rows[row] = rows[row][:draw(st.integers(0, 3))]
+        if not rows:
+            break
+    return "".join(",".join(row) + "\n" for row in rows).encode("latin-1")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trace_csvs())
+def test_cli_run_survives_fuzzed_trace_csv(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.yaml"
+        cfg_path.write_text(config_yaml(small_config(num_users=2, population_size=4,
+                                                     max_iterations=1, bits_per_coordinate=4)))
+        trace_path = Path(tmp) / "trace.csv"
+        trace_path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--config", str(cfg_path), "--seeds", "1", "--trace",
+                           str(trace_path), "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def test_emit_outputs_writes_nothing_for_non_finite_values(tmp_path):

@@ -284,7 +284,8 @@ def test_removing_reflected_path_never_raises_sinr():
     cfg = _power_config(rho_db=110.0, threshold_db=20.0, decay=0.28)
     with_irs = noma.evaluate_batch(gu, gi, cfg, "noma")
     without = noma.evaluate_batch(gu, np.zeros_like(gi), cfg, "noma")
-    assert np.array_equal(with_irs["pair_id"], without["pair_id"])
+    for key in ("weak", "strong"):
+        assert np.array_equal(with_irs[key], without[key])
     assert np.all(without["sinr"] <= with_irs["sinr"])
 
 

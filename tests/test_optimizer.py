@@ -9,7 +9,7 @@ from mirsim import channel, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.optimizer import Variant
 
-from testutil import make_config, slot_result, small_config
+from testutil import make_config, optimize_trajectory, slot_result, small_config
 
 MOBILE = Variant("mobile", "noma")
 
@@ -405,7 +405,7 @@ def test_optimize_slot_is_deterministic():
 def test_elitism_keeps_best_fitness_monotone():
     cfg = small_config(max_iterations=12)
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
-    _, (record,) = optimizer.optimize_trajectory(_one_slot(users), cfg, 9)
+    _, (record,) = optimize_trajectory(_one_slot(users), cfg, 9)
     best = record.best_fitness
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert best[-1] >= best[0]
@@ -439,7 +439,7 @@ def test_odd_population_without_elitism_keeps_its_size():
     nxt = optimizer._breed(population[None], fit[None], cfg, 0.1, [rng])[0]
     assert nxt.shape == (7, optimizer.genome_length(cfg))
     users = np.array([[10.0, 10.0], [250.0, 250.0]])
-    _, (record,) = optimizer.optimize_trajectory(_one_slot(users), cfg, 12)
+    _, (record,) = optimize_trajectory(_one_slot(users), cfg, 12)
     assert len(record.best_fitness) == cfg.max_iterations + 1
     assert record.evaluations == 7 * (cfg.max_iterations + 1)
 
@@ -448,19 +448,19 @@ def test_optimized_placements_respect_bounds():
     cfg = small_config()
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     for seed in range(3):
-        (placement,), _ = optimizer.optimize_trajectory(_one_slot(users), cfg, seed)
+        (placement,), _ = optimize_trajectory(_one_slot(users), cfg, seed)
         channel.validate_placement(placement, cfg)
 
 
 def test_trajectory_lengths_follow_the_trace():
     cfg = small_config(num_slots=1)
     trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
-    placements, records = optimizer.optimize_trajectory(trace, cfg, 1)
+    placements, records = optimize_trajectory(trace, cfg, 1)
     assert len(placements) == len(records) == 1
 
     cfg5 = small_config(num_slots=5)
     trace5 = mobility.generate_trace(cfg5, scenario.stream(1, scenario.MOBILITY_STREAM))
-    placements, _ = optimizer.optimize_trajectory(trace5, cfg5, 1)
+    placements, _ = optimize_trajectory(trace5, cfg5, 1)
     assert len(placements) == 5
     for p in placements:
         channel.validate_placement(p, cfg5)
@@ -469,22 +469,21 @@ def test_trajectory_lengths_follow_the_trace():
 def test_static_mode_freezes_the_surface():
     cfg = small_config(num_slots=4)
     trace = mobility.generate_trace(cfg, scenario.stream(2, scenario.MOBILITY_STREAM))
-    placements, _ = optimizer.optimize_trajectory(trace, cfg, 2, Variant("static", "noma"))
+    placements, _ = optimize_trajectory(trace, cfg, 2, Variant("static", "noma"))
     first = placements[0].irs
     assert all(p.irs == first for p in placements)
 
     pinned = small_config(num_slots=3, s_irs_x=222.0, s_irs_y=111.0)
     trace = mobility.generate_trace(pinned, scenario.stream(2, scenario.MOBILITY_STREAM))
-    placements, _ = optimizer.optimize_trajectory(trace, pinned, 2,
-                                                Variant("static", "noma"))
+    placements, _ = optimize_trajectory(trace, pinned, 2, Variant("static", "noma"))
     assert all(p.irs == (222.0, 111.0) for p in placements)
 
 
 def test_static_first_slot_equals_joint_first_slot():
     cfg = small_config(num_slots=2)
     trace = mobility.generate_trace(cfg, scenario.stream(3, scenario.MOBILITY_STREAM))
-    mobile, _ = optimizer.optimize_trajectory(trace, cfg, 3, MOBILE)
-    static, _ = optimizer.optimize_trajectory(trace, cfg, 3, Variant("static", "noma"))
+    mobile, _ = optimize_trajectory(trace, cfg, 3, MOBILE)
+    static, _ = optimize_trajectory(trace, cfg, 3, Variant("static", "noma"))
     assert mobile[0] == static[0]
 
 
@@ -492,9 +491,8 @@ def test_no_surface_equals_dead_reflection():
     cfg = small_config(num_slots=3)
     dead = small_config(num_slots=3, irs_reflection_coeff=0.0)
     trace = mobility.generate_trace(cfg, scenario.stream(4, scenario.MOBILITY_STREAM))
-    none_run, none_records = optimizer.optimize_trajectory(trace, cfg, 4,
-                                                           Variant("none", "noma"))
-    dead_run, dead_records = optimizer.optimize_trajectory(trace, dead, 4, MOBILE)
+    none_run, none_records = optimize_trajectory(trace, cfg, 4, Variant("none", "noma"))
+    dead_run, dead_records = optimize_trajectory(trace, dead, 4, MOBILE)
     for a, b in zip(none_run, dead_run):
         assert a.irs is None
         assert a.uav == b.uav
@@ -506,9 +504,9 @@ def test_unknown_surface_mode_rejected():
     cfg = small_config()
     trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
     with pytest.raises(ValueError, match="surface mode"):
-        optimizer.optimize_trajectory(trace, cfg, 1, Variant("hovering", "noma"))
+        optimize_trajectory(trace, cfg, 1, Variant("hovering", "noma"))
     with pytest.raises(ValueError, match="access mode"):
-        optimizer.optimize_trajectory(trace, cfg, 1, Variant("mobile", "tdma"))
+        optimize_trajectory(trace, cfg, 1, Variant("mobile", "tdma"))
 
 
 def test_displacement_limit_penalizes_long_hops():
@@ -557,10 +555,31 @@ def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitis
     jobs = [(mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM)),
              seed, variant) for seed in seeds for variant in variants]
     with pytest.MonkeyPatch.context() as patch:
-        # a small floor splits the stack into one fitness call per job or two
+        # a small floor splits the jobs into smaller stacks, down to one job
+        # each; the generator reads it when consumed, so it is consumed here
         patch.setattr(optimizer, "_CALL_CELLS", call_cells)
-        stacked = optimizer.optimize_jobs(jobs, cfg)
+        stacked = list(optimizer.optimize_jobs(jobs, cfg))
     for (placements, records), job in zip(stacked, jobs, strict=True):
         want_placements, want_records = oracle_trajectory(job[0], cfg, job[1], job[2])
         assert placements == want_placements
         _assert_same_records(records, want_records)
+
+
+def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
+    cfg = small_config(num_slots=1, population_size=4, max_iterations=1)
+    trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
+    # two jobs per stack: 4 genomes x 4 users = 16 cells, 32 per stack
+    monkeypatch.setattr(optimizer, "_CALL_CELLS", 32)
+    pulled = []
+
+    def jobs():
+        for seed in range(5):
+            pulled.append(seed)
+            yield trace, seed, MOBILE
+
+    outcomes = optimizer.optimize_jobs(jobs(), cfg)
+    assert pulled == []
+    first = next(outcomes)
+    assert pulled == [0, 1]
+    assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
+    assert len([first, *outcomes]) == 5 and pulled == [0, 1, 2, 3, 4]

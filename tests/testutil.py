@@ -2,7 +2,8 @@
 
 import yaml
 
-from mirsim import channel, noma, scenario
+from mirsim import channel, noma, optimizer, scenario
+from mirsim.optimizer import Variant
 
 
 def make_config(**overrides) -> scenario.ScenarioConfig:
@@ -28,3 +29,10 @@ def slot_result(placement, users_xy, cfg: scenario.ScenarioConfig,
     """Score one placement as the GA scores a candidate: a one-row batch."""
     uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users_xy, cfg)
     return noma.SlotResult.from_batch(noma.evaluate_batch(uav_gain, irs_gain, cfg, access), 0)
+
+
+def optimize_trajectory(trace, cfg: scenario.ScenarioConfig, master_seed: int,
+                        variant: Variant = Variant("mobile", "noma")):
+    """(placements, records) of every slot of one trace: a one-job optimize_jobs run."""
+    (outcome,) = optimizer.optimize_jobs([(trace, master_seed, variant)], cfg)
+    return outcome
