@@ -49,18 +49,33 @@ def horizontal_distance(uav_xyz, users_xy):
 
 def pathloss_los(d, cfg: ScenarioConfig):
     """LoS pathloss in dB at distance d (meters)."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("pathloss distance must be > 0")
-    return cfg.los_intercept_db + 10.0 * cfg.los_slope * np.log10(d)
+    return _log_law(_log10_distance(d), cfg.los_intercept_db, cfg.los_slope)
 
 
 def pathloss_nlos(d, cfg: ScenarioConfig):
     """NLoS pathloss in dB at distance d (meters)."""
+    return _log_law(_log10_distance(d), cfg.nlos_intercept_db, cfg.nlos_slope)
+
+
+def _log10_distance(d, out=None):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("pathloss distance must be > 0")
-    return cfg.nlos_intercept_db + 10.0 * cfg.nlos_slope * np.log10(d)
+    return np.log10(d, out=out)
+
+
+def _log_law(log_d, intercept_db: float, slope: float, out=None):
+    """intercept_db + 10 slope log10(d) from log_d = log10(d); out may be log_d."""
+    loss = np.multiply(log_d, 10.0 * slope, out=out)
+    loss += intercept_db
+    return loss
+
+
+def _to_gain(loss_db):
+    """db_to_linear(-loss_db), computed in loss_db's buffer."""
+    np.negative(loss_db, out=loss_db)
+    loss_db /= 10.0
+    return np.power(10.0, loss_db, out=loss_db)
 
 
 def blockage_prob(q, z, cfg: ScenarioConfig):
@@ -100,13 +115,29 @@ def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig):
     """Blockage-averaged UAV-user pathloss in dB.
 
     L = P_los * L_los(d) + (1 - P_los) * L_nlos(d), evaluated at the slant
-    distance d; broadcasts over leading placement axes.
+    distance d; broadcasts over leading placement axes.  Computed in place:
+    the offsets' buffers become d, then log10(d), then L_nlos.
     """
     uav = np.asarray(uav_xyz, dtype=float)
-    d = distance_3d(uav, users_xy)
-    q = horizontal_distance(uav, users_xy)
-    p_los = los_probability(q, uav[..., 2, None], cfg)
-    return p_los * pathloss_los(d, cfg) + (1.0 - p_los) * pathloss_nlos(d, cfg)
+    users = np.asarray(users_xy, dtype=float)
+    z = uav[..., 2, None]
+    dx = uav[..., 0, None] - users[..., 0]
+    dy = uav[..., 1, None] - users[..., 1]
+    q = np.hypot(dx, dy)
+    d = np.multiply(dx, dx, out=dx)
+    d += np.multiply(dy, dy, out=dy)
+    del dy
+    d += z ** 2
+    np.sqrt(d, out=d)
+    p_los = los_probability(q, z, cfg)
+    del q
+    log_d = _log10_distance(d, out=d)
+    loss = _log_law(log_d, cfg.los_intercept_db, cfg.los_slope)
+    loss *= p_los
+    nlos = _log_law(log_d, cfg.nlos_intercept_db, cfg.nlos_slope, out=log_d)
+    nlos *= np.subtract(1.0, p_los, out=p_los)
+    loss += nlos
+    return loss
 
 
 def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
@@ -123,12 +154,17 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
     users = np.asarray(users_xy, dtype=float)
     dx = irs[..., 0, None] - users[..., 0]
     dy = irs[..., 1, None] - users[..., 1]
-    d_iu = np.sqrt(dx * dx + dy * dy + irs_height * irs_height)
+    d_iu = np.multiply(dx, dx, out=dx)
+    d_iu += np.multiply(dy, dy, out=dy)
+    del dy
+    d_iu += irs_height * irs_height
+    np.sqrt(d_iu, out=d_iu)
     if np.any(d_iu <= 0):
         raise ValueError("degenerate surface-to-user distance")
-    per_element = db_to_linear(-pathloss_nlos(d_iu, cfg))
+    log_d = np.log10(d_iu, out=d_iu)
+    gain = _to_gain(_log_law(log_d, cfg.nlos_intercept_db, cfg.nlos_slope, out=log_d))
     n = cfg.irs_elements_per_user
-    gain = cfg.irs_reflection_coeff * (n * n) * per_element
+    gain *= cfg.irs_reflection_coeff * (n * n)
     if cfg.irs_uav_leg_enabled:
         uav = np.asarray(uav_xyz, dtype=float)
         d_ui = np.sqrt((uav[..., 0] - irs[..., 0]) ** 2
@@ -145,11 +181,13 @@ def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig):
 
     irs_xy None means there is no surface: every reflected gain is zero.
     """
-    uav_gain = db_to_linear(-uav_link_pathloss(uav_xyz, users_xy, cfg))
+    uav_gain = _to_gain(uav_link_pathloss(uav_xyz, users_xy, cfg))
     if irs_xy is None:
         return uav_gain, np.zeros_like(uav_gain)
     irs_gain = irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg)
-    return uav_gain, np.broadcast_to(irs_gain, uav_gain.shape).copy()
+    if irs_gain.shape != uav_gain.shape:  # a surface shared by several placements
+        irs_gain = np.broadcast_to(irs_gain, uav_gain.shape).copy()
+    return uav_gain, irs_gain
 
 
 def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:

@@ -16,8 +16,9 @@ slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
 Each ExperimentReport field is the results.json key of the same name; the
 report's per-user and power-fraction rows are built here from each slot's
 ``noma.SlotResult``.  ``emit_outputs`` writes results.json plus plot-ready
-CSVs with stable, documented schemas.  Exit codes: 0 success, 2
-config/usage error, 3 when some slot's best placement leaves every user
+CSVs with stable, documented schemas.  Exit codes: 0 success, 1 when the
+outputs cannot be written, 2 config/usage error (an unreadable config or
+trace file included), 3 when some slot's best placement leaves every user
 below the SINR threshold (reported in the outputs, not fatal).
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -197,7 +199,10 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     A non-finite number in the report raises ValueError before any file is
     written.
     """
-    text = json.dumps(vars(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # The indenting encoder yields ~10^5 small chunks per MB of text; joining them
+    # a batch at a time holds one batch of chunk objects, not all of them.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(vars(report))
+    text = "".join(map("".join, iter(lambda: list(itertools.islice(chunks, 4096)), []))) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in
@@ -263,8 +268,8 @@ def _cmd_run(args) -> int:
     if not 1 <= num_seeds <= scenario.MAX_SEEDS:
         raise ConfigError("--seeds: must be in [1, 10^4]")
     seeds = [base_seed + i for i in range(num_seeds)]
-    names = resolve_scenarios(args.scenarios.split(",")) if args.scenarios \
-        else list(SCENARIOS)
+    names = list(SCENARIOS) if args.scenarios is None \
+        else resolve_scenarios(args.scenarios.split(",") if args.scenarios else [])
     trace = mobility.load_trace(args.trace, cfg.region) if args.trace else None
 
     report = run_experiment(cfg, names, seeds, trace=trace)

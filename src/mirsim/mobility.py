@@ -147,7 +147,11 @@ def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTra
     1-based line.
     """
     entries: dict[tuple[int, int], tuple[float, float]] = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

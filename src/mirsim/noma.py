@@ -75,10 +75,14 @@ def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
     if np.any(gain_weak <= 0) or np.any(gain_strong <= 0):
         raise ValueError("channel gains must be > 0")
     exponent = decay if favor_strong else -decay
-    x_weak = (gain_weak / noise_linear) ** exponent
-    x_strong = (gain_strong / noise_linear) ** exponent
+    x_weak = gain_weak / noise_linear
+    x_weak **= exponent
+    x_strong = gain_strong / noise_linear
+    x_strong **= exponent
     total = x_weak + x_strong
-    return x_weak / total, x_strong / total
+    x_weak /= total
+    x_strong /= total
+    return x_weak, x_strong
 
 
 def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict:
@@ -90,7 +94,10 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
     Returns a dict of arrays: sinr, rate, alpha, feasible (all (P, U)),
     sum_rate and deficit (both (P,)), the pairing index arrays weak/strong
     ((P, K)) and mid, the unpaired user of an odd count ((P,), or None).
-    Under OMA every alpha is 1.
+    Under OMA every alpha is 1.  Users are ordered as a stable sort of
+    their total gains would order them: the default (SIMD) sort, then a
+    stable re-sort of the rows whose sorted gains are not strictly
+    increasing (ties, NaN), where the two could differ.
     """
     gu = np.atleast_2d(np.asarray(uav_gain, dtype=float))
     gi = np.atleast_2d(np.asarray(irs_gain, dtype=float))
@@ -102,43 +109,67 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
     rho = db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
     gamma_th = db_to_linear(cfg.snr_threshold_db)
     heff = gu + gi
-    order = np.argsort(heff, axis=1, kind="stable")
-    half = n // 2
+    order = np.argsort(heff, axis=1)
     rows = np.arange(batch)[:, None]
+    ranked = heff[rows, order]
+    redo = np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1))
+    if redo.size:
+        order[redo] = np.argsort(heff[redo], axis=1, kind="stable")
+        ranked[redo] = heff[redo[:, None], order[redo]]
+    half = n // 2
     weak = order[:, :half]
     strong = order[:, ::-1][:, :half]
     mid = order[:, half] if n % 2 else None
 
-    alpha = np.ones((batch, n), dtype=float)
     if access == "noma":
-        sinr_arr = np.empty((batch, n), dtype=float)
+        del heff
         alpha_weak, alpha_strong = ftpa_allocate(
-            heff[rows, weak], heff[rows, strong], db_to_linear(cfg.noise_power_dbm),
+            ranked[:, :half], ranked[:, ::-1][:, :half], db_to_linear(cfg.noise_power_dbm),
             cfg.ftpa_decay, cfg.ftpa_favor_strong)
-        sig_weak = alpha_weak * gu[rows, weak] + gi[rows, weak]
-        sinr_arr[rows, weak] = sig_weak / (alpha_strong * gu[rows, strong] + 1.0 / rho)
-        sinr_arr[rows, strong] = (alpha_strong * gu[rows, strong]
-                                  + gi[rows, strong]) * rho
+        mid_sinr = ranked[:, half] * rho if mid is not None else None
+        del ranked
+        alpha = np.ones((batch, n), dtype=float)
         alpha[rows, weak] = alpha_weak
         alpha[rows, strong] = alpha_strong
+        # The strong user cancels the weak signal; the weak one hears the strong one's.
+        weak_sinr, interference = alpha_weak, alpha_strong  # their buffers, reused
+        del alpha_weak, alpha_strong
+        interference *= gu[rows, strong]
+        strong_sinr = gi[rows, strong]
+        strong_sinr += interference
+        strong_sinr *= rho
+        interference += 1.0 / rho
+        weak_sinr *= gu[rows, weak]
+        weak_sinr += gi[rows, weak]
+        weak_sinr /= interference
+        del interference
+        sinr = np.empty((batch, n), dtype=float)
+        sinr[rows, weak] = weak_sinr
+        sinr[rows, strong] = strong_sinr
         if mid is not None:
-            sinr_arr[rows[:, 0], mid] = heff[rows[:, 0], mid] * rho
-        rate = np.log2(1.0 + sinr_arr)
+            sinr[rows[:, 0], mid] = mid_sinr
+        del weak_sinr, strong_sinr
     elif access == "oma":
-        sinr_arr = heff * rho
-        rate = 0.5 * np.log2(1.0 + sinr_arr)
+        del ranked
+        alpha = np.ones((batch, n), dtype=float)
+        sinr = heff
+        sinr *= rho
     else:
         raise ValueError(f"unknown access mode {access!r}")
 
+    shortfall = np.subtract(gamma_th, sinr)
+    deficit = np.maximum(0.0, shortfall, out=shortfall).sum(axis=1)
+    rate = np.log2(np.add(1.0, sinr, out=shortfall), out=shortfall)  # the same buffer
+    if access == "oma":
+        rate *= 0.5
     return {
-        "sinr": sinr_arr,
+        "sinr": sinr,
         "rate": rate,
         "alpha": alpha,
-        "feasible": sinr_arr >= gamma_th,
+        "feasible": sinr >= gamma_th,
         "sum_rate": rate.sum(axis=1),
-        "deficit": np.maximum(0.0, gamma_th - sinr_arr).sum(axis=1),
+        "deficit": deficit,
         "weak": weak,
         "strong": strong,
         "mid": mid,
     }
-

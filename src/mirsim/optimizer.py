@@ -37,13 +37,24 @@ and 2^16 candidate x user cells, at least one.  A fitness call scores a
 stack's jobs of one access mode and surface presence; a job's tournament
 keys shrink to entrants as drawn; only the final generation's evaluation is
 kept, as each job's winner row (the slot's noma.SlotResult).
+
+Stacks are searched in waves of up to W = _WORKERS at once, W being the
+number of CPUs this process may run on (its affinity mask): the calling
+thread searches a wave's first stack and a pool of W - 1 threads the rest,
+while numpy's kernels release the interpreter lock.  So at most W stacks
+are held at once.  A run of one stack, or W = 1, starts no thread.  Stacks
+share no state and each job keeps its own streams, so the outputs do not
+depend on W.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,6 +74,10 @@ _GA_KINDS = {"noma": 0, "oma": 1}
 # A stack's bounds: numbers held, and candidate x user cells (one job at least).
 _STACK_NUMBERS = 2**18
 _CALL_CELLS = 2**16
+
+# Stacks searched at once, one thread each: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -191,23 +206,49 @@ def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
 def optimize_jobs(jobs, cfg: ScenarioConfig) -> Iterator[tuple[list[Placement], list[GaRunRecord]]]:
     """Optimize every slot of every (trace, master_seed, variant) job in lockstep.
 
-    jobs is any iterable, pulled one stack at a time; every trace has the
-    same slot and user counts.  Yields each job's (placements, records), in
-    job order, as if the job ran alone.  A static surface is optimized
-    jointly on the first slot and frozen there (or at the configured point
-    from the start); it shares the mobile variant's streams, so its first
-    slot reproduces the mobile one exactly.
+    jobs is any iterable, pulled in this thread a stack at a time and at
+    most _WORKERS stacks ahead; every trace has the same slot and user
+    counts.  Yields each job's (placements, records), in job order, as if
+    the job ran alone.  A static surface is optimized jointly on the first
+    slot and frozen there (or at the configured point from the start); it
+    shares the mobile variant's streams, so its first slot reproduces the
+    mobile one exactly.
     """
+    stacks = _stacks(jobs, cfg)
+    stop, pool = threading.Event(), None
+    try:
+        # A wave of up to _WORKERS stacks: this thread searches the first, the pool the rest.
+        while wave := list(itertools.islice(stacks, _WORKERS)):
+            if pool is None and len(wave) > 1:
+                # Imported here: a run of one stack needs no pool, nor the ~6 ms import.
+                from concurrent.futures import ThreadPoolExecutor
+                pool = ThreadPoolExecutor(_WORKERS - 1)
+            others = [pool.submit(_optimize_stack, stack, cfg, stop) for stack in wave[1:]]
+            yield from _optimize_stack(wave[0], cfg, stop)
+            for future in others:
+                yield from future.result()
+    finally:  # also on an error or an early close: stacks in flight stop at their next generation
+        stop.set()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _stacks(jobs, cfg: ScenarioConfig):
+    """jobs as lists, one stack each, sized from the stack's first trace."""
     jobs = iter(jobs)
-    for first in jobs:  # a stack per pass, sized from its first job's trace
+    for first in jobs:
         size, slots, users = cfg.population_size, first[0].num_slots, first[0].num_users
         held = size * genome_length(cfg) + slots * (2 * cfg.max_iterations + 8 * users)
         per_stack = max(1, min(_STACK_NUMBERS // held, _CALL_CELLS // (size * users)))
-        yield from _optimize_stack([first, *itertools.islice(jobs, per_stack - 1)], cfg)
+        yield [first, *itertools.islice(jobs, per_stack - 1)]
 
 
-def _optimize_stack(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], list[GaRunRecord]]]:
-    """optimize_jobs on one stack; a generation scores each access-surface group in one call."""
+def _optimize_stack(jobs, cfg: ScenarioConfig, stop: threading.Event
+                    ) -> Optional[list[tuple[list[Placement], list[GaRunRecord]]]]:
+    """optimize_jobs on one stack; a generation scores each access-surface group in one call.
+
+    Gives up, returning None, at the first generation that finds stop set.
+    """
     size, length = cfg.population_size, genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
     variants = [variant for _, _, variant in jobs]
@@ -232,6 +273,8 @@ def _optimize_stack(jobs, cfg: ScenarioConfig) -> list[tuple[list[Placement], li
         fit = np.empty((len(jobs), size))
         history, winners = [], [None] * len(jobs)
         for generation in range(cfg.max_iterations + 1):
+            if stop.is_set():
+                return None
             if generation:
                 population = _breed(population, fit, cfg, mut_p, rngs)
             for call, users, variant, call_pinned, prev in scoring:

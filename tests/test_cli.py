@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -191,6 +194,16 @@ def test_seed_stacks_do_not_change_the_report(monkeypatch):
     names = list(cli.SCENARIOS)
     whole = cli.run_experiment(cfg, names, [7, 8, 9])
     monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 1)  # one job per lockstep stack
+    assert vars(cli.run_experiment(cfg, names, [7, 8, 9])) == vars(whole)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_does_not_change_the_report(monkeypatch, workers):
+    cfg = small_config(num_slots=2, population_size=6, max_iterations=3)
+    names = list(cli.SCENARIOS)
+    whole = cli.run_experiment(cfg, names, [7, 8, 9])
+    monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 1)  # twelve one-job stacks
+    monkeypatch.setattr(optimizer, "_WORKERS", workers)
     assert vars(cli.run_experiment(cfg, names, [7, 8, 9])) == vars(whole)
 
 
@@ -402,6 +415,45 @@ def test_emit_outputs_writes_nothing_for_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="JSON compliant"):
         cli.emit_outputs(report, tmp_path / "out")
     assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "a_directory"])
+def test_cli_rejects_unreadable_trace(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    rc = cli.main(["run", "--config", str(_write_small_config(tmp_path)), "--seeds", "1",
+                   "--trace", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"cannot read trace {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_empty_scenario_list(tmp_path, capsys):
+    rc = cli.main(["run", "--config", str(_write_small_config(tmp_path)), "--seeds", "1",
+                   "--scenarios", "", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "at least one scenario required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_exits_1_when_outputs_cannot_be_written(tmp_path, capsys):
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    rc = cli.main(["converge", "--config", str(_write_small_config(tmp_path)),
+                   "--out", str(blocked)])
+    assert rc == 1
+    assert str(blocked) in capsys.readouterr().err
+
+
+def test_module_entry_point_runs(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != scenario.ENV_SEED_VAR}
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "mirsim", "converge", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _read_csv(tmp_path / "convergence.csv")[0] == [
+        "generation", "best_fitness", "mean_fitness"]
 
 
 def test_cli_run_with_external_trace(tmp_path):

@@ -1,15 +1,18 @@
+import concurrent.futures
 import math
+import threading
+import time
 from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirsim import channel, mobility, noma, optimizer, scenario
+from mirsim import channel, cli, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.optimizer import Variant
 
-from testutil import make_config, optimize_trajectory, slot_result, small_config
+from testutil import config_yaml, make_config, optimize_trajectory, slot_result, small_config
 
 MOBILE = Variant("mobile", "noma")
 
@@ -577,9 +580,143 @@ def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
             pulled.append(seed)
             yield trace, seed, MOBILE
 
+    monkeypatch.setattr(optimizer, "_WORKERS", 1)
     outcomes = optimizer.optimize_jobs(jobs(), cfg)
     assert pulled == []
     first = next(outcomes)
     assert pulled == [0, 1]
     assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
     assert len([first, *outcomes]) == 5 and pulled == [0, 1, 2, 3, 4]
+
+    # two workers: a wave of two stacks is pulled before the first yield
+    monkeypatch.setattr(optimizer, "_WORKERS", 2)
+    pulled.clear()
+    outcomes = optimizer.optimize_jobs(jobs(), cfg)
+    first = next(outcomes)
+    assert pulled == [0, 1, 2, 3]
+    assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
+    assert len([first, *outcomes]) == 5 and pulled == [0, 1, 2, 3, 4]
+
+
+def test_a_lone_stack_starts_no_thread(monkeypatch):
+    cfg = small_config(num_slots=1, max_iterations=1)
+    trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
+    monkeypatch.setattr(optimizer, "_WORKERS", 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)  # calling it would raise
+    jobs = [(trace, seed, MOBILE) for seed in range(3)]
+    assert len(list(optimizer.optimize_jobs(jobs, cfg))) == 3
+
+
+class _BrokenTrace:
+    """A trace whose last slot raises when a stack reads it."""
+
+    def __init__(self, trace):
+        self.num_slots, self.num_users = trace.num_slots, trace.num_users
+        self.positions = self
+        self._positions = trace.positions
+
+    def __getitem__(self, slot):
+        if slot == self.num_slots - 1:
+            raise RuntimeError("broken trace")
+        return self._positions[slot]
+
+
+def _slow_job(monkeypatch, seed, seconds):
+    """Make each fitness call of the stack holding job `seed` take `seconds` longer."""
+    fitness, optimize_stack, local = optimizer._fitness, optimizer._optimize_stack, threading.local()
+
+    def stack(jobs, *args):
+        local.slow = any(job[1] == seed for job in jobs)
+        return optimize_stack(jobs, *args)
+
+    def slow(*args):
+        if local.slow:
+            time.sleep(seconds)
+        return fitness(*args)
+
+    monkeypatch.setattr(optimizer, "_optimize_stack", stack)
+    monkeypatch.setattr(optimizer, "_fitness", slow)
+
+
+def _finishes_within(seconds, fn):
+    """fn() run on a thread that must finish within `seconds`; its result or error."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed to the caller below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+# Waves of two one-job stacks: [0, 1], then [2, 3]; this thread searches 0 and 2.
+@pytest.mark.parametrize("broken, slow", [(2, 3), (3, None)])
+def test_an_error_in_a_later_stack_propagates_promptly(monkeypatch, broken, slow):
+    cfg = small_config(num_slots=2, population_size=4, max_iterations=100)
+    trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
+    monkeypatch.setattr(optimizer, "_CALL_CELLS", 1)  # one job per stack
+    monkeypatch.setattr(optimizer, "_WORKERS", 2)
+    # the slow stack would take 10 s; stopping it takes one generation
+    _slow_job(monkeypatch, slow, 0.05)
+    jobs = [(_BrokenTrace(trace) if j == broken else trace, j, MOBILE) for j in range(4)]
+    done = []
+
+    def consume():
+        for outcome in optimizer.optimize_jobs(jobs, cfg):
+            done.append(outcome)
+
+    with pytest.raises(RuntimeError, match="broken trace"):
+        _finishes_within(2.5, consume)
+    assert len(done) == broken  # every job before it was yielded
+    assert not _pool_threads()
+
+
+def test_an_error_in_a_later_stack_propagates_out_of_cli_main(monkeypatch, tmp_path):
+    cfg = small_config(num_slots=1, population_size=4, max_iterations=2)
+    generate, made = mobility.generate_trace, []
+
+    def fourth_seed_broken(*args):
+        made.append(generate(*args))
+        return _BrokenTrace(made[-1]) if len(made) == 4 else made[-1]
+
+    monkeypatch.setattr(mobility, "generate_trace", fourth_seed_broken)
+    monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 1)  # one job per stack
+    monkeypatch.setattr(optimizer, "_WORKERS", 2)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config_yaml(cfg))
+    argv = ["run", "--config", str(path), "--seeds", "4", "--scenarios", "No-IRS-NOMA",
+            "--out", str(tmp_path / "out")]
+    with pytest.raises(RuntimeError, match="broken trace"):
+        _finishes_within(30, lambda: cli.main(argv))
+    assert not _pool_threads()
+
+
+def test_closing_optimize_jobs_early_returns_promptly(monkeypatch):
+    cfg = small_config(num_slots=1, population_size=4, max_iterations=100)
+    trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
+    monkeypatch.setattr(optimizer, "_CALL_CELLS", 1)  # one job per stack
+    monkeypatch.setattr(optimizer, "_WORKERS", 2)
+    _slow_job(monkeypatch, 1, 0.05)  # the worker's stack would take 5 s
+    jobs = [(trace, seed, MOBILE) for seed in range(4)]
+
+    def first_then_close():
+        outcomes = optimizer.optimize_jobs(jobs, cfg)
+        first = next(outcomes)
+        outcomes.close()
+        return first
+
+    first = _finishes_within(2.5, first_then_close)
+    assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
+    assert not _pool_threads()
