@@ -127,14 +127,14 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
     outcomes = optimizer.optimize_jobs(jobs, cfg)
     for seed_index, seed in enumerate(seeds):
         for name in names:
-            placements, records = next(outcomes)
-            report.ga_evaluations += sum(r.evaluations for r in records)
-            for slot, (placement, record) in enumerate(zip(placements, records)):
+            records = next(outcomes)
+            report.ga_evaluations += len(records) * cfg.population_size * (cfg.max_iterations + 1)
+            for slot, record in enumerate(records):
                 if not record.result.feasible.any():
                     report.infeasible_slots.append(
                         {"scenario": name, "seed": seed, "slot": slot})
                 if seed_index == 0:
-                    _record_first_seed_detail(report, name, slot, placement, record)
+                    _record_first_seed_detail(report, name, slot, record)
             report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
 
     for name in names:
@@ -153,9 +153,9 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
     return report
 
 
-def _record_first_seed_detail(report, name, slot, placement, record):
+def _record_first_seed_detail(report, name, slot, record):
     """Trajectories, convergence, per-user rows, and fractions from the first seed."""
-    result = record.result
+    placement, result = record.placement, record.result
     entry = {"slot": slot,
              "uav": [float(v) for v in placement.uav],
              "irs": None if placement.irs is None else [float(v) for v in placement.irs]}

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import MAX_TRACE_ROWS, ConfigError, Region, ScenarioConfig, ValidationError
+from .scenario import MAX_TRACE_ROWS, ConfigError, Region, ScenarioConfig
 
 TRACE_COLUMNS = ["slot", "user_id", "x", "y"]
 
@@ -69,8 +69,6 @@ def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Users:
     """Place users uniformly in the initial subregion with fresh waypoints and speeds."""
     sub = cfg.initial_subregion
     region = cfg.region
-    if not (region.contains(sub.x_min, sub.y_min) and region.contains(sub.x_max, sub.y_max)):
-        raise ValidationError("init_x_*/init_y_*: initial subregion must lie inside the region")
     draw = _uniform([sub.x_min, sub.y_min, region.x_min, region.y_min, cfg.speed_min_mps],
                     [sub.x_max, sub.y_max, region.x_max, region.y_max, cfg.speed_max_mps],
                     cfg.num_users, rng)

@@ -102,13 +102,13 @@ class Variant:
 
 @dataclass
 class GaRunRecord:
-    """Per-generation best/mean fitness, the winning genome, eval count, and
-    the winner's evaluation from the final generation."""
+    """One slot search: the winning placement and genome, per-generation
+    best/mean fitness, and the winner's evaluation from the final generation."""
 
+    placement: Placement
     best_fitness: list[float]
     mean_fitness: list[float]
     best_genome: np.ndarray
-    evaluations: int
     result: noma.SlotResult
 
 
@@ -203,12 +203,12 @@ def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
     return np.concatenate([elites, children ^ flips], axis=1)
 
 
-def optimize_jobs(jobs, cfg: ScenarioConfig) -> Iterator[tuple[list[Placement], list[GaRunRecord]]]:
+def optimize_jobs(jobs, cfg: ScenarioConfig) -> Iterator[list[GaRunRecord]]:
     """Optimize every slot of every (trace, master_seed, variant) job in lockstep.
 
     jobs is any iterable, pulled in this thread a stack at a time and at
     most _WORKERS stacks ahead; every trace has the same slot and user
-    counts.  Yields each job's (placements, records), in job order, as if
+    counts.  Yields each job's records, one per slot, in job order, as if
     the job ran alone.  A static surface is optimized jointly on the first
     slot and frozen there (or at the configured point from the start); it
     shares the mobile variant's streams, so its first slot reproduces the
@@ -243,8 +243,8 @@ def _stacks(jobs, cfg: ScenarioConfig):
         yield [first, *itertools.islice(jobs, per_stack - 1)]
 
 
-def _optimize_stack(jobs, cfg: ScenarioConfig, stop: threading.Event
-                    ) -> Optional[list[tuple[list[Placement], list[GaRunRecord]]]]:
+def _optimize_stack(jobs, cfg: ScenarioConfig,
+                    stop: threading.Event) -> Optional[list[list[GaRunRecord]]]:
     """optimize_jobs on one stack; a generation scores each access-surface group in one call.
 
     Gives up, returning None, at the first generation that finds stop set.
@@ -254,7 +254,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig, stop: threading.Event
     variants = [variant for _, _, variant in jobs]
     pinned = [(cfg.s_irs_x, cfg.s_irs_y) if v.surface == "static" and cfg.s_irs_x is not None
               else None for v in variants]
-    results = [([], []) for _ in jobs]
+    results = [[] for _ in jobs]
     calls: dict[tuple, list[int]] = {}
     for j, v in enumerate(variants):
         calls.setdefault((v.access, v.surface == "none"), []).append(j)
@@ -265,10 +265,10 @@ def _optimize_stack(jobs, cfg: ScenarioConfig, stop: threading.Event
         population = np.stack([(rng.random((size, length)) < 0.5).astype(np.uint8)
                                for rng in rngs])
         if cfg.warm_start and slot:
-            population[:, 0] = [records[-1].best_genome for _, records in results]
+            population[:, 0] = [records[-1].best_genome for records in results]
         scoring = [(call, np.stack([jobs[j][0].positions[slot] for j in call]),
                     variants[call[0]], [pinned[j] for j in call],
-                    [results[j][0][-1] for j in call] if slot else None)
+                    [results[j][-1].placement for j in call] if slot else None)
                    for call in calls.values()]
         fit = np.empty((len(jobs), size))
         history, winners = [], [None] * len(jobs)
@@ -294,9 +294,8 @@ def _optimize_stack(jobs, cfg: ScenarioConfig, stop: threading.Event
         for j, (best, placement, result) in enumerate(winners):
             if variants[j].surface == "static" and pinned[j] is None:
                 pinned[j] = placement.irs
-            results[j][0].append(placement)
-            results[j][1].append(GaRunRecord(
-                best_fitness=best_per_gen[j], mean_fitness=mean_per_gen[j],
-                best_genome=population[j, best].copy(),
-                evaluations=size * (cfg.max_iterations + 1), result=result))
+            results[j].append(GaRunRecord(
+                placement=placement, best_fitness=best_per_gen[j],
+                mean_fitness=mean_per_gen[j], best_genome=population[j, best].copy(),
+                result=result))
     return results

@@ -42,15 +42,7 @@ GA_STREAM = 1
 
 
 class ConfigError(ValueError):
-    """Base class for configuration problems."""
-
-
-class SchemaError(ConfigError):
-    """Document does not match the key/value schema (parse error, unknown key, bad type)."""
-
-
-class ValidationError(ConfigError):
-    """A configuration value violates an invariant; the message names the field."""
+    """A configuration, seed or input file problem; the message names the key or file."""
 
 
 def db_to_linear(x_db):
@@ -95,7 +87,6 @@ class ScenarioConfig:
     los_slope: float = 2.0
     nlos_intercept_db: float = 72.0
     nlos_slope: float = 2.92
-    carrier_freq_hz: float = 28e9
     irs_elements_per_user: int = 1
     irs_reflection_coeff: float = 1.0
     irs_uav_leg_enabled: bool = False
@@ -166,45 +157,45 @@ def _cast(key: str, kind: Any, value: Any) -> Any:
     if kind is bool:
         if isinstance(value, bool):
             return value
-        raise SchemaError(f"key {key!r}: expected true/false, got {value!r}")
+        raise ConfigError(f"key {key!r}: expected true/false, got {value!r}")
     if kind is int:
         if isinstance(value, bool):
-            raise SchemaError(f"key {key!r}: expected an integer, got {value!r}")
+            raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
         if isinstance(value, int):
             return value
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise SchemaError(f"key {key!r}: expected an integer, got {value!r}")
+        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"key {key!r}: expected a number, got {value!r}")
+            raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the float range
             number = math.inf
         if not math.isfinite(number):
-            raise SchemaError(f"key {key!r}: expected a finite number, got {value!r}")
+            raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
         return number + 0.0  # -0.0 reads as 0.0; numpy's uniform(0.0, -0.0) raises
     if kind is str:
         if isinstance(value, str):
             return value
-        raise SchemaError(f"key {key!r}: expected a string, got {value!r}")
+        raise ConfigError(f"key {key!r}: expected a string, got {value!r}")
     raise AssertionError(kind)
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a flat key/value mapping.
 
-    Missing keys take their defaults; unknown keys raise SchemaError.
+    Missing keys take their defaults; unknown keys raise ConfigError.
     """
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise SchemaError("config document must be a key/value mapping")
+        raise ConfigError("config document must be a key/value mapping")
     values = {}
     for key, value in data.items():
         if key not in _KEY_TYPES:
-            raise SchemaError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         values[key] = _cast(key, _KEY_TYPES[key], value)
     cfg = ScenarioConfig(**values)
     validate(cfg)
@@ -223,7 +214,7 @@ def parse_config(text: str) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise SchemaError(f"config parse failure{where}: {exc}") from exc
+        raise ConfigError(f"config parse failure{where}: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -232,13 +223,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
 
 def _check(cond: bool, field_name: str, message: str) -> None:
     if not cond:
-        raise ValidationError(f"{field_name}: {message}")
+        raise ConfigError(f"{field_name}: {message}")
 
 
 def _linear_is_finite_positive(x_db: float) -> bool:
@@ -249,7 +240,7 @@ def _linear_is_finite_positive(x_db: float) -> bool:
 
 
 def validate(cfg: ScenarioConfig) -> None:
-    """Check every invariant; raises ValidationError naming the offending field."""
+    """Check every invariant; raises ConfigError naming the offending field."""
     _check(cfg.region_x_max > cfg.region_x_min, "region_x_max", "must exceed region_x_min")
     _check(cfg.region_y_max > cfg.region_y_min, "region_y_max", "must exceed region_y_min")
 
@@ -258,7 +249,6 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.los_slope > 0, "los_slope", "must be > 0")
     _check(cfg.nlos_slope > 0, "nlos_slope", "must be > 0")
     _check(cfg.nlos_slope >= cfg.los_slope, "nlos_slope", "must be >= los_slope")
-    _check(cfg.carrier_freq_hz > 0, "carrier_freq_hz", "must be > 0")
     _check(cfg.irs_elements_per_user >= 1, "irs_elements_per_user", "must be >= 1")
     _check(0.0 <= cfg.irs_reflection_coeff <= 1.0, "irs_reflection_coeff",
            "must be in [0, 1]")
@@ -299,6 +289,9 @@ def validate(cfg: ScenarioConfig) -> None:
            "at most 10^8 user-steps in a trace, num_users x (num_slots - 1) x slot / substep")
     _check(cfg.init_x_max >= cfg.init_x_min, "init_x_max", "must be >= init_x_min")
     _check(cfg.init_y_max >= cfg.init_y_min, "init_y_max", "must be >= init_y_min")
+    _check(cfg.region.contains(cfg.init_x_min, cfg.init_y_min)
+           and cfg.region.contains(cfg.init_x_max, cfg.init_y_max), "init_x_*/init_y_*",
+           "initial subregion must lie inside the region")
 
     _check(2 <= cfg.population_size <= 10**3, "population_size", "must be in [2, 10^3]")
     _check(cfg.num_users * cfg.population_size <= 10**6, "num_users/population_size",
@@ -411,7 +404,7 @@ def resolve_master_seed(cfg: ScenarioConfig, cli_seed: Optional[int] = None,
     try:
         seed = int(raw)
     except ValueError as exc:
-        raise SchemaError(f"{source}: expected an integer, got {raw!r}") from exc
+        raise ConfigError(f"{source}: expected an integer, got {raw!r}") from exc
     if seed < 0:
         raise ConfigError(f"{source}: must be >= 0, got {seed}")
     return seed

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -445,15 +446,32 @@ def test_cli_exits_1_when_outputs_cannot_be_written(tmp_path, capsys):
     assert str(blocked) in capsys.readouterr().err
 
 
-def test_module_entry_point_runs(tmp_path):
+def _child_env() -> dict:
+    """This environment without MIRSIM_SEED, with the package's source on PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if k != scenario.ENV_SEED_VAR}
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "mirsim", "converge", "--out", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert _read_csv(tmp_path / "convergence.csv")[0] == [
         "generation", "best_fitness", "mean_fitness"]
+
+
+def test_console_script_passes_the_exit_code_through(tmp_path):
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\nmirsim = "([^"]*)"$', pyproject, re.M)
+    assert target is not None and target[1] == "mirsim.cli:entrypoint"
+    module, function = target[1].split(":")
+    proc = subprocess.run([sys.executable, "-c", f"import {module}; {module}.{function}()",
+                           "run", "--seeds", "0", "--out", str(tmp_path / "out")],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_run_with_external_trace(tmp_path):
@@ -466,6 +484,22 @@ def test_cli_run_with_external_trace(tmp_path):
                    "--out", str(tmp_path / "out")])
     assert rc in (0, 3)
     assert (tmp_path / "out" / "rates.csv").exists()
+
+
+def test_cli_rejects_subregion_outside_region_also_under_trace(tmp_path, capsys):
+    rc = cli.main(["trace", "--config", str(_write_small_config(tmp_path)),
+                   "--out", str(tmp_path / "t")])
+    assert rc == 0
+    bad = tmp_path / "bad.yaml"  # the trace's positions lie inside the region
+    bad.write_text(yaml.safe_dump({**scenario.config_to_dict(small_config()),
+                                   "init_x_max": 600.0}))
+    for trace in ([], ["--trace", str(tmp_path / "t" / "trace.csv")]):
+        rc = cli.main(["run", "--config", str(bad), "--seeds", "1", *trace,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "init_x_*/init_y_*: initial subregion must lie inside the region" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, env_seed, flag", [
@@ -585,6 +619,24 @@ def test_results_json_structure(tmp_path):
                         "per_seed_sum_rate", "improvement_pct", "power_fractions",
                         "fractions_scenario", "trajectories", "convergence", "per_user",
                         "infeasible_slots", "ga_evaluations"}
+
+
+@pytest.mark.parametrize("trace_slots", [None, 3])
+def test_ga_evaluations_count_every_fitness_value(tmp_path, trace_slots):
+    cfg = small_config(population_size=7)  # odd: the GA drops a trailing child
+    argv = ["run", "--config", str(_write_small_config(tmp_path, population_size=7)),
+            "--seeds", "2", "--scenarios", "M-IRS-NOMA,No-IRS-NOMA,M-IRS-OMA",
+            "--out", str(tmp_path / "out")]
+    slots = cfg.num_slots
+    if trace_slots is not None:  # the trace, not num_slots, sets the slot count
+        trace = mobility.generate_trace(small_config(num_slots=trace_slots),
+                                        scenario.stream(5, scenario.MOBILITY_STREAM))
+        mobility.save_trace(trace, tmp_path / "trace.csv")
+        argv += ["--trace", str(tmp_path / "trace.csv")]
+        slots = trace_slots
+    assert cli.main(argv) in (0, 3)
+    doc = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert doc["ga_evaluations"] == 7 * (cfg.max_iterations + 1) * slots * 3 * 2
 
 
 # Every float key.

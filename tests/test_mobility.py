@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mirsim import mobility, scenario
 from mirsim.mobility import Users
-from mirsim.scenario import ValidationError
+from mirsim.scenario import ConfigError
 
 from testutil import make_config
 
@@ -104,9 +104,8 @@ def test_init_draws_equal_scalar_uniform_draws():
 
 
 def test_subregion_outside_region_rejected():
-    bad = make_config(region_x_min=100.0, region_y_min=100.0)
-    with pytest.raises(ValidationError, match="subregion"):
-        mobility.init_users(bad, _rng())
+    with pytest.raises(ConfigError, match="subregion"):
+        make_config(region_x_min=100.0, region_y_min=100.0)
 
 
 def test_negative_zero_subregion_bound_reads_as_zero():

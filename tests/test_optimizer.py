@@ -126,7 +126,7 @@ def oracle_breed(population, fitnesses, cfg, mutation_prob_per_bit, rng):
 
 def optimize_slot(users_xy, cfg, rng, variant=MOBILE, *, fixed_irs=None,
                   warm_start_genome=None, prev_placement=None):
-    """Oracle: the GA for one slot of one job; the best placement and its run record."""
+    """Oracle: the GA for one slot of one job; its run record."""
     length = optimizer.genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
     population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
@@ -143,32 +143,28 @@ def optimize_slot(users_xy, cfg, rng, variant=MOBILE, *, fixed_irs=None,
     best = int(np.argmax(fit))
     placement = Placement(uav=tuple(uav[best].tolist()),
                           irs=None if irs is None else tuple(irs[best].tolist()))
-    record = optimizer.GaRunRecord(
-        best_fitness=best_per_gen, mean_fitness=mean_per_gen,
-        best_genome=population[best].copy(),
-        evaluations=cfg.population_size * len(best_per_gen),
-        result=noma.SlotResult.from_batch(ev, best))
-    return placement, record
+    return optimizer.GaRunRecord(
+        placement=placement, best_fitness=best_per_gen, mean_fitness=mean_per_gen,
+        best_genome=population[best].copy(), result=noma.SlotResult.from_batch(ev, best))
 
 
 def oracle_trajectory(trace, cfg, master_seed, variant=MOBILE):
     """Oracle: one job's slot searches one after another, warm starts chained."""
-    placements, records = [], []
+    records = []
     frozen = None
     if variant.surface == "static" and cfg.s_irs_x is not None:
         frozen = (cfg.s_irs_x, cfg.s_irs_y)
     for slot in range(trace.num_slots):
         rng = scenario.stream(master_seed, scenario.GA_STREAM,
                               {"noma": 0, "oma": 1}[variant.access], slot)
-        placement, record = optimize_slot(
+        record = optimize_slot(
             trace.positions[slot], cfg, rng, variant, fixed_irs=frozen,
             warm_start_genome=records[-1].best_genome if cfg.warm_start and records else None,
-            prev_placement=placements[-1] if placements else None)
+            prev_placement=records[-1].placement if records else None)
         if variant.surface == "static" and frozen is None:
-            frozen = placement.irs
-        placements.append(placement)
+            frozen = record.placement.irs
         records.append(record)
-    return placements, records
+    return records
 
 
 def test_encode_bounds_map_to_all_zero_and_all_one():
@@ -388,11 +384,11 @@ def test_closed_population_never_returns_worse_than_the_seed_genome():
                < 0.5).astype(np.uint8)
     initial[0] = genome
     fit = _fitness(initial, users, cfg)
-    placement, record = optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
+    record = optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
     assert record.best_fitness == [fit.max()] * (cfg.max_iterations + 1)
     assert record.best_fitness[-1] >= fit[0]
     assert np.array_equal(record.best_genome, initial[np.argmax(fit)])
-    assert placement == decode(record.best_genome, bounds, cfg.bits_per_coordinate)
+    assert record.placement == decode(record.best_genome, bounds, cfg.bits_per_coordinate)
 
 
 def test_optimize_slot_is_deterministic():
@@ -400,9 +396,9 @@ def test_optimize_slot_is_deterministic():
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     a = optimize_slot(users, cfg, _ga_rng(8))
     b = optimize_slot(users, cfg, _ga_rng(8))
-    assert a[0] == b[0]
-    assert a[1].best_fitness == b[1].best_fitness
-    assert np.array_equal(a[1].best_genome, b[1].best_genome)
+    assert a.placement == b.placement
+    assert a.best_fitness == b.best_fitness
+    assert np.array_equal(a.best_genome, b.best_genome)
 
 
 def test_elitism_keeps_best_fitness_monotone():
@@ -412,7 +408,6 @@ def test_elitism_keeps_best_fitness_monotone():
     best = record.best_fitness
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert best[-1] >= best[0]
-    assert record.evaluations == cfg.population_size * (cfg.max_iterations + 1)
 
 
 def _one_slot(users) -> mobility.MobilityTrace:
@@ -444,7 +439,6 @@ def test_odd_population_without_elitism_keeps_its_size():
     users = np.array([[10.0, 10.0], [250.0, 250.0]])
     _, (record,) = optimize_trajectory(_one_slot(users), cfg, 12)
     assert len(record.best_fitness) == cfg.max_iterations + 1
-    assert record.evaluations == 7 * (cfg.max_iterations + 1)
 
 
 def test_optimized_placements_respect_bounds():
@@ -531,9 +525,9 @@ _VARIANTS = [Variant(surface, access) for access in ("noma", "oma")
 
 def _assert_same_records(got, want):
     for a, b in zip(got, want, strict=True):
+        assert a.placement == b.placement
         assert a.best_fitness == b.best_fitness and a.mean_fitness == b.mean_fitness
         assert np.array_equal(a.best_genome, b.best_genome)
-        assert a.evaluations == b.evaluations
         for key, value in vars(b.result).items():
             assert np.array_equal(getattr(a.result, key), value), key
 
@@ -562,10 +556,8 @@ def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitis
         # each; the generator reads it when consumed, so it is consumed here
         patch.setattr(optimizer, "_CALL_CELLS", call_cells)
         stacked = list(optimizer.optimize_jobs(jobs, cfg))
-    for (placements, records), job in zip(stacked, jobs, strict=True):
-        want_placements, want_records = oracle_trajectory(job[0], cfg, job[1], job[2])
-        assert placements == want_placements
-        _assert_same_records(records, want_records)
+    for records, job in zip(stacked, jobs, strict=True):
+        _assert_same_records(records, oracle_trajectory(job[0], cfg, job[1], job[2]))
 
 
 def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
@@ -585,7 +577,7 @@ def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
     assert pulled == []
     first = next(outcomes)
     assert pulled == [0, 1]
-    assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
+    assert [r.placement for r in first] == optimize_trajectory(trace, cfg, 0)[0]
     assert len([first, *outcomes]) == 5 and pulled == [0, 1, 2, 3, 4]
 
     # two workers: a wave of two stacks is pulled before the first yield
@@ -594,7 +586,7 @@ def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
     outcomes = optimizer.optimize_jobs(jobs(), cfg)
     first = next(outcomes)
     assert pulled == [0, 1, 2, 3]
-    assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
+    assert [r.placement for r in first] == optimize_trajectory(trace, cfg, 0)[0]
     assert len([first, *outcomes]) == 5 and pulled == [0, 1, 2, 3, 4]
 
 
@@ -718,5 +710,5 @@ def test_closing_optimize_jobs_early_returns_promptly(monkeypatch):
         return first
 
     first = _finishes_within(2.5, first_then_close)
-    assert first[0] == optimize_trajectory(trace, cfg, 0)[0]
+    assert [r.placement for r in first] == optimize_trajectory(trace, cfg, 0)[0]
     assert not _pool_threads()

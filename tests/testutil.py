@@ -34,5 +34,5 @@ def slot_result(placement, users_xy, cfg: scenario.ScenarioConfig,
 def optimize_trajectory(trace, cfg: scenario.ScenarioConfig, master_seed: int,
                         variant: Variant = Variant("mobile", "noma")):
     """(placements, records) of every slot of one trace: a one-job optimize_jobs run."""
-    (outcome,) = optimizer.optimize_jobs([(trace, master_seed, variant)], cfg)
-    return outcome
+    (records,) = optimizer.optimize_jobs([(trace, master_seed, variant)], cfg)
+    return [record.placement for record in records], records
