@@ -3,9 +3,12 @@
 Each user repeatedly picks a uniform waypoint inside the region and a uniform
 speed from [speed_min, speed_max], walks straight toward it, pauses for a
 constant time on arrival, then repeats.  Users start uniformly inside the
-initial subregion.  The simulation advances in fixed sub-steps (default 1 s),
-all users at once, and records positions at slot boundaries; the first slot
-records the initial distribution.
+initial subregion.  Time advances in fixed sub-steps (default 1 s); ``step``
+is the law of one sub-step for every user at once.  ``generate_trace``
+follows that law without visiting every sub-step: a user's course changes
+only at its events (arrival, pause end and redraw), so each user jumps from
+event to event and is placed on its open leg at slot boundaries.  The first
+slot records the initial distribution.
 
 Draw order is fixed so traces are reproducible.  At init one (U, 5) block
 gives each user, row by row in id order, x, y, waypoint x, waypoint y and
@@ -78,9 +81,10 @@ def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Users:
 
 def step(users: Users, dt: float, region: Region, cfg: ScenarioConfig,
          rng: np.random.Generator) -> Users:
-    """Advance every user by dt seconds (in place).
+    """Advance every user by dt seconds (in place): the law of one sub-step.
 
-    Paused users only tick down their pause timer.  A moving user advances
+    ``generate_trace`` follows this law event by event rather than calling
+    it.  Paused users only tick down their pause timer.  A moving user advances
     toward its waypoint by speed*dt; reaching the waypoint clamps to it and
     starts the pause.  A new waypoint and speed are drawn at the start of the
     next moving phase.
@@ -112,18 +116,69 @@ def step(users: Users, dt: float, region: Region, cfg: ScenarioConfig,
     return users
 
 
+def _leg_steps(dist: np.ndarray, travel: np.ndarray) -> np.ndarray:
+    """Sub-steps that legs of length dist take at travel m per sub-step.
+
+    ceil(dist / travel), and at least one: ``step`` walks while travel falls
+    short of the distance left.  Repeated ``step`` calls can take one more
+    where the ratio sits within rounding of an integer (11 for a 6-8-10 leg at
+    travel 1).  The ratio is inf at zero travel or on overflow, a leg that
+    never ends, and nan for a zero-length leg at zero speed, which ends at
+    once; callers silence those floating-point warnings.
+    """
+    return np.fmax(np.ceil(dist / travel), 1.0)
+
+
 def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTrace:
-    """Simulate all users and record positions at slot boundaries."""
+    """Simulate all users and record positions at slot boundaries.
+
+    Follows ``step``'s law event by event.  For each user, ``start`` is where
+    its open leg began, after ``leg`` sub-steps; it walks toward ``wp`` at
+    ``travel`` m per sub-step, stands on it once ``arrive`` sub-steps have
+    passed, and redraws in sub-step ``redraw``, ceil(pause / dt) sub-steps
+    later.  Only redraws draw randomness, so the loop visits just the
+    sub-steps where some user redraws and serves that group with array
+    operations, one (k, 3) block in id order as ``step`` draws it.  At a
+    slot boundary a user stands on its waypoint or at
+    start + unit * (travel * walked) on its open leg, so positions match
+    repeated ``step`` calls to the last bits.
+    """
     dt = cfg.substep_duration_s
     n_sub = round(cfg.slot_duration_s / dt)
     users = init_users(cfg, rng)
     region = cfg.region
+    lo = np.array([region.x_min, region.y_min, cfg.speed_min_mps])
+    span = np.array([region.x_max, region.y_max, cfg.speed_max_mps]) - lo
     positions = np.empty((cfg.num_slots, cfg.num_users, 2), dtype=float)
-    positions[0] = users.position
-    for slot in range(1, cfg.num_slots):
-        for _ in range(n_sub):
-            step(users, dt, region, cfg, rng)
-        positions[slot] = users.position
+    start, wp = users.position, users.waypoint
+    positions[0] = start
+    # Sub-step counts are floats so that a leg or pause that never ends is inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pause = np.ceil(np.float64(cfg.pause_duration_s) / dt)
+        travel = users.speed * dt
+        d = wp - start
+        dist = np.hypot(d[:, 0], d[:, 1])
+        leg = np.zeros(cfg.num_users)
+        arrive = _leg_steps(dist, travel)
+        # A user that starts on its waypoint redraws in the first sub-step.
+        redraw = np.where(dist == 0.0, 0.0, arrive + pause)
+        for slot in range(1, cfg.num_slots):
+            now = slot * n_sub  # sub-steps passed at this slot's boundary
+            while (t := redraw.min()) < now:
+                ids = np.flatnonzero(redraw == t)
+                draw = lo + span * rng.random((ids.size, 3))
+                p = wp[ids]
+                d = draw[:, :2] - p
+                start[ids] = p
+                wp[ids] = draw[:, :2]
+                travel[ids] = tr = draw[:, 2] * dt
+                leg[ids] = t
+                arrive[ids] = end = t + _leg_steps(np.hypot(d[:, 0], d[:, 1]), tr)
+                redraw[ids] = end + pause
+            d = wp - start
+            unit = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+            positions[slot] = np.where((arrive <= now)[:, None], wp,
+                                       start + unit * (travel * (now - leg))[:, None])
     return MobilityTrace(positions=positions)
 
 
@@ -132,10 +187,10 @@ def save_trace(trace: MobilityTrace, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for slot in range(trace.num_slots):
-            for user in range(trace.num_users):
-                x, y = trace.positions[slot, user]
-                writer.writerow([slot, user, repr(float(x)), repr(float(y))])
+        # csv writes a float as its repr, the shortest text that reads back exactly.
+        writer.writerows([slot, user, x, y]
+                         for slot, users in enumerate(trace.positions.tolist())
+                         for user, (x, y) in enumerate(users))
 
 
 def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTrace:

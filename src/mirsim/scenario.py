@@ -277,7 +277,9 @@ def validate(cfg: ScenarioConfig) -> None:
            "num_users x num_slots (trace and users.csv rows) must be <= 10^5")
     _check(cfg.slot_duration_s > 0, "slot_duration_s", "must be > 0")
     _check(cfg.substep_duration_s > 0, "substep_duration_s", "must be > 0")
-    # A trace advances every user once per sub-step, over num_slots - 1 slots.
+    # A trace spans (num_slots - 1) x slot / substep sub-steps.  Its event loop
+    # visits at most each of them once (event sub-steps <= sub-steps), and each
+    # user starts at most one leg per sub-step (legs <= user-steps).
     per_slot = cfg.slot_duration_s / cfg.substep_duration_s
     _check((cfg.num_slots - 1) * per_slot <= 1e6 and round(per_slot) >= 1,
            "slot_duration_s/substep_duration_s", "need at least one mobility sub-step "

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,20 @@ def oracle_step(user: UserState, dt, region, cfg, rng) -> UserState:
         user.position = (user.position[0] + dx / dist * travel,
                          user.position[1] + dy / dist * travel)
     return user
+
+
+def oracle_trace(cfg, rng) -> np.ndarray:
+    """Oracle: the trace's (slots, users, 2) positions, every user stepped through every sub-step."""
+    dt = cfg.substep_duration_s
+    n_sub = round(cfg.slot_duration_s / dt)
+    users = mobility.init_users(cfg, rng)
+    positions = np.empty((cfg.num_slots, cfg.num_users, 2))
+    positions[0] = users.position
+    for slot in range(1, cfg.num_slots):
+        for _ in range(n_sub):
+            mobility.step(users, dt, cfg.region, cfg, rng)
+        positions[slot] = users.position
+    return positions
 
 
 def _one_user(position, waypoint, speed, pause_remaining=0.0) -> Users:
@@ -205,13 +220,168 @@ def test_population_step_matches_scalar_oracle(num_users, side, speeds, pause, d
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@settings(max_examples=100, deadline=None)
+@given(num_users=st.integers(1, 12),
+       corner=st.sampled_from([0.0, -250.0, 1000.0]),
+       side=st.sampled_from([0.1, 5.0, 40.0, 500.0]),
+       speeds=st.tuples(st.sampled_from([0.0, 0.05, 1.0, 5.0, 20.0]),
+                        st.sampled_from([0.0, 0.25, 3.0, 20.0])),
+       pause=st.sampled_from([0.0, 0.5, 3.0, 7.5]),
+       dt=st.sampled_from([0.5, 1.0, 2.0]),
+       per_slot=st.integers(1, 40),
+       num_slots=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_trace_matches_substep_oracle(num_users, corner, side, speeds, pause, dt, per_slot,
+                                      num_slots, seed):
+    # dt is a binary fraction: at another dt repeated `step` calls can pause one
+    # sub-step longer than the trace (see the non-binary dt test below).
+    init_side = min(side, 50.0)
+    cfg = make_config(num_users=num_users, num_slots=num_slots,
+                      region_x_min=corner, region_y_min=corner,
+                      region_x_max=corner + side, region_y_max=corner + side,
+                      init_x_min=corner, init_y_min=corner,
+                      init_x_max=corner + init_side, init_y_max=corner + init_side,
+                      speed_min_mps=min(speeds), speed_max_mps=max(speeds),
+                      pause_duration_s=pause, substep_duration_s=dt,
+                      slot_duration_s=dt * per_slot)
+    rng, oracle_rng = _rng(seed), _rng(seed)
+    trace = mobility.generate_trace(cfg, rng)
+    expected = oracle_trace(cfg, oracle_rng)
+    # Same draws in the same order, so every redraw went to the same user.
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    np.testing.assert_allclose(trace.positions, expected, rtol=0.0, atol=1e-9 * side)
+
+
+def _substeps_to_arrive(waypoint, speed=1.0) -> int:
+    """Sub-steps repeated `step` calls take to walk from the origin onto waypoint."""
+    cfg = make_config()
+    users = _one_user((0.0, 0.0), waypoint, speed)
+    for n in range(1, 1000):
+        mobility.step(users, 1.0, cfg.region, cfg, _rng())
+        if np.array_equal(users.position[0], waypoint):
+            return n
+    raise AssertionError(f"no arrival at {waypoint}")
+
+
+def test_leg_takes_ceil_of_distance_over_travel():
+    # A 3-4-5 leg at 1 m per sub-step arrives in its 5th sub-step, a 6-8-10 leg
+    # in its 10th.  Repeated `step` calls agree on the first, but after nine
+    # steps of 0.6/0.8 m their distance left rounds above 1 m, so they arrive
+    # one sub-step later on the second.
+    legs = mobility._leg_steps(np.array([5.0, 10.0]), np.array([1.0, 1.0]))
+    assert legs.tolist() == [5.0, 10.0]
+    assert [_substeps_to_arrive((3.0, 4.0)), _substeps_to_arrive((6.0, 8.0))] == [5, 11]
+    # A leg the first sub-step covers, a zero-length one (even at zero speed) and
+    # a stopped user's; generate_trace silences the 0/0 and x/0 warnings.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        legs = mobility._leg_steps(np.array([0.5, 0.0, 0.0, 3.0]),
+                                   np.array([1.0, 1.0, 0.0, 0.0]))
+    assert legs.tolist() == [1.0, 1.0, 1.0, math.inf]
+
+
+def _trace_pair(seed=3, **overrides):
+    """(trace positions, oracle positions, rngs equal afterwards) for one config."""
+    cfg = make_config(**overrides)
+    rng, oracle_rng = _rng(seed), _rng(seed)
+    positions = mobility.generate_trace(cfg, rng).positions
+    expected = oracle_trace(cfg, oracle_rng)
+    return positions, expected, rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class _CountingRng:
+    """Passes rng.random through and counts the calls: one at init, then one per
+    sub-step where some user redraws, so a trace's loop iterations are calls - 1."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args):
+        self.calls += 1
+        return self.rng.random(*args)
+
+
+def test_endless_pause_is_jumped_not_walked():
+    # 10^6 sub-steps (the cap) with a 10^12 s pause: every user ends its first
+    # leg and stays, so after init the loop visits no sub-step at all.
+    cfg = make_config(num_slots=2, slot_duration_s=1e6, speed_min_mps=1.0,
+                      speed_max_mps=2.0, pause_duration_s=1e12)
+    rng = _CountingRng(_rng(5))
+    trace = mobility.generate_trace(cfg, rng)
+    assert rng.calls == 1
+    assert np.array_equal(trace.positions[1], mobility.init_users(cfg, _rng(5)).waypoint)
+    positions, expected, same_draws = _trace_pair(pause_duration_s=1e12, speed_min_mps=1.0,
+                                                  speed_max_mps=2.0)
+    assert same_draws
+    np.testing.assert_allclose(positions, expected, rtol=0.0, atol=1e-9 * 500.0)
+
+
+@pytest.mark.parametrize("speed_max", [0.0, 1e-310])
+def test_stopped_users_stay_frozen(speed_max):
+    # At a subnormal speed dist / travel overflows to inf: like a zero speed's,
+    # the first leg outlasts the trace, with no warning.
+    positions, expected, same_draws = _trace_pair(speed_min_mps=0.0, speed_max_mps=speed_max)
+    assert same_draws
+    assert np.array_equal(positions, expected)
+    assert np.array_equal(positions, np.broadcast_to(positions[0], positions.shape))
+
+
+def test_tiny_region_is_bit_equal_to_oracle_and_visits_each_sub_step_once():
+    # In a 0.1 m region at >= 1 m/s every leg lasts one sub-step, so every user
+    # redraws every sub-step: one event per sub-step, the loop's worst case.
+    cfg = make_config(region_x_max=0.1, region_y_max=0.1, init_x_max=0.1, init_y_max=0.1,
+                      speed_min_mps=1.0, speed_max_mps=2.0)
+    rng, oracle_rng = _CountingRng(_rng(4)), _CountingRng(_rng(4))
+    positions = mobility.generate_trace(cfg, rng).positions
+    expected = oracle_trace(cfg, oracle_rng)
+    assert rng.rng.bit_generator.state == oracle_rng.rng.bit_generator.state
+    assert np.array_equal(positions, expected)
+    # The init draw, then one array-operation group in each of the 4 x 300
+    # sub-steps but the first, which walks the legs drawn at init.
+    assert rng.calls == oracle_rng.calls == 1 + 1199
+
+
+def _paused_substeps(positions, waypoint) -> int:
+    """Sub-steps user 0 stands on its first waypoint after arriving on it,
+    from a trace that records every sub-step."""
+    on_waypoint = np.all(positions[:, 0] == waypoint, axis=1)
+    arrival = int(np.argmax(on_waypoint))
+    assert on_waypoint[arrival]
+    return int(np.argmin(on_waypoint[arrival:])) - 1
+
+
+def test_trace_pauses_ceil_of_duration_over_dt():
+    # One sub-step per slot, so the trace records every sub-step: the arrival
+    # sub-step, then ceil(3.5) paused ones, then the next leg.
+    cfg = make_config(num_slots=200, slot_duration_s=1.0, region_x_max=20.0,
+                      region_y_max=20.0, init_x_max=20.0, init_y_max=20.0,
+                      speed_min_mps=0.5, speed_max_mps=1.5, pause_duration_s=3.5)
+    positions = mobility.generate_trace(cfg, _rng(8)).positions
+    assert _paused_substeps(positions, mobility.init_users(cfg, _rng(8)).waypoint[0]) == 4
+
+
+def test_pause_at_a_non_binary_dt_is_ceil_not_repeated_subtraction():
+    # At dt 0.1 a 1 s pause lasts ceil(1.0 / 0.1) = 10 sub-steps in the trace,
+    # acceptance criterion 7's law.  Repeated `step` calls subtract 0.1 ten
+    # times and leave 1.4e-16 s, so they pause 11: there every pause lasts one
+    # sub-step longer and later draws and positions differ, not just the last bits.
+    cfg = make_config(num_slots=400, substep_duration_s=0.1, slot_duration_s=0.1,
+                      region_x_max=5.0, region_y_max=5.0, init_x_max=5.0, init_y_max=5.0,
+                      speed_min_mps=1.0, speed_max_mps=2.0, pause_duration_s=1.0)
+    waypoint = mobility.init_users(cfg, _rng(8)).waypoint[0]
+    positions = mobility.generate_trace(cfg, _rng(8)).positions
+    assert _paused_substeps(positions, waypoint) == 10
+    assert _paused_substeps(oracle_trace(cfg, _rng(8)), waypoint) == 11
+
+
 def test_trace_shape_and_initial_slot():
     cfg = make_config()
     trace = mobility.generate_trace(cfg, _rng(1))
     assert trace.positions.shape == (5, 10, 2)
-    single = mobility.generate_trace(make_config(num_slots=1), _rng(1))
-    users = mobility.init_users(make_config(num_slots=1), _rng(1))
+    rng, init_rng = _rng(1), _rng(1)
+    single = mobility.generate_trace(make_config(num_slots=1), rng)
+    users = mobility.init_users(make_config(num_slots=1), init_rng)
     assert np.array_equal(single.positions[0], users.position)
+    assert rng.bit_generator.state == init_rng.bit_generator.state  # nothing drawn past init
 
 
 def test_trace_is_deterministic():
@@ -272,6 +442,26 @@ def test_trace_round_trips_through_csv(tmp_path):
     mobility.save_trace(trace, path)
     again = mobility.load_trace(path, cfg.region)
     assert np.array_equal(trace.positions, again.positions)
+
+
+def _save_trace_row_by_row(trace, path):
+    """Oracle: the trace CSV written one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(mobility.TRACE_COLUMNS)
+        for slot in range(trace.num_slots):
+            for user in range(trace.num_users):
+                x, y = trace.positions[slot, user]
+                writer.writerow([slot, user, repr(float(x)), repr(float(y))])
+
+
+def test_save_trace_writes_the_row_by_row_bytes(tmp_path):
+    positions = mobility.generate_trace(make_config(), _rng(6)).positions
+    positions[1, :3] = [[-0.0, 5e-324], [1e300, 1 / 3], [0.1, 250.0]]
+    trace = mobility.MobilityTrace(positions)
+    mobility.save_trace(trace, tmp_path / "one.csv")
+    _save_trace_row_by_row(trace, tmp_path / "rows.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_load_trace_validates(tmp_path):
