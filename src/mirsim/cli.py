@@ -15,21 +15,26 @@ slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
 
 Each ExperimentReport field is the results.json key of the same name; the
 report's per-user and power-fraction rows are built here from each slot's
-``noma.SlotResult``.  ``emit_outputs`` writes results.json plus plot-ready
-CSVs with stable, documented schemas.  Exit codes: 0 success, 1 when the
-outputs cannot be written, 2 config/usage error (an unreadable config or
-trace file included), 3 when some slot's best placement leaves every user
-below the SINR threshold (reported in the outputs, not fatal).
+``noma.SlotResult``.  ``emit_outputs`` writes plot-ready CSVs and results.json,
+exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, from its
+own writer, which formats each number once for the JSON and its CSV copy.  Exit
+codes: 0 success, 1 when the outputs cannot be written, 2 config/usage error (an
+unreadable config or trace file included), 3 when some slot's best placement
+leaves every user below the SINR threshold (reported in the outputs, not fatal).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -52,6 +57,7 @@ FRACTIONS_COLUMNS = ["slot", "pair", "alpha_weak", "alpha_strong"]
 TRAJECTORY_COLUMNS = ["slot", "entity", "x", "y", "z"]
 CONVERGENCE_COLUMNS = ["scenario", "slot", "generation", "best_fitness", "mean_fitness"]
 USERS_COLUMNS = ["slot", "scenario", "user", "pair_id", "alpha", "sinr_db", "rate"]
+_BLOCK_ROWS = 512  # table rows formatted at once: bounds the tokens held
 
 
 @dataclass
@@ -138,13 +144,10 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
             report.per_seed_sum_rate[name].append([r.result.sum_rate for r in records])
 
     for name in names:
-        per_seed = np.asarray(report.per_seed_sum_rate[name])
-        report.avg_sum_rate[name] = [float(v) for v in per_seed.mean(axis=0)]
+        report.avg_sum_rate[name] = np.mean(report.per_seed_sum_rate[name], axis=0).tolist()
 
     base = _headline_scenario(names)
-    for other in names:
-        if other == base:
-            continue
+    for other in [name for name in names if name != base]:
         per_slot = [100.0 * (a - b) / b if b != 0 else None
                     for a, b in zip(report.avg_sum_rate[base], report.avg_sum_rate[other])]
         mean = float(np.mean(per_slot)) if None not in per_slot else None
@@ -165,86 +168,126 @@ def _record_first_seed_detail(report, name, slot, record):
         "best": [float(v) for v in record.best_fitness],
         "mean": [float(v) for v in record.mean_fitness],
     })
-    for user, (pair, sinr) in enumerate(zip(result.pair_id.tolist(), result.sinr.tolist())):
-        report.per_user["rows"].append(
-            [slot, name, user, pair, float(result.alpha[user]),
-             float(scenario.linear_to_db(sinr)) if sinr > 0 else float("-inf"),
-             float(result.rate[user])])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr_db = np.where(result.sinr > 0, scenario.linear_to_db(result.sinr), -np.inf)
+    report.per_user["rows"].extend(map(list, zip(
+        itertools.repeat(slot), itertools.repeat(name), itertools.count(), result.pair_id.tolist(),
+        result.alpha.tolist(), sinr_db.tolist(), result.rate.tolist())))
     if name == report.fractions_scenario:
         pairs = list(zip(result.weak.tolist(), result.strong.tolist()))
         if result.mid is not None:
             pairs.append((result.mid, None))
-        for k, (weak, strong) in enumerate(pairs):
-            report.power_fractions.append({
-                "scenario": name, "slot": slot, "pair": k,
-                "weak_user": weak, "strong_user": strong,
-                "alpha_weak": float(result.alpha[weak]),
-                "alpha_strong": 0.0 if strong is None else float(result.alpha[strong]),
-            })
+        alpha = result.alpha.tolist()
+        report.power_fractions.extend(
+            {"scenario": name, "slot": slot, "pair": k, "weak_user": weak, "strong_user": strong,
+             "alpha_weak": alpha[weak], "alpha_strong": 0.0 if strong is None else alpha[strong]}
+            for k, (weak, strong) in enumerate(pairs))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_text(path: Path, pieces) -> None:
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.writelines(pieces)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _tokens(column: list, nl: str) -> list[str]:
+    """A column's JSON tokens; a float or int column's are also its CSV cells."""
+    kinds = set(map(type, column))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
+        return list(map(repr, column))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, column))
+    return ["".join(_json_chunks(value, nl)) for value in column]  # json rejects NaN, inf
+
+
+def _csv_cells(column: list, tokens: list[str]) -> list[str]:
+    """A column as csv.writer writes it in rows of two or more cells (a number as its token)."""
+    kinds = set(map(type, column))
+    if kinds in ({float}, {int}):
+        return tokens
+    if kinds != {str}:
+        return [_csv_text([[value, 0]])[:-4] for value in column]
+    cells = {value: _csv_text([[value, 0]])[:-4] for value in set(column)}
+    return list(map(cells.__getitem__, column))
+
+
+def _json_chunks(value, nl: str = "\n", feeds=None):
+    """Yield json.dumps(value, indent=2, sort_keys=True, allow_nan=False) in pieces; keys are str.
+
+    Rows of one width (lists) or key set (dicts) form a table, formatted column by column,
+    _BLOCK_ROWS rows at a time; feeds[id(table)] = (csv pieces, keys) gets its CSV text.
+    """
+    inner = nl + "  "
+    kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else ()
+    shapes = (set(map(len, value)) if kinds and kinds <= {list, tuple} else
+              set(map(tuple, map(sorted, value))) if kinds == {dict} else ())
+    csv_pieces, csv_keys = (feeds or {}).get(id(value), (None, ()))
+    if isinstance(value, dict):
+        for i, (key, item) in enumerate(sorted(value.items())):
+            yield f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(item, inner, feeds)
+        yield nl + "}" if value else "{}"
+    elif not kinds:  # a scalar or an empty list
+        yield json.dumps(value, allow_nan=False)
+    elif len(shapes) != 1 or not (shape := shapes.pop()):
+        if csv_pieces is not None:
+            raise TypeError("a CSV table needs rows of one width or key set")
+        yield f"[{inner}{(',' + inner).join(_tokens(value, inner))}{nl}]"
+    else:
+        named = isinstance(shape, tuple)
+        keys, cell = shape if named else range(shape), inner + "  "
+        row = ",".join(f"{cell}{encode_basestring_ascii(key).replace('%', '%%')}: %s" if named
+                       else cell + "%s" for key in keys)
+        row = f"{{{row}{inner}}}" if named else f"[{row}{inner}]"
+        for start in range(0, len(value), _BLOCK_ROWS):
+            block = value[start:start + _BLOCK_ROWS]
+            columns = {key: list(map(itemgetter(key), block)) for key in keys}
+            tokens = {key: _tokens(columns[key], cell) for key in keys}
+            yield ("," if start else "[") + inner + ("," + inner).join(
+                map(row.__mod__, zip(*(tokens[key] for key in keys))))
+            if csv_pieces is not None:
+                cells = (_csv_cells(columns[key], tokens[key]) for key in csv_keys)
+                csv_pieces.append("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        yield nl + "]"
 
 
 def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path]:
     """Write results.json and the CSV set; rerunning is byte-identical.
 
-    A non-finite number in the report raises ValueError before any file is
-    written.
+    results.json is json.dumps(report, indent=2, sort_keys=True) plus a newline.  A
+    non-finite number in the report raises ValueError before any file is written.
     """
-    # The indenting encoder yields ~10^5 small chunks per MB of text; joining them
-    # a batch at a time holds one batch of chunk objects, not all of them.
-    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(vars(report))
-    text = "".join(map("".join, iter(lambda: list(itertools.islice(chunks, 4096)), []))) + "\n"
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / f"{name}.csv" for name in
-             ("rates", "fractions", "trajectory", "convergence", "users")}
-    paths["results"] = out / "results.json"
-
-    try:
-        paths["results"].write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {paths['results']}: {exc}") from exc
-
-    rate_rows = []
-    for slot in range(report.num_slots):
-        for name in report.scenarios:
-            rate_rows.append([slot, name, report.avg_sum_rate[name][slot]])
-    _write_csv(paths["rates"], RATES_COLUMNS, rate_rows)
-
-    fraction_rows = [[f["slot"], f["pair"], f["alpha_weak"], f["alpha_strong"]]
-                     for f in report.power_fractions]
-    _write_csv(paths["fractions"], FRACTIONS_COLUMNS, fraction_rows)
-
-    trajectory_rows = []
-    main_scenario = _headline_scenario(report.trajectories)
-    if main_scenario is not None:
-        irs_height = report.config.get("irs_height_m", 0.0)
-        for entry in report.trajectories[main_scenario]:
-            x, y, z = entry["uav"]
-            trajectory_rows.append([entry["slot"], "uav", x, y, z])
-            if entry["irs"] is not None:
-                trajectory_rows.append(
-                    [entry["slot"], "irs", entry["irs"][0], entry["irs"][1], irs_height])
-    _write_csv(paths["trajectory"], TRAJECTORY_COLUMNS, trajectory_rows)
-
-    convergence_rows = []
-    for name in report.scenarios:
-        for rec in report.convergence.get(name, []):
-            for gen, (best, mean) in enumerate(zip(rec["best"], rec["mean"])):
-                convergence_rows.append([name, rec["slot"], gen, best, mean])
-    _write_csv(paths["convergence"], CONVERGENCE_COLUMNS, convergence_rows)
-
-    _write_csv(paths["users"], USERS_COLUMNS, report.per_user["rows"])
-    return paths
+    users, fractions = [_csv_text([USERS_COLUMNS])], [_csv_text([FRACTIONS_COLUMNS])]
+    results = [*_json_chunks(vars(report), feeds={
+        id(report.per_user["rows"]): (users, range(len(USERS_COLUMNS))),
+        id(report.power_fractions): (fractions, FRACTIONS_COLUMNS)}), "\n"]
+    trajectory = [TRAJECTORY_COLUMNS]
+    for entry in report.trajectories.get(_headline_scenario(report.trajectories), []):
+        trajectory.append([entry["slot"], "uav", *entry["uav"]])
+        if entry["irs"] is not None:
+            trajectory.append([entry["slot"], "irs", *entry["irs"],
+                               report.config.get("irs_height_m", 0.0)])
+    texts = {
+        "results.json": results, "users.csv": users, "fractions.csv": fractions,
+        "rates.csv": [_csv_text([RATES_COLUMNS, *([slot, name, report.avg_sum_rate[name][slot]]
+                      for slot in range(report.num_slots) for name in report.scenarios)])],
+        "trajectory.csv": [_csv_text(trajectory)],
+        "convergence.csv": [_csv_text([CONVERGENCE_COLUMNS, *(
+            [name, rec["slot"], gen, best, mean] for name in report.scenarios
+            for rec in report.convergence.get(name, [])
+            for gen, (best, mean) in enumerate(zip(rec["best"], rec["mean"])))])]}
+    for name, pieces in texts.items():
+        _write_text(Path(out_dir) / name, pieces)
+    return {name.split(".")[0]: Path(out_dir) / name for name in texts}
 
 
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -319,11 +362,9 @@ def _cmd_inspect_channel(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = channel.channel_debug_table(placement, trace.positions[args.slot], cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "channel.csv"
+    path = Path(args.out) / "channel.csv"
     header = list(rows[0].keys()) if rows else []
-    _write_csv(path, header, [[row[k] for k in header] for row in rows])
+    _write_text(path, [_csv_text([header, *([row[k] for k in header] for row in rows)])])
     print(f"wrote {path} ({len(rows)} users)")
     return 0
 
@@ -335,11 +376,9 @@ def _cmd_converge(args) -> int:
     if not 0 <= args.slot < cfg.num_slots:
         raise ConfigError(f"--slot: must be in [0, {cfg.num_slots - 1}]")
     record = run_experiment(cfg, [name], [seed]).convergence[name][args.slot]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "convergence.csv"
+    path = Path(args.out) / "convergence.csv"
     rows = [[gen, *pair] for gen, pair in enumerate(zip(record["best"], record["mean"]))]
-    _write_csv(path, ["generation", "best_fitness", "mean_fitness"], rows)
+    _write_text(path, [_csv_text([["generation", "best_fitness", "mean_fitness"], *rows])])
     print(f"wrote {path} ({len(rows)} generations)")
     return 0
 

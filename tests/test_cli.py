@@ -12,6 +12,7 @@ import typing
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
@@ -169,6 +170,32 @@ def test_user_rows_format():
             assert (pair_id, alpha, rate) == (result.pair_id[user], result.alpha[user],
                                               result.rate[user])
             assert math.isclose(sinr_db, 10.0 * math.log10(result.sinr[user]), rel_tol=1e-12)
+
+
+def test_user_rows_match_the_per_element_oracle_and_zero_sinr_is_minus_inf():
+    cfg = small_config(num_users=5)
+    trace = mobility.generate_trace(cfg, scenario.stream(3, scenario.MOBILITY_STREAM))
+    result = slot_result(Placement(uav=(100.0, 100.0, 50.0), irs=(20.0, 30.0)),
+                         trace.positions[0], cfg)
+    result.sinr[[0, 3]] = [0.0, 1e-300]  # no signal, and a vanishing one
+    record = optimizer.GaRunRecord(Placement(uav=(100.0, 100.0, 50.0), irs=None), [0.0], [0.0],
+                                   np.zeros(1), result)
+    report = cli.ExperimentReport(fractions_scenario="M-IRS-NOMA")
+    cli._record_first_seed_detail(report, "M-IRS-NOMA", 4, record)
+    oracle = [[4, "M-IRS-NOMA", user, pair, float(result.alpha[user]),
+               float(scenario.linear_to_db(sinr)) if sinr > 0 else float("-inf"),
+               float(result.rate[user])]
+              for user, (pair, sinr) in enumerate(zip(result.pair_id.tolist(),
+                                                      result.sinr.tolist()))]
+    rows = report.per_user["rows"]
+    assert rows == oracle and rows[0][5] == -math.inf and rows[3][5] == -3000.0
+    assert [[type(cell) for cell in row] for row in rows] == \
+        [[type(cell) for cell in row] for row in oracle]
+    assert [(f["weak_user"], f["strong_user"], f["alpha_weak"], f["alpha_strong"])
+            for f in report.power_fractions] == [
+        *((w, s, float(result.alpha[w]), float(result.alpha[s]))
+          for w, s in zip(result.weak.tolist(), result.strong.tolist())),
+        (result.mid, None, float(result.alpha[result.mid]), 0.0)]
 
 
 def test_seed_results_do_not_depend_on_the_other_seeds():
@@ -602,6 +629,9 @@ def test_cli_outputs_are_deterministic(tmp_path):
     for name in ("results.json", "rates.csv", "fractions.csv", "trajectory.csv",
                  "convergence.csv", "users.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # An independent oracle: parsing results.json and dumping it again gives its text.
+    text = (tmp_path / "a" / "results.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_results_json_structure(tmp_path):

@@ -104,6 +104,19 @@ def test_db_linear_round_trip(x):
     assert math.isclose(db_to_linear(float(linear_to_db(x))), x, rel_tol=1e-12)
 
 
+def test_linear_to_db_on_an_array_matches_the_scalar_call_bit_for_bit():
+    # The report converts a slot's SINRs to dB as one array; each value must be
+    # the bits of the per-user scalar call it replaced.
+    rng = np.random.default_rng(5)
+    edges = [5e-324, 2.2250738585072014e-308, 1.0, 10.0, 100.0, 1.7976931348623157e308]
+    x = np.concatenate([10.0 ** rng.uniform(-320.0, 308.0, 200_000), rng.uniform(0.0, 1e3, 1_000),
+                        edges])
+    scalar = np.array([linear_to_db(v) for v in x.tolist()])
+    assert np.array_equal(linear_to_db(x).view(np.int64), scalar.view(np.int64))
+    with np.errstate(divide="ignore"):
+        assert linear_to_db(np.array([0.0, 1.0]))[0] == -np.inf
+
+
 def test_config_round_trips_through_document():
     cfg = make_config(
         region_x_max=800.0, num_users=7, irs_elements_per_user=3,
