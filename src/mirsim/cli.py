@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -106,19 +106,22 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
     """Run every (seed, scenario) job and aggregate; deterministic given inputs.
 
     A given trace replaces the generated one for every seed; its user count
-    must equal num_users.
+    must equal num_users, and its slot count obeys num_slots' GA cap.
     """
     names = resolve_scenarios(scenarios)
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("at least one seed required")
-    if trace is not None and trace.num_users != cfg.num_users:
+    if trace is not None:
         where = f"{trace.source}: " if trace.source is not None else ""
-        raise ConfigError(f"{where}trace has {trace.num_users} users but "
-                          f"num_users is {cfg.num_users}")
+        if trace.num_users != cfg.num_users:
+            raise ConfigError(f"{where}trace has {trace.num_users} users but "
+                              f"num_users is {cfg.num_users}")
+        scenario.check_slot_generations(cfg, trace.num_slots,
+                                        f"{where}trace has {trace.num_slots} slots; ")
 
     report = ExperimentReport(
-        config=scenario.config_to_dict(cfg), seeds=seeds, scenarios=names,
+        config=asdict(cfg), seeds=seeds, scenarios=names,
         num_slots=trace.num_slots if trace is not None else cfg.num_slots,
         per_seed_sum_rate={name: [] for name in names},
         fractions_scenario=_headline_scenario(
@@ -159,15 +162,11 @@ def run_experiment(cfg: ScenarioConfig, scenarios, seeds,
 def _record_first_seed_detail(report, name, slot, record):
     """Trajectories, convergence, per-user rows, and fractions from the first seed."""
     placement, result = record.placement, record.result
-    entry = {"slot": slot,
-             "uav": [float(v) for v in placement.uav],
-             "irs": None if placement.irs is None else [float(v) for v in placement.irs]}
-    report.trajectories.setdefault(name, []).append(entry)
-    report.convergence.setdefault(name, []).append({
-        "slot": slot,
-        "best": [float(v) for v in record.best_fitness],
-        "mean": [float(v) for v in record.mean_fitness],
-    })
+    report.trajectories.setdefault(name, []).append({
+        "slot": slot, "uav": list(placement.uav),
+        "irs": None if placement.irs is None else list(placement.irs)})
+    report.convergence.setdefault(name, []).append(
+        {"slot": slot, "best": record.best_fitness, "mean": record.mean_fitness})
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr_db = np.where(result.sinr > 0, scenario.linear_to_db(result.sinr), -np.inf)
     report.per_user["rows"].extend(map(list, zip(
@@ -300,27 +299,19 @@ def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _load_cfg(args) -> ScenarioConfig:
-    return scenario.load_config(args.config) if args.config else ScenarioConfig()
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    base_seed = scenario.resolve_master_seed(cfg, args.seed)
+def _cmd_run(args, cfg: ScenarioConfig, seed: int) -> int:
     num_seeds = args.seeds if args.seeds is not None else cfg.num_seeds
     if not 1 <= num_seeds <= scenario.MAX_SEEDS:
         raise ConfigError("--seeds: must be in [1, 10^4]")
-    seeds = [base_seed + i for i in range(num_seeds)]
-    names = list(SCENARIOS) if args.scenarios is None \
-        else resolve_scenarios(args.scenarios.split(",") if args.scenarios else [])
+    seeds = [seed + i for i in range(num_seeds)]
     trace = mobility.load_trace(args.trace, cfg.region) if args.trace else None
 
-    report = run_experiment(cfg, names, seeds, trace=trace)
+    report = run_experiment(cfg, args.scenarios, seeds, trace=trace)
     paths = emit_outputs(report, args.out)
 
     print(f"seeds {seeds[0]}..{seeds[-1]} ({len(seeds)}), "
-          f"slots {report.num_slots}, scenarios {', '.join(names)}")
-    for name in names:
+          f"slots {report.num_slots}, scenarios {', '.join(report.scenarios)}")
+    for name in report.scenarios:
         rates = " ".join(f"{v:.4f}" for v in report.avg_sum_rate[name])
         print(f"  {name:12s} avg sum rate per slot: {rates}")
     for label, imp in report.improvement_pct.items():
@@ -334,9 +325,7 @@ def _cmd_run(args) -> int:
     return 3 if report.infeasible_slots else 0
 
 
-def _cmd_trace(args) -> int:
-    cfg = _load_cfg(args)
-    seed = scenario.resolve_master_seed(cfg, args.seed)
+def _cmd_trace(args, cfg: ScenarioConfig, seed: int) -> int:
     trace = mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -346,12 +335,8 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_inspect_channel(args) -> int:
-    cfg = _load_cfg(args)
-    seed = scenario.resolve_master_seed(cfg, args.seed)
+def _cmd_inspect_channel(args, cfg: ScenarioConfig, seed: int) -> int:
     trace = mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM))
-    if not 0 <= args.slot < trace.num_slots:
-        raise ConfigError(f"--slot: must be in [0, {trace.num_slots - 1}]")
     r = cfg.region
     center = ((r.x_min + r.x_max) / 2.0, (r.y_min + r.y_max) / 2.0)
     placement = channel.Placement(
@@ -369,13 +354,9 @@ def _cmd_inspect_channel(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    cfg = _load_cfg(args)
-    seed = scenario.resolve_master_seed(cfg, args.seed)
-    name = resolve_scenarios([args.scenario])[0]
-    if not 0 <= args.slot < cfg.num_slots:
-        raise ConfigError(f"--slot: must be in [0, {cfg.num_slots - 1}]")
-    record = run_experiment(cfg, [name], [seed]).convergence[name][args.slot]
+def _cmd_converge(args, cfg: ScenarioConfig, seed: int) -> int:
+    report = run_experiment(cfg, [args.scenario], [seed])
+    record = report.convergence[report.scenarios[0]][args.slot]
     path = Path(args.out) / "convergence.csv"
     rows = [[gen, *pair] for gen, pair in enumerate(zip(record["best"], record["mean"]))]
     _write_text(path, [_csv_text([["generation", "best_fitness", "mean_fitness"], *rows])])
@@ -398,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument("--seeds", type=int, metavar="N",
                        help="number of seeds to average (default: config num_seeds)")
-    run_p.add_argument("--scenarios", metavar="LIST",
+    run_p.add_argument("--scenarios", metavar="LIST", default=list(SCENARIOS),
+                       type=lambda text: text.split(",") if text else [],
                        help="comma-separated scenario names (default: all)")
     run_p.add_argument("--trace", metavar="PATH",
                        help="externally supplied mobility trace CSV")
@@ -424,10 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = scenario.load_config(args.config) if args.config else ScenarioConfig()
+        seed = scenario.resolve_master_seed(cfg, args.seed)
+        if "slot" in args and not 0 <= args.slot < cfg.num_slots:  # converge, inspect-channel
+            raise ConfigError(f"--slot: must be in [0, {cfg.num_slots - 1}]")
+        return args.func(args, cfg, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,7 @@ class Users:
     position: np.ndarray  # (U, 2), m
     waypoint: np.ndarray  # (U, 2), m
     speed: np.ndarray  # (U,), m/s
-    pause_remaining: np.ndarray  # (U,), s
+    pause_remaining: np.ndarray  # (U,), whole sub-steps left to stand on the waypoint
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,17 @@ def step(users: Users, dt: float, region: Region, cfg: ScenarioConfig,
     """Advance every user by dt seconds (in place): the law of one sub-step.
 
     ``generate_trace`` follows this law event by event rather than calling
-    it.  Paused users only tick down their pause timer.  A moving user advances
-    toward its waypoint by speed*dt; reaching the waypoint clamps to it and
-    starts the pause.  A new waypoint and speed are drawn at the start of the
-    next moving phase.
+    it.  Paused users only count down one sub-step of their pause.  A moving
+    user advances toward its waypoint by speed*dt; reaching the waypoint
+    clamps to it and starts a pause of ceil(pause_duration_s / dt) sub-steps,
+    the count ``generate_trace`` uses.  A new waypoint and speed are drawn at
+    the start of the next moving phase.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     pos, wp, pause = users.position, users.waypoint, users.pause_remaining
     moving = pause <= 0.0
-    np.maximum(pause - dt, 0.0, out=pause)
+    np.maximum(pause - 1.0, 0.0, out=pause)
     d = wp - pos
     dist = np.hypot(d[:, 0], d[:, 1])
     redraw = moving & (dist == 0.0)  # standing on the waypoint, pause over
@@ -109,11 +110,17 @@ def step(users: Users, dt: float, region: Region, cfg: ScenarioConfig,
     arrive = moving & ~walk
     if np.count_nonzero(arrive):
         pos[arrive] = wp[arrive]
-        pause[arrive] = cfg.pause_duration_s
+        pause[arrive] = _pause_steps(cfg.pause_duration_s, dt)
     # Only walking users divide; the others keep their position untouched.
     unit = d / np.where(walk, dist, 1.0)[:, None]
     np.add(pos, unit * travel[:, None], out=pos, where=walk[:, None])
     return users
+
+
+def _pause_steps(pause_duration_s: float, dt: float) -> np.float64:
+    """Sub-steps a pause lasts, ceil(pause_duration_s / dt); inf where the ratio overflows."""
+    with np.errstate(over="ignore"):
+        return np.ceil(np.float64(pause_duration_s) / dt)
 
 
 def _leg_steps(dist: np.ndarray, travel: np.ndarray) -> np.ndarray:
@@ -154,7 +161,7 @@ def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTra
     positions[0] = start
     # Sub-step counts are floats so that a leg or pause that never ends is inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pause = np.ceil(np.float64(cfg.pause_duration_s) / dt)
+        pause = _pause_steps(cfg.pause_duration_s, dt)
         travel = users.speed * dt
         d = wp - start
         dist = np.hypot(d[:, 0], d[:, 1])

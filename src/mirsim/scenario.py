@@ -17,7 +17,6 @@ traces and results.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import sys
@@ -202,15 +201,25 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     return cfg
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    """The document key/value mapping of a ScenarioConfig, in field order."""
-    return dataclasses.asdict(cfg)
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key written twice in one mapping; merge keys (<<) stay."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                if (key.tag, key.value) in seen:
+                    raise ConfigError(f"config key {key.value!r} repeated at line "
+                                      f"{key.start_mark.line + 1}")
+                seen.add((key.tag, key.value))
+        return node
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a config document from YAML text."""
+    """Parse a config document from YAML text; a key written twice is an error."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -299,6 +308,7 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.num_users * cfg.population_size <= 10**6, "num_users/population_size",
            "num_users x population_size (one fitness call's arrays) must be <= 10^6")
     _check(1 <= cfg.max_iterations <= 10**4, "max_iterations", "must be in [1, 10^4]")
+    check_slot_generations(cfg, cfg.num_slots)
     _check(1 <= cfg.tournament_size <= cfg.population_size, "tournament_size",
            "must be in [1, population_size]")
     _check(0.0 <= cfg.crossover_prob <= 1.0, "crossover_prob", "must be in [0, 1]")
@@ -385,6 +395,14 @@ def validate(cfg: ScenarioConfig) -> None:
 
     _check(cfg.master_seed >= 0, "master_seed", "must be >= 0")
     _check(1 <= cfg.num_seeds <= MAX_SEEDS, "num_seeds", "must be in [1, 10^4]")
+
+
+def check_slot_generations(cfg: ScenarioConfig, num_slots: int, where: str = "") -> None:
+    """Cap num_slots x (max_iterations + 1), the fitness values a job's records hold
+    (and convergence.csv's rows per scenario); where prefixes the message."""
+    _check(num_slots * (cfg.max_iterations + 1) <= 10**6, f"{where}num_slots/max_iterations",
+           "num_slots x (max_iterations + 1) (GA generations over a run's slots) must be "
+           "<= 10^6")
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -345,6 +346,9 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
      ["blocker_density_per_m2", "blocker_height_m"]),
     ("los_model: sigmoid\nsigmoid_alpha: 1.0e+300\n", ["sigmoid_alpha", "sigmoid_beta"]),
     ("los_model: sigmoid\nsigmoid_alpha: -1\n", ["sigmoid_alpha", "sigmoid_beta"]),
+    # 10^5 slots x 10,001 generations: 2 x 10^9 fitness values in one job's records
+    ("num_users: 1\nnum_slots: 100000\nslot_duration_s: 1\nmax_iterations: 10000\n"
+     "population_size: 3\n", ["num_slots", "max_iterations"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"
@@ -456,6 +460,42 @@ def test_cli_rejects_unreadable_trace(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_caps_a_trace_slot_count_times_generations(tmp_path, capsys):
+    # 10^4 generations pass with 5 configured slots, but a 101-slot trace makes
+    # 101 x 10,001 > 10^6; 99 slots would stay within the cap.
+    cfg_path = _write_small_config(tmp_path, num_users=1, max_iterations=10_000)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("slot,user_id,x,y\n" + "".join(f"{slot},0,1.0,1.0\n" for slot in range(101)))
+    rc = cli.main(["run", "--config", str(cfg_path), "--seeds", "1", "--trace", str(trace),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"config error: {trace}: trace has 101 slots; num_slots/max_iterations: "
+            "num_slots x (max_iterations + 1)") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, key, line", [
+    ("num_users: 10\nnum_users: 20\n", "num_users", 2),
+    ("num_slots: 3\npopulation_size: 8\n\n'num_slots': 4\n", "num_slots", 4),
+    ("<<: {num_users: 2, num_users: 3}\n", "num_users", 1),
+])
+def test_cli_rejects_a_repeated_config_key(tmp_path, capsys, doc, key, line):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(doc)
+    rc = cli.main(["trace", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: config key {key!r} repeated at line {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_accepts_merge_keys_that_an_explicit_key_overrides(tmp_path):
+    doc = tmp_path / "merge.yaml"
+    doc.write_text("<<: [{num_users: 2, num_slots: 2}, {num_users: 4}]\nnum_slots: 3\n")
+    assert cli.main(["trace", "--config", str(doc), "--out", str(tmp_path / "out")]) == 0
+    trace = mobility.load_trace(tmp_path / "out" / "trace.csv")
+    assert (trace.num_slots, trace.num_users) == (3, 2)
+
+
 def test_cli_rejects_empty_scenario_list(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(_write_small_config(tmp_path)), "--seeds", "1",
                    "--scenarios", "", "--out", str(tmp_path / "out")])
@@ -518,7 +558,7 @@ def test_cli_rejects_subregion_outside_region_also_under_trace(tmp_path, capsys)
                    "--out", str(tmp_path / "t")])
     assert rc == 0
     bad = tmp_path / "bad.yaml"  # the trace's positions lie inside the region
-    bad.write_text(yaml.safe_dump({**scenario.config_to_dict(small_config()),
+    bad.write_text(yaml.safe_dump({**dataclasses.asdict(small_config()),
                                    "init_x_max": 600.0}))
     for trace in ([], ["--trace", str(tmp_path / "t" / "trace.csv")]):
         rc = cli.main(["run", "--config", str(bad), "--seeds", "1", *trace,

@@ -25,7 +25,7 @@ class UserState:
     position: tuple[float, float]
     waypoint: tuple[float, float]
     speed: float
-    pause_remaining: float = 0.0
+    pause_remaining: int = 0  # whole sub-steps
 
 
 def oracle_init_users(cfg, rng) -> list[UserState]:
@@ -43,7 +43,7 @@ def oracle_init_users(cfg, rng) -> list[UserState]:
 def oracle_step(user: UserState, dt, region, cfg, rng) -> UserState:
     """Oracle: advance one user by dt seconds (in place)."""
     if user.pause_remaining > 0:
-        user.pause_remaining = max(0.0, user.pause_remaining - dt)
+        user.pause_remaining -= 1
         return user
     if user.position == user.waypoint:
         user.waypoint = (rng.uniform(region.x_min, region.x_max),
@@ -55,7 +55,7 @@ def oracle_step(user: UserState, dt, region, cfg, rng) -> UserState:
     travel = user.speed * dt
     if travel >= dist:
         user.position = user.waypoint
-        user.pause_remaining = cfg.pause_duration_s
+        user.pause_remaining = math.ceil(cfg.pause_duration_s / dt)
     else:
         user.position = (user.position[0] + dx / dist * travel,
                          user.position[1] + dy / dist * travel)
@@ -159,8 +159,8 @@ def test_step_overshoot_clamps_and_pauses():
 
 def test_step_pause_counts_down_without_motion():
     cfg = make_config(pause_duration_s=2.5)
-    users = _one_user((5.0, 5.0), (5.0, 5.0), 1.0, pause_remaining=2.5)
-    for expected in (1.5, 0.5, 0.0):
+    users = _one_user((5.0, 5.0), (5.0, 5.0), 1.0, pause_remaining=3.0)
+    for expected in (2.0, 1.0, 0.0):
         mobility.step(users, 1.0, cfg.region, cfg, _rng())
         assert np.array_equal(users.position, [[5.0, 5.0]])
         assert users.pause_remaining[0] == expected
@@ -199,7 +199,7 @@ def test_step_rejects_nonpositive_dt():
        speeds=st.tuples(st.sampled_from([0.0, 0.05, 1.0, 5.0, 20.0]),
                         st.sampled_from([0.0, 0.25, 3.0, 20.0])),
        pause=st.sampled_from([0.0, 0.5, 3.0, 7.5]),
-       dt=st.sampled_from([0.5, 1.0, 2.0]),
+       dt=st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]),
        seed=st.integers(0, 2**32 - 1))
 def test_population_step_matches_scalar_oracle(num_users, side, speeds, pause, dt, seed):
     cfg = make_config(num_users=num_users, region_x_max=side, region_y_max=side,
@@ -227,14 +227,12 @@ def test_population_step_matches_scalar_oracle(num_users, side, speeds, pause, d
        speeds=st.tuples(st.sampled_from([0.0, 0.05, 1.0, 5.0, 20.0]),
                         st.sampled_from([0.0, 0.25, 3.0, 20.0])),
        pause=st.sampled_from([0.0, 0.5, 3.0, 7.5]),
-       dt=st.sampled_from([0.5, 1.0, 2.0]),
+       dt=st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]),
        per_slot=st.integers(1, 40),
        num_slots=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1))
 def test_trace_matches_substep_oracle(num_users, corner, side, speeds, pause, dt, per_slot,
                                       num_slots, seed):
-    # dt is a binary fraction: at another dt repeated `step` calls can pause one
-    # sub-step longer than the trace (see the non-binary dt test below).
     init_side = min(side, 50.0)
     cfg = make_config(num_users=num_users, num_slots=num_slots,
                       region_x_min=corner, region_y_min=corner,
@@ -360,17 +358,17 @@ def test_trace_pauses_ceil_of_duration_over_dt():
 
 
 def test_pause_at_a_non_binary_dt_is_ceil_not_repeated_subtraction():
-    # At dt 0.1 a 1 s pause lasts ceil(1.0 / 0.1) = 10 sub-steps in the trace,
-    # acceptance criterion 7's law.  Repeated `step` calls subtract 0.1 ten
-    # times and leave 1.4e-16 s, so they pause 11: there every pause lasts one
-    # sub-step longer and later draws and positions differ, not just the last bits.
+    # At dt 0.1 a 1 s pause lasts ceil(1.0 / 0.1) = 10 sub-steps, acceptance
+    # criterion 7's law, in the trace and under repeated `step` calls alike:
+    # `step` counts whole sub-steps, where subtracting 0.1 s ten times would
+    # leave 1.4e-16 s and pause an 11th.
     cfg = make_config(num_slots=400, substep_duration_s=0.1, slot_duration_s=0.1,
                       region_x_max=5.0, region_y_max=5.0, init_x_max=5.0, init_y_max=5.0,
                       speed_min_mps=1.0, speed_max_mps=2.0, pause_duration_s=1.0)
     waypoint = mobility.init_users(cfg, _rng(8)).waypoint[0]
     positions = mobility.generate_trace(cfg, _rng(8)).positions
     assert _paused_substeps(positions, waypoint) == 10
-    assert _paused_substeps(oracle_trace(cfg, _rng(8)), waypoint) == 11
+    assert _paused_substeps(oracle_trace(cfg, _rng(8)), waypoint) == 10
 
 
 def test_trace_shape_and_initial_slot():

@@ -88,6 +88,12 @@ def test_invariant_violations_rejected(overrides):
         make_config(**overrides)
 
 
+def test_slots_times_generations_cap_sits_at_ten_to_the_six():
+    make_config(num_slots=99, max_iterations=10**4)  # 990,099 fitness values per job
+    with pytest.raises(ConfigError, match=r"^num_slots/max_iterations: num_slots x "):
+        make_config(num_slots=100, max_iterations=10**4)  # 1,000,100
+
+
 def test_direct_gain_over_noise_must_stay_finite():
     # Transmit SNR 0 dB, but a 10^18 gain over 10^-300 mW of noise overflows the FTPA split.
     with pytest.raises(ConfigError, match="^los_intercept_db/los_slope: .*gain / noise"):

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import yaml
 
 from mirsim import channel, noma, optimizer, scenario
@@ -21,7 +23,7 @@ def small_config(**overrides) -> scenario.ScenarioConfig:
 
 def config_yaml(cfg: scenario.ScenarioConfig) -> str:
     """The config document of cfg, keys in field order."""
-    return yaml.safe_dump(scenario.config_to_dict(cfg), sort_keys=False)
+    return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
 
 
 def slot_result(placement, users_xy, cfg: scenario.ScenarioConfig,
