@@ -13,6 +13,7 @@ placements score P candidates of each of J jobs, each job with its own users.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,31 @@ class Placement:
 
     uav: tuple[float, float, float]
     irs: Optional[tuple[float, float]]
+
+
+class Workspace:
+    """Scratch arrays that the fitness kernels reuse from call to call.
+
+    A role names one flat buffer, not one quantity: a kernel writes an
+    intermediate into a role once the role's previous contents are dead, and
+    its next call overwrites them all.  ``take`` returns a C-contiguous view
+    of the role's buffer, which is replaced only when a call needs a larger
+    one or another dtype, so same-sized calls allocate nothing after the
+    first.  Arrays a kernel returns with a workspace are views into it, valid
+    until its next use; a kernel called without one uses a workspace of its
+    own, so its results are fresh arrays.  A workspace serves one thread.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape, dtype=float) -> np.ndarray:
+        """An uninitialized `shape` array of `dtype` in role's buffer."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[role] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def distance_3d(uav_xyz, users_xy):
@@ -78,11 +104,12 @@ def _to_gain(loss_db):
     return np.power(10.0, loss_db, out=loss_db)
 
 
-def blockage_prob(q, z, cfg: ScenarioConfig):
+def blockage_prob(q, z, cfg: ScenarioConfig, out=None):
     """Probability the link is unblocked by human bodies.
 
     q is the horizontal UAV-user distance, z the UAV altitude; the result
-    lies in (0, 1] and decays exponentially in q.
+    lies in (0, 1] and decays exponentially in q.  out (which may be q)
+    receives the result.
     """
     q = np.asarray(q, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -90,49 +117,55 @@ def blockage_prob(q, z, cfg: ScenarioConfig):
         raise ValueError("altitude must be > 0")
     if np.any(q < 0):
         raise ValueError("horizontal distance must be >= 0")
-    exponent = cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * q * cfg.blocker_height_m / z
-    return np.maximum(np.exp(-exponent), _TINY)
+    p = np.multiply(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m, q, out=out)
+    p = np.multiply(p, cfg.blocker_height_m, out=out)
+    p = np.divide(p, z, out=out)  # the exponent
+    p = np.exp(np.negative(p, out=out), out=out)
+    return np.maximum(p, _TINY, out=out)
 
 
-def sigmoid_los_prob(q, z, cfg: ScenarioConfig):
-    """Elevation-angle LoS probability (alternative model)."""
+def sigmoid_los_prob(q, z, cfg: ScenarioConfig, out=None):
+    """Elevation-angle LoS probability (alternative model); out as in blockage_prob."""
     q = np.asarray(q, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("altitude must be > 0")
-    theta_deg = np.degrees(np.arctan2(z, q))
     alpha, beta = cfg.sigmoid_alpha, cfg.sigmoid_beta
-    return 1.0 / (1.0 + alpha * np.exp(-beta * (theta_deg - alpha)))
+    p = np.degrees(np.arctan2(z, q, out=out), out=out)  # the elevation angle
+    p = np.multiply(-beta, np.subtract(p, alpha, out=out), out=out)
+    p = np.multiply(alpha, np.exp(p, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, p, out=out), out=out)
 
 
-def los_probability(q, z, cfg: ScenarioConfig):
+def los_probability(q, z, cfg: ScenarioConfig, out=None):
     if cfg.los_model == "sigmoid":
-        return sigmoid_los_prob(q, z, cfg)
-    return blockage_prob(q, z, cfg)
+        return sigmoid_los_prob(q, z, cfg, out)
+    return blockage_prob(q, z, cfg, out)
 
 
-def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig):
+def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig, ws: Optional[Workspace] = None):
     """Blockage-averaged UAV-user pathloss in dB.
 
     L = P_los * L_los(d) + (1 - P_los) * L_nlos(d), evaluated at the slant
-    distance d; broadcasts over leading placement axes.  Computed in place:
-    the offsets' buffers become d, then log10(d), then L_nlos.
+    distance d; broadcasts over leading placement axes.  Computed in ws's
+    roles "gi" (the x offsets, then d, log10(d) and L_nlos), "gu" (the y
+    offsets, then L, the result) and "scratch" (q, then P_los and 1 - P_los).
     """
+    ws = Workspace() if ws is None else ws
     uav = np.asarray(uav_xyz, dtype=float)
     users = np.asarray(users_xy, dtype=float)
     z = uav[..., 2, None]
-    dx = uav[..., 0, None] - users[..., 0]
-    dy = uav[..., 1, None] - users[..., 1]
-    q = np.hypot(dx, dy)
+    shape = np.broadcast_shapes(z.shape, users.shape[:-1])
+    dx = np.subtract(uav[..., 0, None], users[..., 0], out=ws.take("gi", shape))
+    dy = np.subtract(uav[..., 1, None], users[..., 1], out=ws.take("gu", shape))
+    q = np.hypot(dx, dy, out=ws.take("scratch", shape))
     d = np.multiply(dx, dx, out=dx)
     d += np.multiply(dy, dy, out=dy)
-    del dy
     d += z ** 2
     np.sqrt(d, out=d)
-    p_los = los_probability(q, z, cfg)
-    del q
+    p_los = los_probability(q, z, cfg, out=q)
     log_d = _log10_distance(d, out=d)
-    loss = _log_law(log_d, cfg.los_intercept_db, cfg.los_slope)
+    loss = _log_law(log_d, cfg.los_intercept_db, cfg.los_slope, out=dy)
     loss *= p_los
     nlos = _log_law(log_d, cfg.nlos_intercept_db, cfg.nlos_slope, out=log_d)
     nlos *= np.subtract(1.0, p_los, out=p_los)
@@ -140,20 +173,27 @@ def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig):
     return loss
 
 
-def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
+def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig,
+                      ws: Optional[Workspace] = None):
     """Coherently combined reflected-link power gain per user.
 
     Per-element gain is the linear NLoS gain at the element-to-user 3D
     distance (elements sit at irs_height_m above the vehicle position); N
     elements combine coherently into N^2 times that, scaled by the power
     reflection coefficient.  When the UAV-to-surface leg is enabled the
-    product additionally includes the LoS gain of that hop.
+    product additionally includes the LoS gain of that hop.  A surface
+    position shared by several UAV placements is scored once for each.
+    Computed in ws's roles "gi" (the x offsets, then the result) and "scratch".
     """
+    ws = Workspace() if ws is None else ws
     irs_height = cfg.irs_height_m
+    uav = np.asarray(uav_xyz, dtype=float)
     irs = np.asarray(irs_xy, dtype=float)
+    irs = np.broadcast_to(irs, np.broadcast_shapes(irs.shape[:-1], uav.shape[:-1]) + (2,))
     users = np.asarray(users_xy, dtype=float)
-    dx = irs[..., 0, None] - users[..., 0]
-    dy = irs[..., 1, None] - users[..., 1]
+    shape = np.broadcast_shapes(irs.shape[:-1] + (1,), users.shape[:-1])
+    dx = np.subtract(irs[..., 0, None], users[..., 0], out=ws.take("gi", shape))
+    dy = np.subtract(irs[..., 1, None], users[..., 1], out=ws.take("scratch", shape))
     d_iu = np.multiply(dx, dx, out=dx)
     d_iu += np.multiply(dy, dy, out=dy)
     del dy
@@ -166,28 +206,28 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig):
     n = cfg.irs_elements_per_user
     gain *= cfg.irs_reflection_coeff * (n * n)
     if cfg.irs_uav_leg_enabled:
-        uav = np.asarray(uav_xyz, dtype=float)
         d_ui = np.sqrt((uav[..., 0] - irs[..., 0]) ** 2
                        + (uav[..., 1] - irs[..., 1]) ** 2
                        + (uav[..., 2] - irs_height) ** 2)
         if np.any(d_ui <= 0):
             raise ValueError("degenerate UAV-to-surface distance")
-        gain = gain * np.asarray(db_to_linear(-pathloss_los(d_ui, cfg)))[..., None]
+        gain *= np.asarray(db_to_linear(-pathloss_los(d_ui, cfg)))[..., None]
     return gain
 
 
-def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig):
+def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig, ws: Optional[Workspace] = None):
     """Direct and reflected linear gains for every user; broadcasts over placements.
 
     irs_xy None means there is no surface: every reflected gain is zero.
+    The gains are written to ws's roles "gu" and "gi"; "scratch" is scratch.
     """
-    uav_gain = _to_gain(uav_link_pathloss(uav_xyz, users_xy, cfg))
+    ws = Workspace() if ws is None else ws
+    uav_gain = _to_gain(uav_link_pathloss(uav_xyz, users_xy, cfg, ws))
     if irs_xy is None:
-        return uav_gain, np.zeros_like(uav_gain)
-    irs_gain = irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg)
-    if irs_gain.shape != uav_gain.shape:  # a surface shared by several placements
-        irs_gain = np.broadcast_to(irs_gain, uav_gain.shape).copy()
-    return uav_gain, irs_gain
+        irs_gain = ws.take("gi", uav_gain.shape)
+        irs_gain.fill(0.0)
+        return uav_gain, irs_gain
+    return uav_gain, irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg, ws)
 
 
 def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .channel import Workspace
 from .scenario import ScenarioConfig, db_to_linear
 
 
@@ -64,28 +65,32 @@ class SlotResult:
 
 
 def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
-                  decay: float, favor_strong: bool = False):
+                  decay: float, favor_strong: bool = False, out=None):
     """Split a pair's power by normalized channel gain to the power -decay.
 
     Returns (alpha_weak, alpha_strong), summing to 1; works elementwise on
     arrays of pairs.  decay=0 gives an equal split; larger decay shifts
     power toward the weaker channel.  favor_strong=True flips the exponent
-    sign so the stronger channel wins instead (comparison mode).
+    sign so the stronger channel wins instead (comparison mode).  out, a
+    triple of float arrays shaped like gain_weak, receives the two shares
+    and their unnormalized sum.
     """
     if np.any(gain_weak <= 0) or np.any(gain_strong <= 0):
         raise ValueError("channel gains must be > 0")
     exponent = decay if favor_strong else -decay
-    x_weak = gain_weak / noise_linear
+    x_weak, x_strong, total = (None, None, None) if out is None else out
+    x_weak = np.divide(gain_weak, noise_linear, out=x_weak)
     x_weak **= exponent
-    x_strong = gain_strong / noise_linear
+    x_strong = np.divide(gain_strong, noise_linear, out=x_strong)
     x_strong **= exponent
-    total = x_weak + x_strong
+    total = np.add(x_weak, x_strong, out=total)
     x_weak /= total
     x_strong /= total
     return x_weak, x_strong
 
 
-def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict:
+def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
+                   ws: Optional[Workspace] = None, full: bool = True) -> dict:
     """Vectorized pairing/allocation/SINR/rates for (P, U) gain arrays.
 
     access is "noma" or "oma".  The transmit SNR, SINR threshold and noise
@@ -97,7 +102,16 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
     Under OMA every alpha is 1.  Users are ordered as a stable sort of
     their total gains would order them: the default (SIMD) sort, then a
     stable re-sort of the rows whose sorted gains are not strictly
-    increasing (ties, NaN), where the two could differ.
+    increasing (ties, NaN), where the two could differ.  full=False returns
+    sum_rate and deficit alone, with the same bits, and skips the work only
+    the other keys need.
+
+    Every (P, U) array lives in ws (a channel.Workspace), in the roles
+    "rate" (total gains, then the pair shares, then the rates), "scratch"
+    (sorted gains, then the gathered gains), "sinr" (first the shares'
+    sums), "alpha", "feasible" and "pairs" (weak and strong), never in
+    "gu" or "gi", which hold channel.link_gains' results.  The gathers and
+    scatters index the flattened arrays.
     """
     gu = np.atleast_2d(np.asarray(uav_gain, dtype=float))
     gi = np.atleast_2d(np.asarray(irs_gain, dtype=float))
@@ -106,70 +120,77 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str) -> dict
     batch, n = gu.shape
     if n == 0:
         raise ValueError("at least one user required")
+    if access not in ("noma", "oma"):
+        raise ValueError(f"unknown access mode {access!r}")
+    ws = Workspace() if ws is None else ws
     rho = db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
     gamma_th = db_to_linear(cfg.snr_threshold_db)
-    heff = gu + gi
-    order = np.argsort(heff, axis=1)
-    rows = np.arange(batch)[:, None]
-    ranked = heff[rows, order]
-    redo = np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1))
-    if redo.size:
-        order[redo] = np.argsort(heff[redo], axis=1, kind="stable")
-        ranked[redo] = heff[redo[:, None], order[redo]]
     half = n // 2
-    weak = order[:, :half]
-    strong = order[:, ::-1][:, :half]
-    mid = order[:, half] if n % 2 else None
+    heff = np.add(gu, gi, out=ws.take("rate", (batch, n)))
+    sinr = ws.take("sinr", (batch, n))
+    if access == "noma" or full:  # OMA's rates do not depend on the pairing
+        # Each row's ascending order, as flat indices into the (batch, n) arrays.
+        order = np.argsort(heff, axis=1)
+        first = np.arange(0, batch * n, n)[:, None]
+        order += first
+        ranked = np.take(heff, order, out=ws.take("scratch", (batch, n)), mode="clip")
+        redo = np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1))
+        if redo.size:
+            order[redo] = np.argsort(heff[redo], axis=1, kind="stable") + first[redo]
+            ranked[redo] = np.take(heff, order[redo])
+        weak, strong = ws.take("pairs", (2, batch, half), np.intp)
+        np.copyto(weak, order[:, :half])
+        np.copyto(strong, order[:, ::-1][:, :half])
+        mid = order[:, half] if n % 2 else None
+    if full:
+        alpha = ws.take("alpha", (batch, n))
+        alpha.fill(1.0)
 
     if access == "noma":
-        del heff
+        mid_sinr = ranked[:, half] * rho if mid is not None else None
         alpha_weak, alpha_strong = ftpa_allocate(
             ranked[:, :half], ranked[:, ::-1][:, :half], db_to_linear(cfg.noise_power_dbm),
-            cfg.ftpa_decay, cfg.ftpa_favor_strong)
-        mid_sinr = ranked[:, half] * rho if mid is not None else None
-        del ranked
-        alpha = np.ones((batch, n), dtype=float)
-        alpha[rows, weak] = alpha_weak
-        alpha[rows, strong] = alpha_strong
+            cfg.ftpa_decay, cfg.ftpa_favor_strong,
+            out=(*ws.take("rate", (2, batch, half)), ws.take("sinr", (batch, half))))
+        if full:
+            np.put(alpha, weak, alpha_weak)
+            np.put(alpha, strong, alpha_strong)
         # The strong user cancels the weak signal; the weak one hears the strong one's.
         weak_sinr, interference = alpha_weak, alpha_strong  # their buffers, reused
-        del alpha_weak, alpha_strong
-        interference *= gu[rows, strong]
-        strong_sinr = gi[rows, strong]
+        gathered = ws.take("scratch", (batch, half))
+        interference *= np.take(gu, strong, out=gathered, mode="clip")
+        strong_sinr = np.take(gi, strong, out=gathered, mode="clip")
         strong_sinr += interference
         strong_sinr *= rho
+        np.put(sinr, strong, strong_sinr)
         interference += 1.0 / rho
-        weak_sinr *= gu[rows, weak]
-        weak_sinr += gi[rows, weak]
+        weak_sinr *= np.take(gu, weak, out=gathered, mode="clip")
+        weak_sinr += np.take(gi, weak, out=gathered, mode="clip")
         weak_sinr /= interference
-        del interference
-        sinr = np.empty((batch, n), dtype=float)
-        sinr[rows, weak] = weak_sinr
-        sinr[rows, strong] = strong_sinr
+        np.put(sinr, weak, weak_sinr)
         if mid is not None:
-            sinr[rows[:, 0], mid] = mid_sinr
-        del weak_sinr, strong_sinr
-    elif access == "oma":
-        del ranked
-        alpha = np.ones((batch, n), dtype=float)
-        sinr = heff
-        sinr *= rho
+            np.put(sinr, mid, mid_sinr)
     else:
-        raise ValueError(f"unknown access mode {access!r}")
+        np.multiply(heff, rho, out=sinr)
 
-    shortfall = np.subtract(gamma_th, sinr)
+    shortfall = np.subtract(gamma_th, sinr, out=ws.take("rate", (batch, n)))
     deficit = np.maximum(0.0, shortfall, out=shortfall).sum(axis=1)
     rate = np.log2(np.add(1.0, sinr, out=shortfall), out=shortfall)  # the same buffer
     if access == "oma":
         rate *= 0.5
+    if not full:
+        return {"sum_rate": rate.sum(axis=1), "deficit": deficit}
+    # Back from flat indices to user indices.
+    weak -= first
+    strong -= first
     return {
         "sinr": sinr,
         "rate": rate,
         "alpha": alpha,
-        "feasible": sinr >= gamma_th,
+        "feasible": np.greater_equal(sinr, gamma_th, out=ws.take("feasible", (batch, n), bool)),
         "sum_rate": rate.sum(axis=1),
         "deficit": deficit,
         "weak": weak,
         "strong": strong,
-        "mid": mid,
+        "mid": None if mid is None else mid - first[:, 0],
     }

@@ -34,9 +34,16 @@ is bounded here alone: a job holds about P * L + S * (2G + 8U) numbers for
 S slots, G generations and U users (genomes, and slot records until the
 caller takes them), and a stack takes as many jobs as fit in 2^18 numbers
 and 2^16 candidate x user cells, at least one.  A fitness call scores a
-stack's jobs of one access mode and surface presence; a job's tournament
-keys shrink to entrants as drawn; only the final generation's evaluation is
-kept, as each job's winner row (the slot's noma.SlotResult).
+stack's jobs of one access mode and surface presence, J_c of them, in that
+call group's channel.Workspace, which the stack holds across slots: five
+float arrays and one integer array of the call's J_c * P * U cells, and
+once a final generation has run a sixth float and a boolean one, so a warm
+call allocates little more than its argsort output.  The kernels' results
+are views into the workspace, valid until its next use.  A job's tournament
+keys shrink to entrants as drawn.  Generations before the last ask the
+kernels for sum rate and deficit alone; only the final generation's full
+evaluation is kept, as each job's winner row (the slot's noma.SlotResult),
+copied out before the next call.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
@@ -134,14 +141,16 @@ def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
     return lo + codes / ((1 << bits) - 1) * (hi - lo)
 
 
-def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, pinned, prev):
+def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, pinned, prev,
+             ws: Optional[channel.Workspace] = None, full: bool = True):
     """Score a (J, P, L) stack of jobs of one access mode and surface presence.
 
     users is (J, U, 2); pinned[j] is job j's fixed vehicle point (None: the
     encoded one moves); prev[j] is job j's previous placement (prev None: no
     displacement penalty).  Returns the penalized fitness (J, P), the scored
     UAV (J, P, 3) and vehicle (J, P, 2, or None) positions, and the
-    noma.evaluate_batch result over the J * P rows.
+    noma.evaluate_batch result over the J * P rows, computed in ws and in
+    full or, with full=False, sum_rate and deficit alone.
     """
     jobs, size = genomes.shape[:2]
     coords = decode_batch(genomes, genome_bounds(cfg), cfg.bits_per_coordinate)
@@ -152,9 +161,9 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, 
     elif not moves.all():
         irs = irs.copy()
         irs[~moves] = np.array([p for p in pinned if p is not None], dtype=float)[:, None]
-    gu, gi = channel.link_gains(uav, irs, users[:, None], cfg)
+    gu, gi = channel.link_gains(uav, irs, users[:, None], cfg, ws)
     ev = noma.evaluate_batch(gu.reshape(jobs * size, -1), gi.reshape(jobs * size, -1), cfg,
-                             variant.access)
+                             variant.access, ws, full)
     fit = (ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]).reshape(jobs, size)
     limit = cfg.max_slot_displacement_m
     if limit is not None and prev is not None:
@@ -258,6 +267,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
     calls: dict[tuple, list[int]] = {}
     for j, v in enumerate(variants):
         calls.setdefault((v.access, v.surface == "none"), []).append(j)
+    workspaces = [channel.Workspace() for _ in calls]
 
     for slot in range(jobs[0][0].num_slots):
         rngs = [scenario.stream(seed, scenario.GA_STREAM, _GA_KINDS[v.access], slot)
@@ -268,8 +278,8 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
             population[:, 0] = [records[-1].best_genome for records in results]
         scoring = [(call, np.stack([jobs[j][0].positions[slot] for j in call]),
                     variants[call[0]], [pinned[j] for j in call],
-                    [results[j][-1].placement for j in call] if slot else None)
-                   for call in calls.values()]
+                    [results[j][-1].placement for j in call] if slot else None, ws)
+                   for call, ws in zip(calls.values(), workspaces)]
         fit = np.empty((len(jobs), size))
         history, winners = [], [None] * len(jobs)
         for generation in range(cfg.max_iterations + 1):
@@ -277,17 +287,17 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
                 return None
             if generation:
                 population = _breed(population, fit, cfg, mut_p, rngs)
-            for call, users, variant, call_pinned, prev in scoring:
+            final = generation == cfg.max_iterations
+            for call, users, variant, call_pinned, prev, ws in scoring:
                 fit[call], uav, irs, ev = _fitness(population[call], users, cfg, variant,
-                                                   call_pinned, prev)
-                if generation == cfg.max_iterations:
+                                                   call_pinned, prev, ws, final)
+                if final:
                     for row, j in enumerate(call):
                         best = int(np.argmax(fit[j]))
                         winners[j] = (best, Placement(
                             uav=tuple(uav[row, best].tolist()),
                             irs=None if irs is None else tuple(irs[row, best].tolist())),
                             noma.SlotResult.from_batch(ev, row * size + best))
-                ev = None  # release this call's evaluation before the next one
             history.append((fit.max(axis=1), fit.mean(axis=1)))
 
         best_per_gen, mean_per_gen = np.array(history).transpose(1, 2, 0).tolist()

@@ -81,6 +81,17 @@ def test_blockage_prob_decays_monotonically_and_stays_positive():
     assert np.all(p <= 1.0)
 
 
+def test_blockage_prob_keeps_its_floor_where_exp_underflows():
+    # At z = 100 m the exponent is 6.8e3 at q = 1e8 m and 6.8e7 at 1e12 m: exp gives 0.
+    q = np.array([0.0, 1e3, 1e8, 1e12])
+    p = channel.blockage_prob(q, 100.0, CFG)
+    assert np.all(p > 0.0)
+    assert p[2] == p[3] == np.finfo(float).tiny
+    in_place = q.copy()  # the GA computes the law in q's buffer
+    assert channel.blockage_prob(in_place, 100.0, CFG, out=in_place) is in_place
+    assert np.array_equal(in_place, p)
+
+
 def test_blockage_prob_domain_errors():
     with pytest.raises(ValueError):
         channel.blockage_prob(10.0, 0.0, CFG)

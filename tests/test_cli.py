@@ -346,6 +346,8 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
      ["blocker_density_per_m2", "blocker_height_m"]),
     ("los_model: sigmoid\nsigmoid_alpha: 1.0e+300\n", ["sigmoid_alpha", "sigmoid_beta"]),
     ("los_model: sigmoid\nsigmoid_alpha: -1\n", ["sigmoid_alpha", "sigmoid_beta"]),
+    # seed streams take no negative seed
+    ("master_seed: -1\n", ["master_seed"]),
     # 10^5 slots x 10,001 generations: 2 x 10^9 fitness values in one job's records
     ("num_users: 1\nnum_slots: 100000\nslot_duration_s: 1\nmax_iterations: 10000\n"
      "population_size: 3\n", ["num_slots", "max_iterations"]),

@@ -4,13 +4,17 @@
 reused buffers and sort with the default (SIMD) argsort, re-sorting stably
 only the rows with ties.  The oracles below are the straightforward
 expressions they replaced, each temporary its own array and every sort
-stable; every array the kernels return must equal theirs exactly.
+stable; every array the kernels return must equal theirs exactly.  So must
+every array they return when they compute in a ``channel.Workspace`` that an
+earlier call of another shape, access mode and surface left behind.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mirsim import channel, noma
+from mirsim import channel, cli, noma, optimizer
 from mirsim.scenario import db_to_linear
 
 from testutil import make_config
@@ -135,6 +139,29 @@ def _placements(rng, cfg, jobs, size, surface):
     return uav, irs
 
 
+def assert_scores_same(ws, gu, gi, cfg, access, want):
+    """A score-only call in ws gives the full evaluation's sum_rate and deficit."""
+    got = noma.evaluate_batch(gu, gi, cfg, access, ws, full=False)
+    assert got.keys() == {"sum_rate", "deficit"}
+    assert_same(got, {key: want[key] for key in got})
+
+
+def used_workspace(rng, access, surface):
+    """A workspace left behind by kernel calls of another shape (11 users), access and surface."""
+    cfg = make_config()
+    jobs, size = rng.integers(1, 4, 2)
+    uav, irs = _placements(rng, cfg, jobs, size, surface)
+    users = rng.uniform(0.0, 60.0, (jobs, 1, 11, 2))
+    ws = channel.Workspace()
+    gu, gi = channel.link_gains(uav, irs, users, cfg, ws)
+    noma.evaluate_batch(gu.reshape(-1, 11), gi.reshape(-1, 11), cfg, access, ws)
+    return ws
+
+
+def _other(value, choices):
+    return choices[(choices.index(value) + 1) % len(choices)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), jobs=st.integers(1, 3), size=st.integers(1, 6),
        num_users=st.sampled_from([1, 2, 3, 4, 7, 10]),
@@ -161,6 +188,16 @@ def test_fitness_kernels_equal_their_oracles_bit_for_bit(seed, jobs, size, num_u
     assert_same(noma.evaluate_batch(gu, gi, cfg, access),
                 oracle_evaluate_batch(gu, gi, cfg, access))
 
+    ws = used_workspace(rng, _other(access, ["noma", "oma"]),
+                        _other(surface, ["none", "pinned", "moving"]))
+    got = channel.link_gains(uav, irs, users, cfg, ws)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    ws_gu, ws_gi = (g.reshape(rows, num_users) for g in got)
+    want_ev = oracle_evaluate_batch(gu, gi, cfg, access)
+    assert_same(noma.evaluate_batch(ws_gu, ws_gi, cfg, access, ws), want_ev)
+    assert_scores_same(ws, ws_gu, ws_gi, cfg, access, want_ev)
+
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8), num_users=st.integers(1, 12),
@@ -179,6 +216,11 @@ def test_evaluate_batch_equals_its_oracle_on_random_gains(seed, batch, num_users
     assert_same(noma.evaluate_batch(gu, gi, cfg, access),
                 oracle_evaluate_batch(gu, gi, cfg, access))
 
+    ws = used_workspace(rng, _other(access, ["noma", "oma"]), "moving")
+    want = oracle_evaluate_batch(gu, gi, cfg, access)
+    assert_same(noma.evaluate_batch(gu, gi, cfg, access, ws), want)
+    assert_scores_same(ws, gu, gi, cfg, access, want)
+
 
 def test_one_placement_and_one_user_shapes_match_the_oracle(cfg):
     users = np.array([[10.0, 20.0], [30.0, 5.0], [30.0, 5.0]])
@@ -192,3 +234,30 @@ def test_one_placement_and_one_user_shapes_match_the_oracle(cfg):
         for access in ("noma", "oma"):
             assert_same(noma.evaluate_batch(gu, gi, cfg, access),
                         oracle_evaluate_batch(gu, gi, cfg, access))
+
+
+def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
+    # One job of 200 candidates and 301 users; only the argsort output, one
+    # (P, U) array, is expected, and each kernel's small temporaries on top.
+    cfg = make_config(num_users=301, population_size=200)
+    rng = np.random.default_rng(7)
+    genomes = (rng.random((1, 200, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
+    users = rng.uniform(0.0, 500.0, (1, 301, 2))
+    budget = 2 * 200 * 301 * np.dtype(float).itemsize
+    for name in ("M-IRS-NOMA", "No-IRS-NOMA", "M-IRS-OMA"):
+        for full in (False, True):
+            args = (genomes, users, cfg, cli.SCENARIOS[name], [None], None,
+                    channel.Workspace(), full)
+            optimizer._fitness(*args)
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                optimizer._fitness(*args)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert peak <= budget, (name, full, peak)

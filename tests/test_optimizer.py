@@ -430,6 +430,23 @@ def test_elites_are_carried_over_bit_for_bit():
     assert np.array_equal(nxt[:3], population[np.argsort(-fit, kind="stable")[:3]])
 
 
+def test_elite_ties_go_to_the_lowest_index():
+    # No-surface genomes that share their UAV bits differ only in the unused
+    # vehicle bits, so they tie on fitness; the elites are the first of them.
+    cfg = small_config(population_size=64, elitism_count=4)
+    rng = _ga_rng(13)
+    length, uav_bits = optimizer.genome_length(cfg), 3 * cfg.bits_per_coordinate
+    population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
+    population[:, :uav_bits] = population[rng.integers(0, 2, cfg.population_size), :uav_bits]
+    users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
+    fit = optimizer._fitness(population[None], users[None], cfg, Variant("none", "noma"),
+                             [None], None)[0][0]
+    tied = np.flatnonzero(fit == fit.max())
+    assert len(tied) > cfg.elitism_count
+    nxt = optimizer._breed(population[None], fit[None], cfg, 0.1, [rng])[0]
+    assert np.array_equal(nxt[:cfg.elitism_count], population[tied[:cfg.elitism_count]])
+
+
 def test_odd_population_without_elitism_keeps_its_size():
     cfg = small_config(population_size=7, elitism_count=0)
     rng = _ga_rng(12)
