@@ -200,8 +200,8 @@ def save_trace(trace: MobilityTrace, path: str | Path) -> None:
                          for user, (x, y) in enumerate(users))
 
 
-def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTrace:
-    """Read a trace CSV; validates completeness and (optionally) containment.
+def load_trace(path: str | Path, region: Region) -> MobilityTrace:
+    """Read a trace CSV; validates completeness and that region holds every position.
 
     Every problem raises ConfigError naming the file and, for a bad row, its
     1-based line.
@@ -230,7 +230,7 @@ def load_trace(path: str | Path, region: Optional[Region] = None) -> MobilityTra
                     raise ConfigError(f"{where}: slot and user_id must be >= 0")
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ConfigError(f"{where}: position ({x}, {y}) is not finite")
-                if region is not None and not region.contains(x, y):
+                if not region.contains(x, y):
                     raise ConfigError(f"{where}: position ({x}, {y}) outside region")
                 if (slot, user) in entries:
                     raise ConfigError(f"{where}: duplicate entry for slot {slot}, user {user}")

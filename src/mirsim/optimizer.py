@@ -30,20 +30,19 @@ count and pairs = ceil((P - E) / 2):
 
 Fitness draws nothing and no draw depends on it, so a generation makes each
 job's draws, then breeds the whole stack with array operations.  Memory
-is bounded here alone: a job holds about P * L + S * (2G + 8U) numbers for
-S slots, G generations and U users (genomes, and slot records until the
-caller takes them), and a stack takes as many jobs as fit in 2^18 numbers
-and 2^16 candidate x user cells, at least one.  A fitness call scores a
-stack's jobs of one access mode and surface presence, J_c of them, in that
-call group's channel.Workspace, which the stack holds across slots: five
-float arrays and one integer array of the call's J_c * P * U cells, and
-once a final generation has run a sixth float and a boolean one, so a warm
-call allocates little more than its argsort output.  The kernels' results
-are views into the workspace, valid until its next use.  A job's tournament
-keys shrink to entrants as drawn.  Generations before the last ask the
-kernels for sum rate and deficit alone; only the final generation's full
-evaluation is kept, as each job's winner row (the slot's noma.SlotResult),
-copied out before the next call.
+is bounded by one count: a job holds about P * L + S * (2G + 8U) + 8 * P * U
+numbers for S slots, G generations and U users (genomes, slot records until
+the caller takes them, workspace cells), and a stack takes as many jobs as
+fit in 2^19 numbers, at least one.  A fitness call scores a call group, the
+stack's J_c jobs of one access mode and surface presence, in the stack's
+one channel.Workspace, kept across slots: five float arrays and one integer
+array of the largest group's J_c * P * U cells, and after a final generation
+a sixth float and a boolean one, so a warm call allocates little more than
+its argsort output.  The kernels' results are views into the workspace, so
+a call's fitness and final winners (placement and noma.SlotResult row) are
+copied out before the next call.  A job's tournament keys shrink to
+entrants as drawn.  Generations before the last ask the kernels for sum
+rate and deficit alone.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
@@ -78,9 +77,8 @@ NUM_COORDS = 5
 # zero reflection coefficient reproduce the joint run exactly.
 _GA_KINDS = {"noma": 0, "oma": 1}
 
-# A stack's bounds: numbers held, and candidate x user cells (one job at least).
-_STACK_NUMBERS = 2**18
-_CALL_CELLS = 2**16
+# A stack's bound on numbers held (one job at least); _stacks counts them.
+_STACK_NUMBERS = 2**19
 
 # Stacks searched at once, one thread each: the CPUs this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -158,8 +156,7 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, 
     moves = np.array([variant.surface != "none" and p is None for p in pinned])
     if variant.surface == "none":
         irs = None
-    elif not moves.all():
-        irs = irs.copy()
+    elif not moves.all():  # coords is fresh, so the pinned points go straight in
         irs[~moves] = np.array([p for p in pinned if p is not None], dtype=float)[:, None]
     gu, gi = channel.link_gains(uav, irs, users[:, None], cfg, ws)
     ev = noma.evaluate_batch(gu.reshape(jobs * size, -1), gi.reshape(jobs * size, -1), cfg,
@@ -247,9 +244,9 @@ def _stacks(jobs, cfg: ScenarioConfig):
     jobs = iter(jobs)
     for first in jobs:
         size, slots, users = cfg.population_size, first[0].num_slots, first[0].num_users
-        held = size * genome_length(cfg) + slots * (2 * cfg.max_iterations + 8 * users)
-        per_stack = max(1, min(_STACK_NUMBERS // held, _CALL_CELLS // (size * users)))
-        yield [first, *itertools.islice(jobs, per_stack - 1)]
+        held = (size * genome_length(cfg) + slots * (2 * cfg.max_iterations + 8 * users)
+                + 8 * size * users)  # the module docstring's count
+        yield [first, *itertools.islice(jobs, max(1, _STACK_NUMBERS // held) - 1)]
 
 
 def _optimize_stack(jobs, cfg: ScenarioConfig,
@@ -267,7 +264,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
     calls: dict[tuple, list[int]] = {}
     for j, v in enumerate(variants):
         calls.setdefault((v.access, v.surface == "none"), []).append(j)
-    workspaces = [channel.Workspace() for _ in calls]
+    ws = channel.Workspace()  # each call's results are used up before the next call
 
     for slot in range(jobs[0][0].num_slots):
         rngs = [scenario.stream(seed, scenario.GA_STREAM, _GA_KINDS[v.access], slot)
@@ -278,8 +275,8 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
             population[:, 0] = [records[-1].best_genome for records in results]
         scoring = [(call, np.stack([jobs[j][0].positions[slot] for j in call]),
                     variants[call[0]], [pinned[j] for j in call],
-                    [results[j][-1].placement for j in call] if slot else None, ws)
-                   for call, ws in zip(calls.values(), workspaces)]
+                    [results[j][-1].placement for j in call] if slot else None)
+                   for call in calls.values()]
         fit = np.empty((len(jobs), size))
         history, winners = [], [None] * len(jobs)
         for generation in range(cfg.max_iterations + 1):
@@ -288,7 +285,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
             if generation:
                 population = _breed(population, fit, cfg, mut_p, rngs)
             final = generation == cfg.max_iterations
-            for call, users, variant, call_pinned, prev, ws in scoring:
+            for call, users, variant, call_pinned, prev in scoring:
                 fit[call], uav, irs, ev = _fitness(population[call], users, cfg, variant,
                                                    call_pinned, prev, ws, final)
                 if final:

@@ -34,6 +34,8 @@ ENV_SEED_VAR = "MIRSIM_SEED"
 MAX_SEEDS = 10**4
 # Most trace entries, num_users x num_slots (config or trace CSV).
 MAX_TRACE_ROWS = 10**5
+# How far outside a Region a point may lie and still count as inside, meters.
+_REGION_TOL = 1e-9
 
 # SeedSequence spawn-key prefixes for per-module sub-streams.
 MOBILITY_STREAM = 0
@@ -65,9 +67,9 @@ class Region:
     x_max: float
     y_max: float
 
-    def contains(self, x: float, y: float, tol: float = 1e-9) -> bool:
-        return (self.x_min - tol <= x <= self.x_max + tol
-                and self.y_min - tol <= y <= self.y_max + tol)
+    def contains(self, x: float, y: float) -> bool:
+        return (self.x_min - _REGION_TOL <= x <= self.x_max + _REGION_TOL
+                and self.y_min - _REGION_TOL <= y <= self.y_max + _REGION_TOL)
 
 
 @dataclass(frozen=True)

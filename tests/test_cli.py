@@ -494,7 +494,7 @@ def test_cli_accepts_merge_keys_that_an_explicit_key_overrides(tmp_path):
     doc = tmp_path / "merge.yaml"
     doc.write_text("<<: [{num_users: 2, num_slots: 2}, {num_users: 4}]\nnum_slots: 3\n")
     assert cli.main(["trace", "--config", str(doc), "--out", str(tmp_path / "out")]) == 0
-    trace = mobility.load_trace(tmp_path / "out" / "trace.csv")
+    trace = mobility.load_trace(tmp_path / "out" / "trace.csv", scenario.ScenarioConfig().region)
     assert (trace.num_slots, trace.num_users) == (3, 2)
 
 

@@ -464,12 +464,13 @@ def test_save_trace_writes_the_row_by_row_bytes(tmp_path):
 
 def test_load_trace_validates(tmp_path):
     path = tmp_path / "bad.csv"
+    region = scenario.Region(0, 0, 500, 500)
     path.write_text("slot,user_id,x,y\n0,0,600.0,10.0\n")
     with pytest.raises(ValueError, match=r"line 2: position \(600.0, 10.0\) outside region"):
-        mobility.load_trace(path, scenario.Region(0, 0, 500, 500))
+        mobility.load_trace(path, region)
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):
-        mobility.load_trace(path)
+        mobility.load_trace(path, region)
     path.write_text("slot,user_id,x,y\n0,1,10.0,10.0\n")
     with pytest.raises(ValueError, match="missing"):
-        mobility.load_trace(path)
+        mobility.load_trace(path, region)

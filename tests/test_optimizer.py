@@ -556,10 +556,10 @@ def _assert_same_records(got, want):
        limit=st.sampled_from([None, 30.0]), warm_start=st.booleans(),
        variants=st.lists(st.sampled_from(_VARIANTS), min_size=1, max_size=4),
        seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3),
-       call_cells=st.sampled_from([1, 40, 2**16]))
+       stack_numbers=st.sampled_from([1, 600, 2**19]))
 def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitism_count,
                                               tournament_size, pinned, limit, warm_start,
-                                              variants, seeds, call_cells):
+                                              variants, seeds, stack_numbers):
     cfg = small_config(num_users=num_users, num_slots=3, population_size=population_size,
                        max_iterations=3, bits_per_coordinate=4,
                        elitism_count=min(elitism_count, population_size - 1),
@@ -569,9 +569,9 @@ def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitis
     jobs = [(mobility.generate_trace(cfg, scenario.stream(seed, scenario.MOBILITY_STREAM)),
              seed, variant) for seed in seeds for variant in variants]
     with pytest.MonkeyPatch.context() as patch:
-        # a small floor splits the jobs into smaller stacks, down to one job
+        # a small bound splits the jobs into smaller stacks, down to one job
         # each; the generator reads it when consumed, so it is consumed here
-        patch.setattr(optimizer, "_CALL_CELLS", call_cells)
+        patch.setattr(optimizer, "_STACK_NUMBERS", stack_numbers)
         stacked = list(optimizer.optimize_jobs(jobs, cfg))
     for records, job in zip(stacked, jobs, strict=True):
         _assert_same_records(records, oracle_trajectory(job[0], cfg, job[1], job[2]))
@@ -580,8 +580,9 @@ def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitis
 def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
     cfg = small_config(num_slots=1, population_size=4, max_iterations=1)
     trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
-    # two jobs per stack: 4 genomes x 4 users = 16 cells, 32 per stack
-    monkeypatch.setattr(optimizer, "_CALL_CELLS", 32)
+    # two jobs per stack: 4 x 30 genome bits + (2 + 8 x 4) record numbers
+    # + 8 x 4 x 4 workspace cells = 282 numbers each
+    monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 2 * 282)
     pulled = []
 
     def jobs():
@@ -605,6 +606,24 @@ def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
     assert pulled == [0, 1, 2, 3]
     assert [r.placement for r in first] == optimize_trajectory(trace, cfg, 0)[0]
     assert len([first, *outcomes]) == 5 and pulled == [0, 1, 2, 3, 4]
+
+
+# The config values are copied from the benchmark workloads and CI so that any
+# change to stack sizing shows up here, in review.
+@pytest.mark.parametrize("overrides, seeds, stacks", [
+    (dict(num_users=10, num_slots=5, population_size=50, max_iterations=50), 2, [8]),
+    (dict(num_users=301, num_slots=5, population_size=200, max_iterations=6), 1, [1] * 4),
+    (dict(num_users=200, num_slots=30, population_size=8, max_iterations=4), 1, [4]),
+    (dict(num_users=301, num_slots=2, population_size=200, max_iterations=2), 1, [1] * 4),
+    ({}, 20, [66, 14]),
+    ({}, 16, [64]),  # README: up to 16 seeds of all four scenarios in one stack
+], ids=["paper-default", "dense-crowd", "long-horizon", "ci-301-users", "default-20-seeds",
+        "default-16-seeds"])
+def test_stack_shapes(overrides, seeds, stacks):
+    cfg = scenario.config_from_dict(overrides)
+    trace = mobility.MobilityTrace(np.zeros((cfg.num_slots, cfg.num_users, 2)))
+    jobs = [(trace, seed, variant) for seed in range(seeds) for variant in cli.SCENARIOS.values()]
+    assert [len(stack) for stack in optimizer._stacks(jobs, cfg)] == stacks
 
 
 def test_a_lone_stack_starts_no_thread(monkeypatch):
@@ -675,7 +694,7 @@ def _pool_threads():
 def test_an_error_in_a_later_stack_propagates_promptly(monkeypatch, broken, slow):
     cfg = small_config(num_slots=2, population_size=4, max_iterations=100)
     trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
-    monkeypatch.setattr(optimizer, "_CALL_CELLS", 1)  # one job per stack
+    monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 1)  # one job per stack
     monkeypatch.setattr(optimizer, "_WORKERS", 2)
     # the slow stack would take 10 s; stopping it takes one generation
     _slow_job(monkeypatch, slow, 0.05)
@@ -715,7 +734,7 @@ def test_an_error_in_a_later_stack_propagates_out_of_cli_main(monkeypatch, tmp_p
 def test_closing_optimize_jobs_early_returns_promptly(monkeypatch):
     cfg = small_config(num_slots=1, population_size=4, max_iterations=100)
     trace = mobility.generate_trace(cfg, scenario.stream(1, scenario.MOBILITY_STREAM))
-    monkeypatch.setattr(optimizer, "_CALL_CELLS", 1)  # one job per stack
+    monkeypatch.setattr(optimizer, "_STACK_NUMBERS", 1)  # one job per stack
     monkeypatch.setattr(optimizer, "_WORKERS", 2)
     _slow_job(monkeypatch, 1, 0.05)  # the worker's stack would take 5 s
     jobs = [(trace, seed, MOBILE) for seed in range(4)]
