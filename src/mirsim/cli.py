@@ -16,8 +16,9 @@ slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
 Each ExperimentReport field is the results.json key of the same name; the
 report's per-user and power-fraction rows are built here from each slot's
 ``noma.SlotResult``.  ``emit_outputs`` writes plot-ready CSVs and results.json,
-exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, from its
-own writer, which formats each number once for the JSON and its CSV copy.  Exit
+exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline.  json.dumps
+writes the document except its two big tables, per-user rows and power fractions,
+which are formatted column by column, once for the JSON and for their CSV copies.  Exit
 codes: 0 success, 1 when the outputs cannot be written, 2 config/usage error (an
 unreadable config or trace file included), 3 when some slot's best placement
 leaves every user below the SINR threshold (reported in the outputs, not fatal).
@@ -198,65 +199,49 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _tokens(column: list, nl: str) -> list[str]:
-    """A column's JSON tokens; a float or int column's are also its CSV cells."""
-    kinds = set(map(type, column))
-    if kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
-        return list(map(repr, column))
+def _column(values: list, nl: str) -> tuple[list[str], list[str]]:
+    """A column's JSON tokens at the indent nl carries, and its cells as csv.writer writes
+    them in rows of two or more; a number's token is also its cell."""
+    kinds = set(map(type, values))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, values)):
+        tokens = list(map(repr, values))
+        return tokens, tokens
     if kinds == {str}:
-        return list(map(encode_basestring_ascii, column))
-    return ["".join(_json_chunks(value, nl)) for value in column]  # json rejects NaN, inf
+        cells = {value: _csv_text([[value, 0]])[:-4] for value in set(values)}
+        return list(map(encode_basestring_ascii, values)), list(map(cells.__getitem__, values))
+    tokens = [json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", nl)
+              for value in values]  # json rejects NaN and inf
+    return tokens, [_csv_text([[value, 0]])[:-4] for value in values]
 
 
-def _csv_cells(column: list, tokens: list[str]) -> list[str]:
-    """A column as csv.writer writes it in rows of two or more cells (a number as its token)."""
-    kinds = set(map(type, column))
-    if kinds in ({float}, {int}):
-        return tokens
-    if kinds != {str}:
-        return [_csv_text([[value, 0]])[:-4] for value in column]
-    cells = {value: _csv_text([[value, 0]])[:-4] for value in set(column)}
-    return list(map(cells.__getitem__, column))
+def _table(rows: list, nl: str, csv_keys) -> tuple[list[str], list[str]]:
+    """(JSON pieces, CSV pieces) of a table of list rows of one width or dict rows of one key set.
 
-
-def _json_chunks(value, nl: str = "\n", feeds=None):
-    """Yield json.dumps(value, indent=2, sort_keys=True, allow_nan=False) in pieces; keys are str.
-
-    Rows of one width (lists) or key set (dicts) form a table, formatted column by column,
-    _BLOCK_ROWS rows at a time; feeds[id(table)] = (csv pieces, keys) gets its CSV text.
+    The JSON is json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) at the indent nl
+    carries; the CSV holds the csv_keys columns.  Both are formatted column by column,
+    _BLOCK_ROWS rows at a time.
     """
-    inner = nl + "  "
-    kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else ()
-    shapes = (set(map(len, value)) if kinds and kinds <= {list, tuple} else
-              set(map(tuple, map(sorted, value))) if kinds == {dict} else ())
-    csv_pieces, csv_keys = (feeds or {}).get(id(value), (None, ()))
-    if isinstance(value, dict):
-        for i, (key, item) in enumerate(sorted(value.items())):
-            yield f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: "
-            yield from _json_chunks(item, inner, feeds)
-        yield nl + "}" if value else "{}"
-    elif not kinds:  # a scalar or an empty list
-        yield json.dumps(value, allow_nan=False)
-    elif len(shapes) != 1 or not (shape := shapes.pop()):
-        if csv_pieces is not None:
-            raise TypeError("a CSV table needs rows of one width or key set")
-        yield f"[{inner}{(',' + inner).join(_tokens(value, inner))}{nl}]"
-    else:
-        named = isinstance(shape, tuple)
-        keys, cell = shape if named else range(shape), inner + "  "
-        row = ",".join(f"{cell}{encode_basestring_ascii(key).replace('%', '%%')}: %s" if named
-                       else cell + "%s" for key in keys)
-        row = f"{{{row}{inner}}}" if named else f"[{row}{inner}]"
-        for start in range(0, len(value), _BLOCK_ROWS):
-            block = value[start:start + _BLOCK_ROWS]
-            columns = {key: list(map(itemgetter(key), block)) for key in keys}
-            tokens = {key: _tokens(columns[key], cell) for key in keys}
-            yield ("," if start else "[") + inner + ("," + inner).join(
-                map(row.__mod__, zip(*(tokens[key] for key in keys))))
-            if csv_pieces is not None:
-                cells = (_csv_cells(columns[key], tokens[key]) for key in csv_keys)
-                csv_pieces.append("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-        yield nl + "]"
+    if not rows:
+        return ["[]"], []
+    kinds = set(map(type, rows))
+    shapes = (set(map(len, rows)) if kinds == {list} else
+              set(map(tuple, map(sorted, rows))) if kinds == {dict} else set())
+    if len(shapes) != 1 or not (shape := shapes.pop()):
+        raise TypeError("a table needs list rows of one width or dict rows of one key set")
+    named = kinds == {dict}
+    keys, inner, cell = shape if named else range(shape), nl + "  ", nl + "    "
+    row = ",".join(f"{cell}{encode_basestring_ascii(key).replace('%', '%%')}: %s" if named
+                   else cell + "%s" for key in keys)
+    row = f"{{{row}{inner}}}" if named else f"[{row}{inner}]"
+    json_pieces, csv_pieces = [], []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        columns = {key: _column(list(map(itemgetter(key), block)), cell) for key in keys}
+        json_pieces.append(("," if start else "[") + inner + ("," + inner).join(
+            map(row.__mod__, zip(*(columns[key][0] for key in keys)))))
+        csv_pieces.append("\r\n".join(map(",".join, zip(*(columns[key][1] for key in csv_keys))))
+                          + "\r\n")
+    return [*json_pieces, nl + "]"], csv_pieces
 
 
 def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path]:
@@ -265,18 +250,23 @@ def emit_outputs(report: ExperimentReport, out_dir: str | Path) -> dict[str, Pat
     results.json is json.dumps(report, indent=2, sort_keys=True) plus a newline.  A
     non-finite number in the report raises ValueError before any file is written.
     """
-    users, fractions = [_csv_text([USERS_COLUMNS])], [_csv_text([FRACTIONS_COLUMNS])]
-    results = [*_json_chunks(vars(report), feeds={
-        id(report.per_user["rows"]): (users, range(len(USERS_COLUMNS))),
-        id(report.power_fractions): (fractions, FRACTIONS_COLUMNS)}), "\n"]
+    users_json, users = _table(report.per_user["rows"], "\n    ", range(len(USERS_COLUMNS)))
+    fractions_json, fractions = _table(report.power_fractions, "\n  ", FRACTIONS_COLUMNS)
+    # No report value holds a NUL; sorted keys put per_user before power_fractions.
+    mark = "\0table"
+    head, middle, tail = json.dumps(
+        {**vars(report), "per_user": {**report.per_user, "rows": mark}, "power_fractions": mark},
+        indent=2, sort_keys=True, allow_nan=False).split(json.dumps(mark))
+    results = [head, *users_json, middle, *fractions_json, tail, "\n"]
     trajectory = [TRAJECTORY_COLUMNS]
     for entry in report.trajectories.get(_headline_scenario(report.trajectories), []):
         trajectory.append([entry["slot"], "uav", *entry["uav"]])
         if entry["irs"] is not None:
-            trajectory.append([entry["slot"], "irs", *entry["irs"],
-                               report.config.get("irs_height_m", 0.0)])
+            trajectory.append([entry["slot"], "irs", *entry["irs"], report.config["irs_height_m"]])
     texts = {
-        "results.json": results, "users.csv": users, "fractions.csv": fractions,
+        "results.json": results,
+        "users.csv": [_csv_text([USERS_COLUMNS]), *users],
+        "fractions.csv": [_csv_text([FRACTIONS_COLUMNS]), *fractions],
         "rates.csv": [_csv_text([RATES_COLUMNS, *([slot, name, report.avg_sum_rate[name][slot]]
                       for slot in range(report.num_slots) for name in report.scenarios)])],
         "trajectory.csv": [_csv_text(trajectory)],

@@ -413,14 +413,12 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=tuple(key))))
 
 
-def resolve_master_seed(cfg: ScenarioConfig, cli_seed: Optional[int] = None,
-                        env: Optional[dict] = None) -> int:
+def resolve_master_seed(cfg: ScenarioConfig, cli_seed: Optional[int]) -> int:
     """Master-seed precedence: CLI flag > environment variable > config value."""
-    env = os.environ if env is None else env
     if cli_seed is not None:
         source, raw = "--seed", cli_seed
-    elif ENV_SEED_VAR in env:
-        source, raw = ENV_SEED_VAR, env[ENV_SEED_VAR]
+    elif ENV_SEED_VAR in os.environ:
+        source, raw = ENV_SEED_VAR, os.environ[ENV_SEED_VAR]
     else:
         return cfg.master_seed
     try:

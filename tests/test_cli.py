@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -444,11 +445,26 @@ def test_cli_run_survives_fuzzed_trace_csv(text):
 
 
 def test_emit_outputs_writes_nothing_for_non_finite_values(tmp_path):
+    # One place per writing path: each table's formatter, a curve and a headline rate.
+    places = {
+        "per_user": lambda v: {"columns": cli.USERS_COLUMNS,
+                               "rows": [[0, "M-IRS-NOMA", 0, 0, 0.5, 3.0, 1.0],
+                                        [0, "M-IRS-NOMA", 1, 0, 0.5, v, 1.0]]},
+        "power_fractions": lambda v: [{"scenario": "M-IRS-NOMA", "slot": 0, "pair": 0,
+                                       "weak_user": 0, "strong_user": 1,
+                                       "alpha_weak": v, "alpha_strong": 0.8}],
+        "convergence": lambda v: {"M-IRS-NOMA": [{"slot": 0, "best": [1.0, v],
+                                                  "mean": [0.5, 0.7]}]},
+        "avg_sum_rate": lambda v: {"M-IRS-NOMA": [v]},
+    }
     report = cli.ExperimentReport(scenarios=["M-IRS-NOMA"], num_slots=1,
-                                  avg_sum_rate={"M-IRS-NOMA": [math.nan]})
-    with pytest.raises(ValueError, match="JSON compliant"):
-        cli.emit_outputs(report, tmp_path / "out")
-    assert not (tmp_path / "out" / "results.json").exists()
+                                  avg_sum_rate={"M-IRS-NOMA": [1.0]})
+    for (name, place), bad in itertools.product(places.items(),
+                                                [math.nan, math.inf, -math.inf]):
+        out = tmp_path / f"{name}-{bad}"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli.emit_outputs(dataclasses.replace(report, **{name: place(bad)}), out)
+        assert not out.exists() or not any(out.iterdir()), (name, bad)
 
 
 @pytest.mark.parametrize("name", ["missing.csv", "a_directory"])

@@ -157,10 +157,13 @@ def test_streams_are_deterministic_and_distinct():
     assert not np.array_equal(a, d)
 
 
-def test_master_seed_precedence():
+def test_master_seed_precedence(monkeypatch):
     cfg = make_config(master_seed=5)
-    assert scenario.resolve_master_seed(cfg, None, env={}) == 5
-    assert scenario.resolve_master_seed(cfg, None, env={scenario.ENV_SEED_VAR: "17"}) == 17
-    assert scenario.resolve_master_seed(cfg, 99, env={scenario.ENV_SEED_VAR: "17"}) == 99
+    monkeypatch.delenv(scenario.ENV_SEED_VAR, raising=False)
+    assert scenario.resolve_master_seed(cfg, None) == 5
+    monkeypatch.setenv(scenario.ENV_SEED_VAR, "17")
+    assert scenario.resolve_master_seed(cfg, None) == 17
+    assert scenario.resolve_master_seed(cfg, 99) == 99
+    monkeypatch.setenv(scenario.ENV_SEED_VAR, "oops")
     with pytest.raises(ConfigError, match=scenario.ENV_SEED_VAR):
-        scenario.resolve_master_seed(cfg, None, env={scenario.ENV_SEED_VAR: "oops"})
+        scenario.resolve_master_seed(cfg, None)
