@@ -16,7 +16,8 @@ per-generation best fitness non-decreasing.
 at a time and runs a stack in lockstep slot by slot (warm starts and a
 static surface's freeze point chain along slots, so jobs stack and slots do
 not) as a (J, P, L) array: J jobs, P genomes of L bits each.  A job draws
-from its own (1, access, slot) stream, in an order no other job affects:
+from its (1, access, slot) stream, and the jobs that share one, a family,
+share its draws, made once per stack in an order no other family affects:
 the initial bits, shape (P, L), then per generation, with E the elitism
 count and pairs = ceil((P - E) / 2):
 
@@ -29,28 +30,28 @@ count and pairs = ceil((P - E) / 2):
    (P - E, L), after a trailing odd child is dropped.
 
 Fitness draws nothing and no draw depends on it, so a generation makes each
-job's draws, then breeds the whole stack with array operations.  Memory
-is bounded by one count: a job holds about P * L + S * (2G + 8U) + 8 * P * U
-numbers for S slots, G generations and U users (genomes, slot records until
-the caller takes them, workspace cells), and a stack takes as many jobs as
-fit in 2^19 numbers, at least one.  A fitness call scores a call group, the
-stack's J_c jobs of one access mode and surface presence, in the stack's
-one channel.Workspace, kept across slots: five float arrays and one integer
-array of the largest group's J_c * P * U cells, and after a final generation
-a sixth float and a boolean one, so a warm call allocates little more than
-its argsort output.  The kernels' results are views into the workspace, so
-a call's fitness and final winners (placement and noma.SlotResult row) are
-copied out before the next call.  A job's tournament keys shrink to
-entrants as drawn.  Generations before the last ask the kernels for sum
-rate and deficit alone.
+family's draws, breeds the whole stack with array operations and scores it
+in one pass: one decode, one channel.link_gains call, one displacement
+penalty and one noma.evaluate_batch call per access mode, the stack holding
+its jobs in access order.  Memory is bounded by one count: a job holds about
+P * L + S * (2G + 8U) + 8 * P * U numbers for S slots, G generations and U
+users (genomes, slot records until the caller takes them, and its P * U
+cells in the stack's channel.Workspace, kept across slots: five float arrays
+and an integer one, and after a final generation a sixth float and a boolean
+one), and a stack takes as many jobs as fit in 2^19 numbers, at least one.  A
+warm call allocates little more than its argsort output.  Kernel results are
+views into the workspace, so an access mode's final winners (placement and
+noma.SlotResult row) are copied out before the next mode's call.  A family's
+tournament keys shrink to entrants as drawn.  Generations before the last ask
+the kernels for sum rate and deficit alone.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
 thread searches a wave's first stack and a pool of W - 1 threads the rest,
 while numpy's kernels release the interpreter lock.  So at most W stacks
 are held at once.  A run of one stack, or W = 1, starts no thread.  Stacks
-share no state and each job keeps its own streams, so the outputs do not
-depend on W.
+share no state and a family's draws do not depend on its stack, so the
+outputs do not depend on W.
 """
 
 from __future__ import annotations
@@ -139,30 +140,30 @@ def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
     return lo + codes / ((1 << bits) - 1) * (hi - lo)
 
 
-def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, pinned, prev,
+def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, prev,
              ws: Optional[channel.Workspace] = None, full: bool = True):
-    """Score a (J, P, L) stack of jobs of one access mode and surface presence.
+    """Score a (J, P, L) stack: the penalized fitness (J, P) and, if full,
+    each job's winner (genome index, Placement, noma.SlotResult), else None.
 
-    users is (J, U, 2); pinned[j] is job j's fixed vehicle point (None: the
-    encoded one moves); prev[j] is job j's previous placement (prev None: no
-    displacement penalty).  Returns the penalized fitness (J, P), the scored
-    UAV (J, P, 3) and vehicle (J, P, 2, or None) positions, and the
-    noma.evaluate_batch result over the J * P rows, computed in ws and in
-    full or, with full=False, sum_rate and deficit alone.
+    users is (J, U, 2); variants[j] is job j's Variant (one Variant: every
+    job's); pinned[j] is job j's fixed vehicle point (None: the encoded one
+    moves); prev[j] is job j's previous placement (prev None: no
+    displacement penalty).  Each run of jobs of one access mode is one
+    noma.evaluate_batch call in ws, full or (full=False) score-only.
     """
     jobs, size = genomes.shape[:2]
+    if isinstance(variants, Variant):
+        variants = [variants] * jobs
     coords = decode_batch(genomes, genome_bounds(cfg), cfg.bits_per_coordinate)
     uav, irs = coords[..., :3], coords[..., 3:]
-    moves = np.array([variant.surface != "none" and p is None for p in pinned])
-    if variant.surface == "none":
-        irs = None
-    elif not moves.all():  # coords is fresh, so the pinned points go straight in
-        irs[~moves] = np.array([p for p in pinned if p is not None], dtype=float)[:, None]
-    gu, gi = channel.link_gains(uav, irs, users[:, None], cfg, ws)
-    ev = noma.evaluate_batch(gu.reshape(jobs * size, -1), gi.reshape(jobs * size, -1), cfg,
-                             variant.access, ws, full)
-    fit = (ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]).reshape(jobs, size)
-    limit = cfg.max_slot_displacement_m
+    surface = np.array([v.surface != "none" for v in variants])
+    fixed = np.array([p is not None for p in pinned])
+    moves = surface & ~fixed
+    if fixed.any():  # coords is fresh, so the pinned points go straight in
+        irs[fixed] = np.array([p for p in pinned if p is not None], dtype=float)[:, None]
+    gu, gi = channel.link_gains(uav, irs if surface.any() else None, users[:, None], cfg, ws)
+    gi[~surface] = 0.0  # adding zero leaves a no-surface job's direct gains exact
+    limit, penalty = cfg.max_slot_displacement_m, None
     if limit is not None and prev is not None:
         px, py = np.array([p.uav[:2] for p in prev]).T[:, :, None]
         excess = np.maximum(0.0, np.hypot(uav[..., 0] - px, uav[..., 1] - py) - limit)
@@ -170,40 +171,50 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variant: Variant, 
             qx, qy = np.array([p.irs for p, m in zip(prev, moves) if m]).T[:, :, None]
             excess[moves] += np.maximum(
                 0.0, np.hypot(irs[moves, :, 0] - qx, irs[moves, :, 1] - qy) - limit)
-        fit = fit - cfg.sinr_penalty_weight * excess
-    return fit, uav, irs, ev
+        penalty = cfg.sinr_penalty_weight * excess
+    fit, winners = np.empty((jobs, size)), [] if full else None
+    for access, run in itertools.groupby(range(jobs), lambda j: variants[j].access):
+        run = list(run)
+        block, rows = slice(run[0], run[-1] + 1), slice(run[0] * size, (run[-1] + 1) * size)
+        ev = noma.evaluate_batch(gu.reshape(jobs * size, -1)[rows],
+                                 gi.reshape(jobs * size, -1)[rows], cfg, access, ws, full)
+        fit[block] = (ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]).reshape(-1, size)
+        if penalty is not None:
+            fit[block] -= penalty[block]
+        for row, j in enumerate(run if full else ()):  # before the next call overwrites ev
+            best = int(np.argmax(fit[j]))
+            winners.append((best, Placement(tuple(uav[j, best].tolist()),
+                                            tuple(irs[j, best].tolist()) if surface[j] else None),
+                            noma.SlotResult.from_batch(ev, row * size + best)))
+    return fit, winners
 
 
 def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
-           mutation_prob_per_bit: float, rngs) -> np.ndarray:
+           mutation_prob_per_bit: float, rngs, family=slice(None)) -> np.ndarray:
     """Next generation of a (J, P, L) stack: each job's elitism_count fittest
     genomes, then its mutated children.
 
     Children come in crossover pairs of tournament winners; a trailing odd
-    child is dropped so a job keeps population_size genomes.  Job j draws
-    from rngs[j], in the order the module docstring gives.
+    child is dropped so a job keeps population_size genomes.  Job j takes
+    the draws of rngs[family[j]] (by default of rngs[j]), each generator
+    drawn once in the order the module docstring gives.
     """
     jobs, size, length = population.shape
     num_children = size - cfg.elitism_count
     pairs = (num_children + 1) // 2
     k = cfg.tournament_size
-    entrants = np.empty((jobs, 2 * pairs, k), dtype=np.intp)
-    coin = np.empty((jobs, pairs), dtype=bool)
-    cut = np.empty((jobs, pairs), dtype=np.int64)
-    flips = np.empty((jobs, num_children, length), dtype=np.uint8)
-    for j, rng in enumerate(rngs):
-        entrants[j] = np.argpartition(rng.random((2 * pairs, size)), k - 1, axis=1)[:, :k]
-        coin[j] = rng.random(pairs) < cfg.crossover_prob
-        cut[j] = rng.integers(1, length, pairs)
-        flips[j] = rng.random((num_children, length)) < mutation_prob_per_bit
+    draws = [(np.argpartition(rng.random((2 * pairs, size)), k - 1, axis=1)[:, :k],
+              rng.random(pairs) < cfg.crossover_prob, rng.integers(1, length, pairs),
+              rng.random((num_children, length)) < mutation_prob_per_bit) for rng in rngs]
+    entrants, coin, cut, flips = (np.stack(draw)[family] for draw in zip(*draws))
     entrants.sort(axis=2)  # ties go to the lowest index
     rows = np.arange(jobs)[:, None]
     best = np.argmax(fit[rows[:, :, None], entrants], axis=2)
     parents = population[rows, entrants[rows, np.arange(2 * pairs), best]]
     parents_a, parents_b = parents[:, 0::2], parents[:, 1::2]
-    swap = coin[:, :, None] & (np.arange(length) >= cut[:, :, None])
-    children = np.stack([np.where(swap, parents_b, parents_a),
-                         np.where(swap, parents_a, parents_b)], axis=2)
+    # The bits a pair swaps: where its parents differ, from the cut on if its coin says so.
+    swap = (parents_a ^ parents_b) & (np.arange(length) >= np.where(coin, cut, length)[:, :, None])
+    children = np.stack([parents_a ^ swap, parents_b ^ swap], axis=2)
     children = children.reshape(jobs, 2 * pairs, length)[:, :num_children]
     elites = population[rows, np.argsort(-fit, axis=1, kind="stable")[:, :cfg.elitism_count]]
     return np.concatenate([elites, children ^ flips], axis=1)
@@ -251,50 +262,39 @@ def _stacks(jobs, cfg: ScenarioConfig):
 
 def _optimize_stack(jobs, cfg: ScenarioConfig,
                     stop: threading.Event) -> Optional[list[list[GaRunRecord]]]:
-    """optimize_jobs on one stack; a generation scores each access-surface group in one call.
+    """optimize_jobs on one stack, held in access order and returned in job order.
 
     Gives up, returning None, at the first generation that finds stop set.
     """
+    order = sorted(range(len(jobs)), key=lambda j: jobs[j][2].access)
+    jobs = [jobs[j] for j in order]
     size, length = cfg.population_size, genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
     variants = [variant for _, _, variant in jobs]
     pinned = [(cfg.s_irs_x, cfg.s_irs_y) if v.surface == "static" and cfg.s_irs_x is not None
               else None for v in variants]
+    families = list(dict.fromkeys((seed, v.access) for _, seed, v in jobs))
+    family = np.array([families.index((seed, v.access)) for _, seed, v in jobs])
     results = [[] for _ in jobs]
-    calls: dict[tuple, list[int]] = {}
-    for j, v in enumerate(variants):
-        calls.setdefault((v.access, v.surface == "none"), []).append(j)
-    ws = channel.Workspace()  # each call's results are used up before the next call
+    ws = channel.Workspace()
 
     for slot in range(jobs[0][0].num_slots):
-        rngs = [scenario.stream(seed, scenario.GA_STREAM, _GA_KINDS[v.access], slot)
-                for _, seed, v in jobs]
+        rngs = [scenario.stream(seed, scenario.GA_STREAM, _GA_KINDS[access], slot)
+                for seed, access in families]
         population = np.stack([(rng.random((size, length)) < 0.5).astype(np.uint8)
-                               for rng in rngs])
+                               for rng in rngs])[family]
         if cfg.warm_start and slot:
             population[:, 0] = [records[-1].best_genome for records in results]
-        scoring = [(call, np.stack([jobs[j][0].positions[slot] for j in call]),
-                    variants[call[0]], [pinned[j] for j in call],
-                    [results[j][-1].placement for j in call] if slot else None)
-                   for call in calls.values()]
-        fit = np.empty((len(jobs), size))
-        history, winners = [], [None] * len(jobs)
+        users = np.stack([trace.positions[slot] for trace, _, _ in jobs])
+        prev = [records[-1].placement for records in results] if slot else None
+        history = []
         for generation in range(cfg.max_iterations + 1):
             if stop.is_set():
                 return None
             if generation:
-                population = _breed(population, fit, cfg, mut_p, rngs)
-            final = generation == cfg.max_iterations
-            for call, users, variant, call_pinned, prev in scoring:
-                fit[call], uav, irs, ev = _fitness(population[call], users, cfg, variant,
-                                                   call_pinned, prev, ws, final)
-                if final:
-                    for row, j in enumerate(call):
-                        best = int(np.argmax(fit[j]))
-                        winners[j] = (best, Placement(
-                            uav=tuple(uav[row, best].tolist()),
-                            irs=None if irs is None else tuple(irs[row, best].tolist())),
-                            noma.SlotResult.from_batch(ev, row * size + best))
+                population = _breed(population, fit, cfg, mut_p, rngs, family)
+            fit, winners = _fitness(population, users, cfg, variants, pinned, prev, ws,
+                                    generation == cfg.max_iterations)
             history.append((fit.max(axis=1), fit.mean(axis=1)))
 
         best_per_gen, mean_per_gen = np.array(history).transpose(1, 2, 0).tolist()
@@ -305,4 +305,4 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
                 placement=placement, best_fitness=best_per_gen[j],
                 mean_fitness=mean_per_gen[j], best_genome=population[j, best].copy(),
                 result=result))
-    return results
+    return [results[i] for i in np.argsort(order)]

@@ -657,15 +657,19 @@ def test_cli_converge(tmp_path):
 
 
 def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path):
-    # A job's results do not depend on which jobs share the GA stack.
+    # A job's results do not depend on which jobs share the GA stack, nor on
+    # where the full run lists its scenario: the stack holds its jobs in access
+    # order, so an OMA-first list is reordered inside it.
     cfg_path = _write_small_config(tmp_path, num_users=5, num_slots=3,
                                    max_slot_displacement_m=40.0)
     common = ["run", "--config", str(cfg_path), "--seeds", "2", "--seed", "3"]
     assert cli.main(common + ["--out", str(tmp_path / "all")]) in (0, 3)
     assert cli.main(common + ["--scenarios", "S-IRS-NOMA",
                               "--out", str(tmp_path / "one")]) in (0, 3)
+    assert cli.main(common + ["--scenarios", "M-IRS-OMA,No-IRS-NOMA,S-IRS-NOMA,M-IRS-NOMA",
+                              "--out", str(tmp_path / "oma-first")]) in (0, 3)
     both = {}
-    for run in ("all", "one"):
+    for run in ("all", "one", "oma-first"):
         out = tmp_path / run
         doc = json.loads((out / "results.json").read_text())
         both[run] = (
@@ -676,6 +680,11 @@ def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path):
             doc["per_seed_sum_rate"]["S-IRS-NOMA"], doc["trajectories"]["S-IRS-NOMA"])
     assert all(both["one"][:3])
     assert both["all"] == both["one"]
+    assert both["oma-first"] == both["one"]
+    docs = [json.loads((tmp_path / run / "results.json").read_text())
+            for run in ("all", "oma-first")]
+    for key in ("per_seed_sum_rate", "trajectories", "convergence"):
+        assert docs[0][key] == docs[1][key], key
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

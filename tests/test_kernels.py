@@ -237,17 +237,21 @@ def test_one_placement_and_one_user_shapes_match_the_oracle(cfg):
 
 
 def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
-    # One job of 200 candidates and 301 users; only the argsort output, one
-    # (P, U) array, is expected, and each kernel's small temporaries on top.
+    # Jobs of 200 candidates and 301 users, alone and as one mixed stack; only
+    # an argsort output, one (P, U) array per job, is expected, and each
+    # kernel's small temporaries on top.  Copying an access mode's whole final
+    # evaluation out of the workspace, not just its winners, breaks the budget.
     cfg = make_config(num_users=301, population_size=200)
     rng = np.random.default_rng(7)
-    genomes = (rng.random((1, 200, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
-    users = rng.uniform(0.0, 500.0, (1, 301, 2))
-    budget = 2 * 200 * 301 * np.dtype(float).itemsize
-    for name in ("M-IRS-NOMA", "No-IRS-NOMA", "M-IRS-OMA"):
+    genomes = (rng.random((3, 200, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
+    users = rng.uniform(0.0, 500.0, (3, 301, 2))
+    names = ["M-IRS-NOMA", "No-IRS-NOMA", "M-IRS-OMA"]
+    for stack in [[name] for name in names] + [names]:
+        jobs = len(stack)
+        budget = 2 * jobs * 200 * 301 * np.dtype(float).itemsize
         for full in (False, True):
-            args = (genomes, users, cfg, cli.SCENARIOS[name], [None], None,
-                    channel.Workspace(), full)
+            args = (genomes[:jobs], users[:jobs], cfg, [cli.SCENARIOS[n] for n in stack],
+                    [None] * jobs, None, channel.Workspace(), full)
             optimizer._fitness(*args)
             started = not tracemalloc.is_tracing()
             if started:
@@ -260,4 +264,4 @@ def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
             finally:
                 if started:
                     tracemalloc.stop()
-            assert peak <= budget, (name, full, peak)
+            assert peak <= budget, (stack, full, peak)

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mirsim import channel, cli, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
@@ -550,6 +550,17 @@ def _assert_same_records(got, want):
 
 
 @settings(max_examples=60, deadline=None)
+@example(num_users=3, population_size=6, elitism_count=1, tournament_size=2, pinned=False,
+         limit=None, warm_start=True,  # an OMA job listed before NOMA jobs
+         variants=[Variant("mobile", "oma"), MOBILE, Variant("static", "noma")], seeds=[3, 8],
+         stack_numbers=2**19)
+@example(num_users=4, population_size=5, elitism_count=2, tournament_size=3, pinned=False,
+         limit=30.0, warm_start=False,  # the same (seed, variant) in one stack, four times
+         variants=[MOBILE, Variant("none", "oma"), MOBILE], seeds=[6, 6], stack_numbers=2**19)
+@example(num_users=5, population_size=7, elitism_count=1, tournament_size=2, pinned=True,
+         limit=30.0, warm_start=True,  # mobile, static and no-surface jobs scored together
+         variants=[Variant("none", "oma"), Variant("static", "noma"), MOBILE,
+                   Variant("none", "noma")], seeds=[2, 9], stack_numbers=2**19)
 @given(num_users=st.sampled_from([1, 2, 3, 4, 5]),
        population_size=st.integers(2, 9), elitism_count=st.integers(0, 3),
        tournament_size=st.integers(1, 4), pinned=st.booleans(),
@@ -575,6 +586,47 @@ def test_stacked_ga_equals_the_per_job_oracle(num_users, population_size, elitis
         stacked = list(optimizer.optimize_jobs(jobs, cfg))
     for records, job in zip(stacked, jobs, strict=True):
         _assert_same_records(records, oracle_trajectory(job[0], cfg, job[1], job[2]))
+
+
+class _CountingRng:
+    """Passes a generator's random and integers calls through and counts them."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_each_family_draws_once_per_generation(monkeypatch):
+    # Two seeds of all four scenarios make one stack of eight jobs, but four
+    # families: each seed's three NOMA jobs share a stream, and its OMA job
+    # has its own.  A family's generator makes one initial call, then four
+    # calls per generation (keys, coins, cuts, flips), whatever its size.
+    cfg = small_config(num_slots=3, max_iterations=4)
+    stream, made = scenario.stream, []
+
+    def counting(seed, *key):
+        rng = stream(seed, *key)
+        if key[0] != scenario.GA_STREAM:
+            return rng
+        made.append(((seed, *key), _CountingRng(rng)))
+        return made[-1][1]
+
+    monkeypatch.setattr(scenario, "stream", counting)
+    monkeypatch.setattr(optimizer, "_WORKERS", 1)
+    cli.run_experiment(cfg, list(cli.SCENARIOS), [1, 2])
+    for slot in range(cfg.num_slots):
+        keys = sorted(key for key, _ in made if key[3] == slot)
+        assert keys == [(seed, scenario.GA_STREAM, kind, slot)
+                        for seed in (1, 2) for kind in (0, 1)]
+    assert len(made) == 4 * cfg.num_slots
+    assert [rng.calls for _, rng in made] == [1 + 4 * cfg.max_iterations] * len(made)
 
 
 def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
