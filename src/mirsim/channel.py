@@ -1,14 +1,18 @@
 """Geometry, pathloss, blockage, and link gains.
 
 The UAV-to-user link uses a blockage-averaged pathloss: the line-of-sight
-probability weights separate LoS/NLoS log-distance laws, and the averaged
-dB value converts to a linear power gain.  The vehicle-mounted reflecting
-surface serves each user through N elements in the horizontal plane at a
-fixed mounting height; its per-element NLoS gain combines coherently, so the
-aggregate scales as N^2.  Users are a (..., U, 2) array.  All functions
-are pure and broadcast over leading placement axes, so a batch of candidate
-placements evaluates in one call; (J, 1, U, 2) users against (J, P, .)
-placements score P candidates of each of J jobs, each job with its own users.
+probability weights separate LoS/NLoS log-distance laws.  The
+vehicle-mounted reflecting surface serves each user through N elements in
+the horizontal plane at a fixed mounting height; its per-element NLoS gain
+combines coherently, so the aggregate scales as N^2.  The kernels write each
+law as ln(gain) = a + k log10(d^2), the dB-to-linear step folded into a and
+k, and end it in one exp; the averaged direct law is one such affine form,
+mixed by the LoS probability, and q^2 is formed once (q = sqrt(q^2), d^2 =
+q^2 + z^2).  pathloss_los and pathloss_nlos state the dB laws.  Users are a
+(..., U, 2) array.  All functions are pure and broadcast over leading
+placement axes, so a batch of candidate placements evaluates in one call;
+(J, 1, U, 2) users against (J, P, .) placements score P candidates of each
+of J jobs, each job with its own users.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import ScenarioConfig, db_to_linear
+from .scenario import ScenarioConfig
 
 _TINY = np.finfo(float).tiny  # keeps LoS probability strictly positive
 
@@ -36,13 +40,13 @@ class Workspace:
     """Scratch arrays that the fitness kernels reuse from call to call.
 
     A role names one flat buffer, not one quantity: a kernel writes an
-    intermediate into a role once the role's previous contents are dead, and
-    its next call overwrites them all.  ``take`` returns a C-contiguous view
-    of the role's buffer, which is replaced only when a call needs a larger
-    one or another dtype, so same-sized calls allocate nothing after the
-    first.  Arrays a kernel returns with a workspace are views into it, valid
-    until its next use; a kernel called without one uses a workspace of its
-    own, so its results are fresh arrays.  A workspace serves one thread.
+    intermediate into a role once the role's previous contents are dead.
+    ``take`` returns a C-contiguous view of the role's buffer, replaced only
+    when a call needs a larger one or another dtype, so same-sized calls
+    allocate nothing after the first.  Arrays a kernel returns with a
+    workspace are views into it, valid until its next use; without one a
+    kernel uses a workspace of its own, so its results are fresh arrays.  A
+    workspace serves one thread.
     """
 
     def __init__(self):
@@ -57,120 +61,110 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
+def _squared_ground_distance(xy, users_xy, ws: Optional[Workspace] = None, roles=("x", "y")):
+    """dx^2 + dy^2 from (..., 2+) points to (..., U, 2) users, in roles[0]; roles[1] is scratch."""
+    xy, users = np.asarray(xy, dtype=float), np.asarray(users_xy, dtype=float)
+    ws = Workspace() if ws is None else ws
+    shape = np.broadcast_shapes(xy.shape[:-1] + (1,), users.shape[:-1])
+    dx = np.subtract(xy[..., 0, None], users[..., 0], out=ws.take(roles[0], shape))
+    dy = np.subtract(xy[..., 1, None], users[..., 1], out=ws.take(roles[1], shape))
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    return dx
+
+
 def distance_3d(uav_xyz, users_xy):
     """Slant distance from the UAV to (..., U, 2) ground users (users at z=0)."""
-    uav = np.asarray(uav_xyz, dtype=float)
-    users = np.asarray(users_xy, dtype=float)
-    dx = uav[..., 0, None] - users[..., 0]
-    dy = uav[..., 1, None] - users[..., 1]
-    return np.sqrt(dx * dx + dy * dy + uav[..., 2, None] ** 2)
+    d2 = _squared_ground_distance(uav_xyz, users_xy)
+    return np.sqrt(np.add(d2, np.asarray(uav_xyz, dtype=float)[..., 2, None] ** 2, out=d2), out=d2)
 
 
 def horizontal_distance(uav_xyz, users_xy):
     """2D distance between the UAV's ground projection and each of (..., U, 2) users."""
-    uav = np.asarray(uav_xyz, dtype=float)
-    users = np.asarray(users_xy, dtype=float)
-    return np.hypot(uav[..., 0, None] - users[..., 0], uav[..., 1, None] - users[..., 1])
+    return np.sqrt(_squared_ground_distance(uav_xyz, users_xy))
 
 
 def pathloss_los(d, cfg: ScenarioConfig):
     """LoS pathloss in dB at distance d (meters)."""
-    return _log_law(_log10_distance(d), cfg.los_intercept_db, cfg.los_slope)
+    return _log_law(d, cfg.los_intercept_db, cfg.los_slope)
 
 
 def pathloss_nlos(d, cfg: ScenarioConfig):
     """NLoS pathloss in dB at distance d (meters)."""
-    return _log_law(_log10_distance(d), cfg.nlos_intercept_db, cfg.nlos_slope)
+    return _log_law(d, cfg.nlos_intercept_db, cfg.nlos_slope)
 
 
-def _log10_distance(d, out=None):
+def _log_law(d, intercept_db: float, slope: float):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("pathloss distance must be > 0")
-    return np.log10(d, out=out)
+    return intercept_db + 10.0 * slope * np.log10(d)
 
 
-def _log_law(log_d, intercept_db: float, slope: float, out=None):
-    """intercept_db + 10 slope log10(d) from log_d = log10(d); out may be log_d."""
-    loss = np.multiply(log_d, 10.0 * slope, out=out)
-    loss += intercept_db
-    return loss
+_DB = 10.0 / math.log(10.0)  # a loss of L dB is the linear power gain exp(-L / _DB)
 
 
-def _to_gain(loss_db):
-    """db_to_linear(-loss_db), computed in loss_db's buffer."""
-    np.negative(loss_db, out=loss_db)
-    loss_db /= 10.0
-    return np.power(10.0, loss_db, out=loss_db)
+def _ln_gain_law(intercept_db: float, slope: float):
+    """(a, k) with ln(gain) = a + k log10(d^2) for the loss intercept_db + 10 slope log10(d)."""
+    return -intercept_db / _DB, -5.0 * slope / _DB
 
 
 def blockage_prob(q, z, cfg: ScenarioConfig, out=None):
     """Probability the link is unblocked by human bodies.
 
     q is the horizontal UAV-user distance, z the UAV altitude; the result
-    lies in (0, 1] and decays exponentially in q.  out (which may be q)
-    receives the result.
+    lies in (0, 1] and decays exponentially in q, floored at the smallest
+    normal double where exp underflows.  out (which may be q) receives it.
     """
-    q = np.asarray(q, dtype=float)
-    z = np.asarray(z, dtype=float)
+    q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("altitude must be > 0")
     if np.any(q < 0):
         raise ValueError("horizontal distance must be >= 0")
-    p = np.multiply(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m, q, out=out)
-    p = np.multiply(p, cfg.blocker_height_m, out=out)
-    p = np.divide(p, z, out=out)  # the exponent
-    p = np.exp(np.negative(p, out=out), out=out)
-    return np.maximum(p, _TINY, out=out)
+    rate = -(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * cfg.blocker_height_m) / z
+    return np.maximum(np.exp(np.multiply(q, rate, out=out), out=out), _TINY, out=out)
 
 
 def sigmoid_los_prob(q, z, cfg: ScenarioConfig, out=None):
     """Elevation-angle LoS probability (alternative model); out as in blockage_prob."""
-    q = np.asarray(q, dtype=float)
-    z = np.asarray(z, dtype=float)
+    q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("altitude must be > 0")
     alpha, beta = cfg.sigmoid_alpha, cfg.sigmoid_beta
-    p = np.degrees(np.arctan2(z, q, out=out), out=out)  # the elevation angle
-    p = np.multiply(-beta, np.subtract(p, alpha, out=out), out=out)
-    p = np.multiply(alpha, np.exp(p, out=out), out=out)
-    return np.divide(1.0, np.add(1.0, p, out=out), out=out)
+    elevation = np.degrees(np.arctan2(z, q, out=out), out=out)
+    p = np.exp(np.multiply(-beta, np.subtract(elevation, alpha, out=out), out=out), out=out)
+    return np.divide(1.0, np.add(1.0, np.multiply(alpha, p, out=out), out=out), out=out)
 
 
 def los_probability(q, z, cfg: ScenarioConfig, out=None):
-    if cfg.los_model == "sigmoid":
-        return sigmoid_los_prob(q, z, cfg, out)
-    return blockage_prob(q, z, cfg, out)
+    law = sigmoid_los_prob if cfg.los_model == "sigmoid" else blockage_prob
+    return law(q, z, cfg, out)
 
 
-def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig, ws: Optional[Workspace] = None):
-    """Blockage-averaged UAV-user pathloss in dB.
-
-    L = P_los * L_los(d) + (1 - P_los) * L_nlos(d), evaluated at the slant
-    distance d; broadcasts over leading placement axes.  Computed in ws's
-    roles "gi" (the x offsets, then d, log10(d) and L_nlos), "gu" (the y
-    offsets, then L, the result) and "scratch" (q, then P_los and 1 - P_los).
-    """
-    ws = Workspace() if ws is None else ws
-    uav = np.asarray(uav_xyz, dtype=float)
-    users = np.asarray(users_xy, dtype=float)
-    z = uav[..., 2, None]
-    shape = np.broadcast_shapes(z.shape, users.shape[:-1])
-    dx = np.subtract(uav[..., 0, None], users[..., 0], out=ws.take("gi", shape))
-    dy = np.subtract(uav[..., 1, None], users[..., 1], out=ws.take("gu", shape))
-    q = np.hypot(dx, dy, out=ws.take("scratch", shape))
-    d = np.multiply(dx, dx, out=dx)
-    d += np.multiply(dy, dy, out=dy)
-    d += z ** 2
-    np.sqrt(d, out=d)
+def _direct_ln_gain(uav_xyz, users_xy, cfg: ScenarioConfig, ws: Workspace):
+    """ln of the blockage-averaged UAV-user gain in ws's role "gu" ("gi", "scratch": scratch),
+    a_nlos + k_nlos log10(d^2) + P_los ((k_los - k_nlos) log10(d^2) + a_los - a_nlos)."""
+    z = np.asarray(uav_xyz, dtype=float)[..., 2, None]
+    log_d2 = _squared_ground_distance(uav_xyz, users_xy, ws, ("gu", "scratch"))
+    q = np.sqrt(log_d2, out=ws.take("scratch", log_d2.shape))
     p_los = los_probability(q, z, cfg, out=q)
-    log_d = _log10_distance(d, out=d)
-    loss = _log_law(log_d, cfg.los_intercept_db, cfg.los_slope, out=dy)
-    loss *= p_los
-    nlos = _log_law(log_d, cfg.nlos_intercept_db, cfg.nlos_slope, out=log_d)
-    nlos *= np.subtract(1.0, p_los, out=p_los)
-    loss += nlos
-    return loss
+    np.log10(np.add(log_d2, z * z, out=log_d2), out=log_d2)
+    a_los, k_los = _ln_gain_law(cfg.los_intercept_db, cfg.los_slope)
+    a_nlos, k_nlos = _ln_gain_law(cfg.nlos_intercept_db, cfg.nlos_slope)
+    mix = np.multiply(log_d2, k_los - k_nlos, out=ws.take("gi", log_d2.shape))
+    mix += a_los - a_nlos
+    mix *= p_los
+    log_d2 *= k_nlos
+    log_d2 += a_nlos
+    log_d2 += mix
+    return log_d2
+
+
+def uav_link_pathloss(uav_xyz, users_xy, cfg: ScenarioConfig):
+    """Blockage-averaged UAV-user pathloss in dB, link_gains' direct law:
+    L = P_los * L_los(d) + (1 - P_los) * L_nlos(d) at the slant distance d;
+    broadcasts over leading placement axes."""
+    return _direct_ln_gain(uav_xyz, users_xy, cfg, Workspace()) * -_DB
 
 
 def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig,
@@ -180,54 +174,55 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig,
     Per-element gain is the linear NLoS gain at the element-to-user 3D
     distance (elements sit at irs_height_m above the vehicle position); N
     elements combine coherently into N^2 times that, scaled by the power
-    reflection coefficient.  When the UAV-to-surface leg is enabled the
-    product additionally includes the LoS gain of that hop.  A surface
-    position shared by several UAV placements is scored once for each.
-    Computed in ws's roles "gi" (the x offsets, then the result) and "scratch".
+    reflection coefficient (which may be 0, so both multiply after the exp).
+    An enabled UAV-to-surface leg multiplies in the LoS gain of that hop.  A
+    surface position shared by several UAV placements is scored once for
+    each.  Computed in ws's roles "gi" (the result) and "scratch".
     """
-    ws = Workspace() if ws is None else ws
-    irs_height = cfg.irs_height_m
+    height = cfg.irs_height_m
     uav = np.asarray(uav_xyz, dtype=float)
     irs = np.asarray(irs_xy, dtype=float)
     irs = np.broadcast_to(irs, np.broadcast_shapes(irs.shape[:-1], uav.shape[:-1]) + (2,))
-    users = np.asarray(users_xy, dtype=float)
-    shape = np.broadcast_shapes(irs.shape[:-1] + (1,), users.shape[:-1])
-    dx = np.subtract(irs[..., 0, None], users[..., 0], out=ws.take("gi", shape))
-    dy = np.subtract(irs[..., 1, None], users[..., 1], out=ws.take("scratch", shape))
-    d_iu = np.multiply(dx, dx, out=dx)
-    d_iu += np.multiply(dy, dy, out=dy)
-    del dy
-    d_iu += irs_height * irs_height
-    np.sqrt(d_iu, out=d_iu)
-    if np.any(d_iu <= 0):
+    d2 = _squared_ground_distance(irs, users_xy, ws, ("gi", "scratch"))
+    d2 += height * height
+    if np.any(d2 <= 0):
         raise ValueError("degenerate surface-to-user distance")
-    log_d = np.log10(d_iu, out=d_iu)
-    gain = _to_gain(_log_law(log_d, cfg.nlos_intercept_db, cfg.nlos_slope, out=log_d))
-    n = cfg.irs_elements_per_user
-    gain *= cfg.irs_reflection_coeff * (n * n)
-    if cfg.irs_uav_leg_enabled:
-        d_ui = np.sqrt((uav[..., 0] - irs[..., 0]) ** 2
-                       + (uav[..., 1] - irs[..., 1]) ** 2
-                       + (uav[..., 2] - irs_height) ** 2)
-        if np.any(d_ui <= 0):
-            raise ValueError("degenerate UAV-to-surface distance")
-        gain *= np.asarray(db_to_linear(-pathloss_los(d_ui, cfg)))[..., None]
+    a, k = _ln_gain_law(cfg.nlos_intercept_db, cfg.nlos_slope)
+    if cfg.irs_uav_leg_enabled:  # the leg is > 0 long: validate() puts the UAV higher
+        a_leg, k_leg = _ln_gain_law(cfg.los_intercept_db, cfg.los_slope)
+        a = (a + (a_leg + k_leg * np.log10((uav[..., 0] - irs[..., 0]) ** 2
+                                           + (uav[..., 1] - irs[..., 1]) ** 2
+                                           + (uav[..., 2] - height) ** 2)))[..., None]
+    ln_gain = np.log10(d2, out=d2)
+    ln_gain *= k
+    ln_gain += a
+    gain = np.exp(ln_gain, out=ln_gain)
+    gain *= cfg.irs_reflection_coeff * cfg.irs_elements_per_user ** 2
     return gain
 
 
 def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig, ws: Optional[Workspace] = None):
     """Direct and reflected linear gains for every user; broadcasts over placements.
 
-    irs_xy None means there is no surface: every reflected gain is zero.
+    irs_xy None means there is no surface: the reflected gains are None.
+    For a stack of jobs (uav_xyz (J, P, 3), users_xy (J, 1, U, 2)),
+    irs_xy (S, P or 1, 2) with S < J holds the first S jobs' surfaces only:
+    the other jobs have none, and their reflected rows are zero.
     The gains are written to ws's roles "gu" and "gi"; "scratch" is scratch.
     """
     ws = Workspace() if ws is None else ws
-    uav_gain = _to_gain(uav_link_pathloss(uav_xyz, users_xy, cfg, ws))
+    uav_gain = _direct_ln_gain(uav_xyz, users_xy, cfg, ws)
+    np.exp(uav_gain, out=uav_gain)
     if irs_xy is None:
-        irs_gain = ws.take("gi", uav_gain.shape)
-        irs_gain.fill(0.0)
-        return uav_gain, irs_gain
-    return uav_gain, irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg, ws)
+        return uav_gain, None
+    irs = np.asarray(irs_xy, dtype=float)
+    if irs.ndim < 3 or len(irs) == len(uav_gain):
+        return uav_gain, irs_combined_gain(irs, uav_xyz, users_xy, cfg, ws)
+    irs_gain = ws.take("gi", uav_gain.shape)  # the first S jobs' rows are its prefix
+    irs_combined_gain(irs, np.asarray(uav_xyz)[:len(irs)], np.asarray(users_xy)[:len(irs)],
+                      cfg, ws)
+    irs_gain[len(irs):] = 0.0
+    return uav_gain, irs_gain
 
 
 def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:
@@ -243,25 +238,15 @@ def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:
 
 
 def channel_debug_table(placement: Placement, users_xy, cfg: ScenarioConfig) -> list[dict]:
-    """Per-user channel breakdown for the CLI inspection dump."""
+    """Per-user channel breakdown for the CLI inspection dump: the GA's own
+    laws at one placement, so its gains are link_gains' bits."""
     users = np.asarray(users_xy, dtype=float)
     uav = np.asarray(placement.uav, dtype=float)
-    d = distance_3d(uav, users)
     q = horizontal_distance(uav, users)
-    p_los = los_probability(q, uav[2], cfg)
-    loss = uav_link_pathloss(uav, users, cfg)
     uav_gain, irs_gain = link_gains(uav, placement.irs, users, cfg)
-    rows = []
-    for i in range(len(users)):
-        rows.append({
-            "user": i,
-            "x": float(users[i, 0]),
-            "y": float(users[i, 1]),
-            "distance_3d_m": float(d[i]),
-            "horizontal_m": float(q[i]),
-            "p_los": float(p_los[i]),
-            "avg_pathloss_db": float(loss[i]),
-            "uav_gain": float(uav_gain[i]),
-            "irs_gain": float(irs_gain[i]),
-        })
-    return rows
+    columns = {"user": np.arange(len(users)), "x": users[:, 0], "y": users[:, 1],
+               "distance_3d_m": distance_3d(uav, users), "horizontal_m": q,
+               "p_los": los_probability(q, uav[2], cfg),
+               "avg_pathloss_db": uav_link_pathloss(uav, users, cfg), "uav_gain": uav_gain,
+               "irs_gain": np.zeros(len(users)) if irs_gain is None else irs_gain}
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]

@@ -31,19 +31,19 @@ count and pairs = ceil((P - E) / 2):
 
 Fitness draws nothing and no draw depends on it, so a generation makes each
 family's draws, breeds the whole stack with array operations and scores it
-in one pass: one decode, one channel.link_gains call, one displacement
-penalty and one noma.evaluate_batch call per access mode, the stack holding
-its jobs in access order.  Memory is bounded by one count: a job holds about
-P * L + S * (2G + 8U) + 8 * P * U numbers for S slots, G generations and U
-users (genomes, slot records until the caller takes them, and its P * U
-cells in the stack's channel.Workspace, kept across slots: five float arrays
-and an integer one, and after a final generation a sixth float and a boolean
-one), and a stack takes as many jobs as fit in 2^19 numbers, at least one.  A
-warm call allocates little more than its argsort output.  Kernel results are
-views into the workspace, so an access mode's final winners (placement and
-noma.SlotResult row) are copied out before the next mode's call.  A family's
-tournament keys shrink to entrants as drawn.  Generations before the last ask
-the kernels for sum rate and deficit alone.
+in one pass: one decode, one channel.link_gains call (reflecting for the
+surface jobs alone, first in _STACK_ORDER), one displacement penalty and one
+noma.evaluate_batch call per access mode.  Memory is bounded by one count: a
+job holds about P * L + S * (2G + 8U) + 8 * P * U numbers for S slots, G
+generations and U users (genomes, slot records until the caller takes them,
+and its P * U cells in the stack's channel.Workspace, kept across slots: five
+float arrays and an integer one, and after a final generation a sixth float
+and a boolean one), and a stack takes as many jobs as fit in 2^19 numbers, at
+least one.  A warm call allocates little more than its argsort output.
+Kernel results are views into the workspace, so an access mode's final
+winners (placement and noma.SlotResult row) are copied out before the next
+mode's call.  A family's tournament keys shrink to entrants as drawn.
+Generations before the last ask the kernels for sum rate and deficit alone.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
@@ -80,6 +80,9 @@ _GA_KINDS = {"noma": 0, "oma": 1}
 
 # A stack's bound on numbers held (one job at least); _stacks counts them.
 _STACK_NUMBERS = 2**19
+
+# A stack's job order by (access, has a surface): surface jobs first, each mode's contiguous.
+_STACK_ORDER = {("oma", True): 0, ("noma", True): 1, ("noma", False): 2, ("oma", False): 3}
 
 # Stacks searched at once, one thread each: the CPUs this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -148,8 +151,9 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
     users is (J, U, 2); variants[j] is job j's Variant (one Variant: every
     job's); pinned[j] is job j's fixed vehicle point (None: the encoded one
     moves); prev[j] is job j's previous placement (prev None: no
-    displacement penalty).  Each run of jobs of one access mode is one
-    noma.evaluate_batch call in ws, full or (full=False) score-only.
+    displacement penalty).  One channel.link_gains call, and one
+    noma.evaluate_batch call per run of one access mode, full or (full=False)
+    score-only, in ws.
     """
     jobs, size = genomes.shape[:2]
     if isinstance(variants, Variant):
@@ -161,8 +165,6 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
     moves = surface & ~fixed
     if fixed.any():  # coords is fresh, so the pinned points go straight in
         irs[fixed] = np.array([p for p in pinned if p is not None], dtype=float)[:, None]
-    gu, gi = channel.link_gains(uav, irs if surface.any() else None, users[:, None], cfg, ws)
-    gi[~surface] = 0.0  # adding zero leaves a no-surface job's direct gains exact
     limit, penalty = cfg.max_slot_displacement_m, None
     if limit is not None and prev is not None:
         px, py = np.array([p.uav[:2] for p in prev]).T[:, :, None]
@@ -172,12 +174,16 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
             excess[moves] += np.maximum(
                 0.0, np.hypot(irs[moves, :, 0] - qx, irs[moves, :, 1] - qy) - limit)
         penalty = cfg.sinr_penalty_weight * excess
+    lead = max((j + 1 for j in range(jobs) if surface[j]), default=0)  # through the last surface
+    gu, gi = channel.link_gains(uav, irs[:lead] if lead else None, users[:, None], cfg, ws)
+    if lead:
+        gi[:lead][~surface[:lead]] = 0.0  # a no-surface job among them (never in _STACK_ORDER)
     fit, winners = np.empty((jobs, size)), [] if full else None
     for access, run in itertools.groupby(range(jobs), lambda j: variants[j].access):
         run = list(run)
-        block, rows = slice(run[0], run[-1] + 1), slice(run[0] * size, (run[-1] + 1) * size)
-        ev = noma.evaluate_batch(gu.reshape(jobs * size, -1)[rows],
-                                 gi.reshape(jobs * size, -1)[rows], cfg, access, ws, full)
+        block = slice(run[0], run[-1] + 1)
+        ev = noma.evaluate_batch(*(None if g is None else g[block].reshape(-1, g.shape[-1])
+                                   for g in (gu, gi)), cfg, access, ws, full)
         fit[block] = (ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]).reshape(-1, size)
         if penalty is not None:
             fit[block] -= penalty[block]
@@ -262,11 +268,12 @@ def _stacks(jobs, cfg: ScenarioConfig):
 
 def _optimize_stack(jobs, cfg: ScenarioConfig,
                     stop: threading.Event) -> Optional[list[list[GaRunRecord]]]:
-    """optimize_jobs on one stack, held in access order and returned in job order.
+    """optimize_jobs on one stack, held in _STACK_ORDER and returned in job order.
 
     Gives up, returning None, at the first generation that finds stop set.
     """
-    order = sorted(range(len(jobs)), key=lambda j: jobs[j][2].access)
+    rank = [_STACK_ORDER[v.access, v.surface != "none"] for _, _, v in jobs]
+    order = sorted(range(len(jobs)), key=rank.__getitem__)
     jobs = [jobs[j] for j in order]
     size, length = cfg.population_size, genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length

@@ -108,10 +108,13 @@ def test_sigmoid_model_is_selectable():
 
 
 def test_averaged_pathloss_is_pure_los_overhead():
+    # P_los is exactly 1 overhead; the kernel sums the law as ln(gain), so
+    # its dB value meets the dB law to within rounding.
     uav = np.array([50.0, 50.0, 150.0])
     user = np.array([[50.0, 50.0]])
-    assert channel.uav_link_pathloss(uav, user, CFG)[0] \
-        == channel.pathloss_los(150.0, CFG)
+    assert channel.los_probability(channel.horizontal_distance(uav, user), 150.0, CFG)[0] == 1.0
+    assert math.isclose(channel.uav_link_pathloss(uav, user, CFG)[0],
+                        channel.pathloss_los(150.0, CFG), rel_tol=1e-15)
 
 
 def test_averaged_pathloss_composed_example():
@@ -222,11 +225,25 @@ def test_batched_gains_match_per_placement_calls():
         assert np.allclose(gi[k], single_irs, rtol=1e-14)
 
 
-def test_no_irs_gains_are_exactly_zero():
+def test_no_surface_gives_no_reflected_gains():
     gu, gi = channel.link_gains(np.array([10.0, 10.0, 150.0]), None,
                                 np.array([[1.0, 1.0]]), CFG)
-    assert np.all(gi == 0.0)
+    assert gi is None
     assert np.all(gu > 0.0)
+
+
+def test_a_stack_s_surfaceless_tail_jobs_get_zero_reflected_rows():
+    rng = np.random.default_rng(3)
+    uav = np.concatenate([rng.uniform(0, 500, (3, 4, 2)), rng.uniform(100, 300, (3, 4, 1))],
+                         axis=-1)
+    irs = rng.uniform(0, 500, (3, 4, 2))
+    users = rng.uniform(0, 500, (3, 1, 5, 2))
+    gu, gi = channel.link_gains(uav, irs[:2], users, CFG)
+    whole_gu, whole_gi = channel.link_gains(uav, irs, users, CFG)
+    assert gi.shape == gu.shape == (3, 4, 5)
+    assert np.array_equal(gu, whole_gu)
+    assert np.array_equal(gi[:2], whole_gi[:2])
+    assert np.all(gi[2] == 0.0)
 
 
 def test_validate_placement():

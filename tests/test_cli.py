@@ -19,7 +19,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from mirsim import cli, mobility, optimizer, scenario
+from mirsim import channel, cli, mobility, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.scenario import ConfigError
 
@@ -643,6 +643,32 @@ def test_cli_inspect_channel(tmp_path):
     rc = cli.main(["inspect-channel", "--config", str(cfg_path),
                    "--uav", "100,100,50", "--out", str(out)])
     assert rc == 2  # below the altitude floor
+
+
+@pytest.mark.parametrize("los_model", ["blockage", "sigmoid"])
+def test_inspect_channel_rows_are_the_ga_kernels_bits(tmp_path, los_model):
+    # channel.csv states each user's channel at one placement by the laws the GA
+    # scores candidates with: its gains equal a stacked link_gains call's bits for
+    # that placement among others, and its q and LoS probability are the kernel's.
+    cfg_path = _write_small_config(tmp_path, los_model=los_model, irs_uav_leg_enabled=True)
+    out = tmp_path / "out"
+    assert cli.main(["inspect-channel", "--config", str(cfg_path), "--seed", "4", "--slot", "1",
+                     "--uav", "120.5,300.25,150", "--irs", "40,410.75", "--out", str(out)]) == 0
+    header, *rows = _read_csv(out / "channel.csv")
+    table = {key: np.array([float(row[k]) for row in rows]) for k, key in enumerate(header)}
+    cfg = small_config(los_model=los_model, irs_uav_leg_enabled=True)
+    users = mobility.generate_trace(cfg, scenario.stream(4, scenario.MOBILITY_STREAM)).positions[1]
+    uav = np.array([[[10.0, 20.0, 110.0], [120.5, 300.25, 150.0], [480.0, 5.0, 300.0]]])
+    irs = np.array([[[1.0, 2.0], [40.0, 410.75], [3.0, 4.0]]])
+    gu, gi = channel.link_gains(uav, irs, users[None, None], cfg)
+    assert np.array_equal(table["uav_gain"], gu[0, 1])
+    assert np.array_equal(table["irs_gain"], gi[0, 1])
+    assert np.array_equal(table["avg_pathloss_db"],
+                          channel.uav_link_pathloss(uav, users[None, None], cfg)[0, 1])
+    dx, dy = 120.5 - users[:, 0], 300.25 - users[:, 1]
+    assert np.array_equal(table["horizontal_m"], np.sqrt(dx * dx + dy * dy))
+    assert np.array_equal(table["p_los"], channel.los_probability(
+        table["horizontal_m"], np.full((1, 1), 150.0), cfg)[0])
 
 
 def test_cli_converge(tmp_path):

@@ -274,6 +274,44 @@ def test_fitness_respects_sinr_dominance():
     assert fit_near >= fit_far
 
 
+def test_no_surface_jobs_are_scored_without_reflected_work(monkeypatch):
+    # In _STACK_ORDER the jobs with a surface lead: one link_gains call is given
+    # their surfaces alone, the rest get zero reflected rows, and a stack without
+    # surfaces gets no reflected array at all, which evaluate_batch takes as None.
+    calls = []
+    link_gains, evaluate_batch = channel.link_gains, noma.evaluate_batch
+
+    def recording_link_gains(uav, irs, users, cfg, ws):
+        calls.append(("link_gains", len(uav), None if irs is None else len(irs)))
+        return link_gains(uav, irs, users, cfg, ws)
+
+    def recording_evaluate_batch(gu, gi, cfg, access, ws, full):
+        calls.append(("evaluate_batch", access, len(gu), gi is None))
+        return evaluate_batch(gu, gi, cfg, access, ws, full)
+
+    monkeypatch.setattr(channel, "link_gains", recording_link_gains)
+    monkeypatch.setattr(noma, "evaluate_batch", recording_evaluate_batch)
+    cfg = small_config()
+    rng = np.random.default_rng(2)
+    genomes = (rng.random((4, 10, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
+    users = rng.uniform(0.0, 500.0, (4, cfg.num_users, 2))
+    variants = [cli.SCENARIOS[name] for name in ["M-IRS-OMA", "M-IRS-NOMA", "No-IRS-NOMA"]]
+    variants.append(Variant("none", "oma"))
+    assert sorted(variants, key=lambda v: optimizer._STACK_ORDER[v.access, v.surface != "none"]) \
+        == variants
+    fit, _ = optimizer._fitness(genomes, users, cfg, variants, [None] * 4, None)
+    assert calls == [("link_gains", 4, 2), ("evaluate_batch", "oma", 10, False),
+                     ("evaluate_batch", "noma", 20, False), ("evaluate_batch", "oma", 10, False)]
+    calls.clear()
+    alone = optimizer._fitness(genomes[2:3], users[2:3], cfg, variants[2], [None], None)[0]
+    assert calls == [("link_gains", 1, None), ("evaluate_batch", "noma", 10, True)]
+    assert np.array_equal(alone[0], fit[2])  # a zero reflected row gives the same bits
+    # Out of _STACK_ORDER, a no-surface job among the surfaces still reflects nothing.
+    mixed = optimizer._fitness(genomes[[1, 2, 0]], users[[1, 2, 0]], cfg,
+                               [variants[1], variants[2], variants[0]], [None] * 3, None)[0]
+    assert np.array_equal(mixed, fit[[1, 2, 0]])
+
+
 def test_full_tournament_returns_global_best():
     rng = _ga_rng(0)
     population = np.eye(4, dtype=np.uint8)
