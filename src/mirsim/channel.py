@@ -12,7 +12,9 @@ q^2 + z^2).  pathloss_los and pathloss_nlos state the dB laws.  Users are a
 (..., U, 2) array.  All functions are pure and broadcast over leading
 placement axes, so a batch of candidate placements evaluates in one call;
 (J, 1, U, 2) users against (J, P, .) placements score P candidates of each
-of J jobs, each job with its own users.
+of J jobs, each job with its own users.  The kernels rely on
+scenario.validate's bounds (positive altitudes and link lengths, finite
+gains) and do not check the arrays passed to them.
 """
 
 from __future__ import annotations
@@ -117,10 +119,6 @@ def blockage_prob(q, z, cfg: ScenarioConfig, out=None):
     normal double where exp underflows.  out (which may be q) receives it.
     """
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("altitude must be > 0")
-    if np.any(q < 0):
-        raise ValueError("horizontal distance must be >= 0")
     rate = -(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * cfg.blocker_height_m) / z
     return np.maximum(np.exp(np.multiply(q, rate, out=out), out=out), _TINY, out=out)
 
@@ -128,8 +126,6 @@ def blockage_prob(q, z, cfg: ScenarioConfig, out=None):
 def sigmoid_los_prob(q, z, cfg: ScenarioConfig, out=None):
     """Elevation-angle LoS probability (alternative model); out as in blockage_prob."""
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("altitude must be > 0")
     alpha, beta = cfg.sigmoid_alpha, cfg.sigmoid_beta
     elevation = np.degrees(np.arctan2(z, q, out=out), out=out)
     p = np.exp(np.multiply(-beta, np.subtract(elevation, alpha, out=out), out=out), out=out)
@@ -185,8 +181,6 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig,
     irs = np.broadcast_to(irs, np.broadcast_shapes(irs.shape[:-1], uav.shape[:-1]) + (2,))
     d2 = _squared_ground_distance(irs, users_xy, ws, ("gi", "scratch"))
     d2 += height * height
-    if np.any(d2 <= 0):
-        raise ValueError("degenerate surface-to-user distance")
     a, k = _ln_gain_law(cfg.nlos_intercept_db, cfg.nlos_slope)
     if cfg.irs_uav_leg_enabled:  # the leg is > 0 long: validate() puts the UAV higher
         a_leg, k_leg = _ln_gain_law(cfg.los_intercept_db, cfg.los_slope)

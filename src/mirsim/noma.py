@@ -65,20 +65,17 @@ class SlotResult:
         return pair_id
 
 
-def ftpa_allocate(gain_weak, gain_strong, noise_linear: float,
-                  decay: float, favor_strong: bool = False, out=None):
-    """Split a pair's power by normalized channel gain to the power -decay.
+def ftpa_allocate(gain_weak, gain_strong, decay: float, favor_strong: bool = False, out=None):
+    """Split a pair's power by channel gain to the power -decay.
 
     Returns (alpha_weak, alpha_strong), summing to 1; works elementwise on
     arrays of pairs.  decay=0 gives an equal split; larger decay shifts
     power toward the weaker channel.  favor_strong=True flips the exponent
-    sign so the stronger channel wins instead (comparison mode).  The noise
-    normalization cancels, so one power per pair does: r = (gain_strong /
-    gain_weak) ** -decay, alpha_weak = 1 / (1 + r), alpha_strong = r *
-    alpha_weak.  out, a pair of arrays shaped like gain_weak, receives them.
+    sign so the stronger channel wins instead (comparison mode).  One power
+    per pair: r = (gain_strong / gain_weak) ** -decay, alpha_weak = 1 / (1 +
+    r), alpha_strong = r * alpha_weak.  out, a pair of arrays shaped like
+    gain_weak, receives them.
     """
-    if np.any(gain_weak <= 0) or np.any(gain_strong <= 0):
-        raise ValueError("channel gains must be > 0")
     exponent = decay if favor_strong else -decay
     weak_out, strong_out = (None, None) if out is None else out
     ratio = np.power(np.divide(gain_strong, gain_weak, out=strong_out), exponent, out=strong_out)
@@ -91,8 +88,10 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
     """Vectorized pairing/allocation/SINR/rates for (P, U) gain arrays.
 
     access is "noma" or "oma".  irs_gain None means no reflected link,
-    which gives the bits of an all-zero irs_gain.  The transmit SNR, SINR
-    threshold and noise power are the linear forms of cfg's dB keys.
+    which gives the bits of an all-zero irs_gain.  The transmit SNR and SINR
+    threshold are the linear forms of cfg's dB keys.  Like the channel
+    kernels, it relies on scenario.validate's bounds and does not check its
+    inputs: gains of one (P, U) shape, U >= 1, and access "noma" or "oma".
 
     Returns a dict of arrays: sinr, rate, alpha, feasible (all (P, U)),
     sum_rate and deficit (both (P,)), the pairing index arrays weak/strong
@@ -114,13 +113,7 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
     """
     gu = np.atleast_2d(np.asarray(uav_gain, dtype=float))
     gi = None if irs_gain is None else np.atleast_2d(np.asarray(irs_gain, dtype=float))
-    if gi is not None and gu.shape != gi.shape:
-        raise ValueError("gain arrays must have matching shapes")
     batch, n = gu.shape
-    if n == 0:
-        raise ValueError("at least one user required")
-    if access not in ("noma", "oma"):
-        raise ValueError(f"unknown access mode {access!r}")
     ws = Workspace() if ws is None else ws
     rho = db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
     gamma_th = db_to_linear(cfg.snr_threshold_db)
@@ -147,8 +140,8 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
     if access == "noma":
         shares = ws.take("rate", (batch * n,))  # in pair order, like sinr
         alpha_weak, alpha_strong = ftpa_allocate(
-            ranked[:, :half], ranked[:, ::-1][:, :half], db_to_linear(cfg.noise_power_dbm),
-            cfg.ftpa_decay, cfg.ftpa_favor_strong, out=shares[:2 * cut].reshape(2, batch, half))
+            ranked[:, :half], ranked[:, ::-1][:, :half], cfg.ftpa_decay, cfg.ftpa_favor_strong,
+            out=shares[:2 * cut].reshape(2, batch, half))
         if full:
             shares[2 * cut:] = 1.0
             np.put(alpha, pairs, shares)

@@ -102,12 +102,6 @@ class Variant:
     surface: str
     access: str
 
-    def __post_init__(self):
-        if self.surface not in ("mobile", "static", "none"):
-            raise ValueError(f"unknown surface mode {self.surface!r}")
-        if self.access not in ("noma", "oma"):
-            raise ValueError(f"unknown access mode {self.access!r}")
-
 
 @dataclass
 class GaRunRecord:
@@ -133,10 +127,7 @@ def genome_length(cfg: ScenarioConfig) -> int:
 
 
 def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
-    """Decode (..., L) bit arrays to (..., 5) coordinates."""
-    genomes = np.atleast_2d(genomes)
-    if genomes.shape[-1] != NUM_COORDS * bits:
-        raise ValueError(f"genome length {genomes.shape[-1]} != {NUM_COORDS * bits}")
+    """Decode (..., L) bit arrays, L = 5 * bits, to (..., 5) coordinates."""
     weights = (1 << np.arange(bits - 1, -1, -1)).astype(np.int64)
     codes = genomes.reshape(*genomes.shape[:-1], NUM_COORDS, bits).astype(np.int64) @ weights
     lo, hi = np.array(bounds, dtype=float).T
@@ -148,16 +139,13 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
     """Score a (J, P, L) stack: the penalized fitness (J, P) and, if full,
     each job's winner (genome index, Placement, noma.SlotResult), else None.
 
-    users is (J, U, 2); variants[j] is job j's Variant (one Variant: every
-    job's); pinned[j] is job j's fixed vehicle point (None: the encoded one
-    moves); prev[j] is job j's previous placement (prev None: no
-    displacement penalty).  One channel.link_gains call, and one
-    noma.evaluate_batch call per run of one access mode, full or (full=False)
-    score-only, in ws.
+    users is (J, U, 2); variants[j] is job j's Variant; pinned[j] is job
+    j's fixed vehicle point (None: the encoded one moves); prev[j] is job
+    j's previous placement (prev None: no displacement penalty).  One
+    channel.link_gains call, and one noma.evaluate_batch call per run of
+    one access mode, full or (full=False) score-only, in ws.
     """
     jobs, size = genomes.shape[:2]
-    if isinstance(variants, Variant):
-        variants = [variants] * jobs
     coords = decode_batch(genomes, genome_bounds(cfg), cfg.bits_per_coordinate)
     uav, irs = coords[..., :3], coords[..., 3:]
     surface = np.array([v.surface != "none" for v in variants])

@@ -48,8 +48,6 @@ class ConfigError(ValueError):
 
 def db_to_linear(x_db):
     """Convert dB (or dBm) to a linear ratio (or mW)."""
-    if np.ndim(x_db):
-        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
     return 10.0 ** (x_db / 10.0)
 
 
@@ -243,11 +241,12 @@ def _check(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _linear_is_finite_positive(x_db: float) -> bool:
+def _linear(x_db: float) -> float:
+    """db_to_linear, or inf past the float range."""
     try:
-        return 0.0 < db_to_linear(x_db) < math.inf
+        return db_to_linear(x_db)
     except OverflowError:
-        return False
+        return math.inf
 
 
 def validate(cfg: ScenarioConfig) -> None:
@@ -270,13 +269,10 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.blocker_diameter_m > 0, "blocker_diameter_m", "must be > 0")
     _check(cfg.blocker_height_m > 0, "blocker_height_m", "must be > 0")
 
-    _check(_linear_is_finite_positive(cfg.noise_power_dbm), "noise_power_dbm",
-           "linear noise power must be finite and > 0")
-    snr_db = cfg.uav_tx_power_dbm - cfg.noise_power_dbm
-    _check(_linear_is_finite_positive(snr_db),
-           "uav_tx_power_dbm", "linear transmit SNR (over noise_power_dbm) must be "
-           "finite and > 0")
-    _check(_linear_is_finite_positive(cfg.snr_threshold_db), "snr_threshold_db",
+    snr = _linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
+    _check(0.0 < snr < math.inf, "uav_tx_power_dbm/noise_power_dbm",
+           "linear transmit SNR, the power over the noise, must be finite and > 0")
+    _check(0.0 < _linear(cfg.snr_threshold_db) < math.inf, "snr_threshold_db",
            "linear threshold must be finite and > 0")
     _check(0.0 <= cfg.ftpa_decay <= 1.0, "ftpa_decay", "must be in [0, 1]")
 
@@ -335,26 +331,42 @@ def validate(cfg: ScenarioConfig) -> None:
         _check(cfg.sinr_penalty_weight > 0, "max_slot_displacement_m",
                "needs sinr_penalty_weight > 0, the weight that enforces it")
 
-    # Every direct and surface-to-user link is between these lengths, and both
-    # pathloss laws grow with distance, so their gains at the two ends bound
-    # every direct gain a run computes, alone, times the transmit SNR, and over
-    # the noise power (and its inverse) as the FTPA split raises it to -decay.
+    # The kernels form each user's direct and reflected gain, their total times
+    # the transmit SNR, and each NOMA pair's ratio of totals, strong over weak.
+    # Both pathloss laws fall with distance, so every direct gain lies between
+    # their gains at the shortest direct link (uav_alt_min_m) and the longest
+    # (the region diagonal at uav_alt_max_m).  The reflected gain peaks at N^2
+    # times the NLoS gain at irs_height_m and, with the UAV leg, the LoS gain
+    # over the shortest hop.  A pair's ratio then lies in [1, total / weakest];
+    # as ftpa_decay <= 1, its power +decay lies there too and 1 + that is finite,
+    # while -decay gives a power in (0, 1].
     diagonal = math.hypot(cfg.region_x_max - cfg.region_x_min,
                           cfg.region_y_max - cfg.region_y_min)
-    shortest = min(cfg.uav_alt_min_m, cfg.irs_height_m)
-    longest = math.hypot(diagonal, max(cfg.uav_alt_max_m, cfg.irs_height_m))
-    for keys, intercept, slope in (
-            ("los_intercept_db/los_slope", cfg.los_intercept_db, cfg.los_slope),
-            ("nlos_intercept_db/nlos_slope", cfg.nlos_intercept_db, cfg.nlos_slope)):
-        for d in (shortest, longest):
-            loss_db = intercept + 10.0 * slope * math.log10(d)
-            ratios_db = (-loss_db, snr_db - loss_db, -loss_db - cfg.noise_power_dbm,
-                         loss_db + cfg.noise_power_dbm)
-            _check(all(map(_linear_is_finite_positive, ratios_db)), keys,
-                   f"linear gain, transmit SNR x gain and gain / noise at {d:g} m must be "
-                   "finite and > 0 (link lengths follow from region_x_min/region_x_max/"
-                   "region_y_min/region_y_max, uav_alt_min_m/uav_alt_max_m and "
-                   "irs_height_m; the SNR from uav_tx_power_dbm and noise_power_dbm)")
+    longest = math.hypot(diagonal, cfg.uav_alt_max_m)
+    gains = [_linear(-(intercept + 10.0 * slope * math.log10(d)))
+             for intercept, slope in ((cfg.los_intercept_db, cfg.los_slope),
+                                      (cfg.nlos_intercept_db, cfg.nlos_slope))
+             for d in (cfg.uav_alt_min_m, longest)]
+    weakest, strongest = min(gains), max(gains)
+    law_keys = "los_intercept_db/los_slope/nlos_intercept_db/nlos_slope"
+    lengths = (f"direct links run from uav_alt_min_m to {longest:g} m, the region diagonal "
+               "(region_x_min/region_x_max/region_y_min/region_y_max) at uav_alt_max_m")
+    _check(0.0 < weakest and strongest < math.inf, law_keys,
+           f"linear direct gains must be finite and > 0 ({lengths})")
+    n = cfg.irs_elements_per_user
+    _check(n * n <= sys.float_info.max, "irs_elements_per_user", "N^2 must be a finite float")
+    peak_db = 20.0 * math.log10(n) - (cfg.nlos_intercept_db
+                                      + 10.0 * cfg.nlos_slope * math.log10(cfg.irs_height_m))
+    if cfg.irs_uav_leg_enabled:
+        hop = cfg.uav_alt_min_m - cfg.irs_height_m
+        peak_db -= cfg.los_intercept_db + 10.0 * cfg.los_slope * math.log10(hop)
+    total = strongest + _linear(peak_db)
+    _check(total * snr < math.inf and total / weakest < math.inf,
+           f"{law_keys}/irs_elements_per_user",
+           "the largest total gain (the largest direct gain plus N^2 x the reflected peak "
+           "at irs_height_m, and over uav_alt_min_m - irs_height_m with irs_uav_leg_enabled) "
+           "times the transmit SNR, and over the smallest direct gain (the bound of a NOMA "
+           f"pair's FTPA ratio), must be finite ({lengths})")
     # The blockage exponent peaks at the region diagonal and uav_alt_min_m.
     _check(math.isfinite(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * diagonal
                          * cfg.blocker_height_m / cfg.uav_alt_min_m),
@@ -367,19 +379,6 @@ def validate(cfg: ScenarioConfig) -> None:
                and math.isfinite(a * math.exp(max(ends))), "sigmoid_alpha/sigmoid_beta",
                "need sigmoid_alpha >= 0 and, at every elevation in [0, 90] degrees, -sigmoid_beta"
                " x (elevation - sigmoid_alpha) < 709 and sigmoid_alpha x its exp finite")
-    # The reflected gain peaks at N^2 times the NLoS gain at irs_height_m and,
-    # with the UAV leg, the LoS gain over the shortest UAV-to-surface hop.
-    n = cfg.irs_elements_per_user
-    peak_db = (20.0 * math.log10(n) - cfg.nlos_intercept_db
-               - 10.0 * cfg.nlos_slope * math.log10(cfg.irs_height_m))
-    if cfg.irs_uav_leg_enabled:
-        hop = cfg.uav_alt_min_m - cfg.irs_height_m
-        peak_db -= cfg.los_intercept_db + 10.0 * cfg.los_slope * math.log10(hop)
-    ratios_db = (peak_db, snr_db + peak_db, peak_db - cfg.noise_power_dbm)
-    _check(n * n <= sys.float_info.max and all(map(_linear_is_finite_positive, ratios_db)),
-           "irs_elements_per_user", "N^2 x the peak reflected gain (at irs_height_m, and "
-           "over uav_alt_min_m - irs_height_m with irs_uav_leg_enabled), alone, times the "
-           "transmit SNR and over the noise power must be finite and > 0")
     # A genome's penalty is at most the weight times every user's full SINR
     # threshold plus two region diagonals of move; a generation's mean sums
     # population_size of them.

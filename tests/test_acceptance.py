@@ -73,7 +73,7 @@ def test_criterion_3_ga_matches_exhaustive_search():
     length = optimizer.genome_length(cfg)
     space = np.array(list(itertools.product((0, 1), repeat=length)), dtype=np.uint8)
     assert space.shape[0] == 1024
-    optimum = optimizer._fitness(space[None], users[None], cfg, cli.SCENARIOS["M-IRS-NOMA"],
+    optimum = optimizer._fitness(space[None], users[None], cfg, [cli.SCENARIOS["M-IRS-NOMA"]],
                                  [None], None)[0].max()
 
     start = time.perf_counter()
@@ -96,11 +96,10 @@ def test_criterion_4_ftpa_properties():
     gains = 10.0 ** rng.uniform(-14, -6, size=(10_000, 2))
     lo = np.minimum(gains[:, 0], gains[:, 1])
     hi = np.maximum(gains[:, 0], gains[:, 1])
-    noise = 1e-8
     ok = True
     for beta in (0.0, 0.28, 0.5, 1.0):
         for weak, strong in zip(lo, hi):
-            aw, a_s = noma.ftpa_allocate(weak, strong, noise, beta)
+            aw, a_s = noma.ftpa_allocate(weak, strong, beta)
             if abs(aw + a_s - 1.0) > 1e-12 or aw < a_s:
                 ok = False
                 break

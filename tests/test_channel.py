@@ -92,13 +92,6 @@ def test_blockage_prob_keeps_its_floor_where_exp_underflows():
     assert np.array_equal(in_place, p)
 
 
-def test_blockage_prob_domain_errors():
-    with pytest.raises(ValueError):
-        channel.blockage_prob(10.0, 0.0, CFG)
-    with pytest.raises(ValueError):
-        channel.blockage_prob(-1.0, 100.0, CFG)
-
-
 def test_sigmoid_model_is_selectable():
     sig_cfg = make_config(los_model="sigmoid")
     overhead = channel.los_probability(0.0, 100.0, sig_cfg)
@@ -184,13 +177,6 @@ def test_uav_leg_multiplies_in_when_enabled():
     with_leg = channel.irs_combined_gain(irs, uav, user, params)[0]
     leg = 10.0 ** (-channel.pathloss_los(94.0, CFG) / 10.0)
     assert math.isclose(with_leg, without * leg, rel_tol=1e-14)
-
-
-def test_degenerate_surface_distance_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        channel.irs_combined_gain(np.array([10.0, 10.0]), np.array([0.0, 0.0, 150.0]),
-                                  np.array([[10.0, 10.0]]),
-                                  dataclasses.replace(CFG, irs_height_m=0.0))
 
 
 def test_link_gains_match_hand_composition():

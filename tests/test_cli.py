@@ -352,6 +352,15 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     # 10^5 slots x 10,001 generations: 2 x 10^9 fitness values in one job's records
     ("num_users: 1\nnum_slots: 100000\nslot_duration_s: 1\nmax_iterations: 10000\n"
      "population_size: 3\n", ["num_slots", "max_iterations"]),
+    # N^2 overflows a float, though a surface 10^25 m up keeps N^2 x its gain, and that
+    # over the weakest direct gain, finite
+    (f"irs_elements_per_user: {10**180}\nirs_height_m: 1.0e+25\n", ["irs_elements_per_user"]),
+    # a NOMA pair's FTPA ratio: 2 x 10^300 at 100 m (direct plus reflected) over 6 x 10^-55
+    # at the 768 m corner overflows, though each gain alone is finite
+    ("los_intercept_db: -11000\nnlos_intercept_db: -11000\nlos_slope: 400\nnlos_slope: 400\n"
+     "irs_height_m: 100\nuav_tx_power_dbm: 0\nnoise_power_dbm: 0\nftpa_favor_strong: true\n",
+     ["los_intercept_db", "los_slope", "nlos_intercept_db", "nlos_slope", "irs_height_m",
+      "region_x_max", "uav_alt_min_m", "uav_alt_max_m"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"
@@ -789,6 +798,22 @@ def _run_fuzzed_config(overrides):
         assert "Traceback" not in err.getvalue()
         if rc != 2:
             json.loads((out / "results.json").read_text(), parse_constant=_reject_constant)
+
+
+def test_cli_runs_configs_whose_gain_over_noise_overflows(tmp_path):
+    # Nothing forms a gain over the noise power (or its inverse) since FTPA takes one
+    # power per pair, so these run finite: a 10^16 gain against 10^-300 mW of noise,
+    # and a 10^-15.6 gain against 10^300 mW.
+    for name, doc in [("quiet", {"los_intercept_db": -200.0, "noise_power_dbm": -3000.0,
+                                 "uav_tx_power_dbm": -3000.0}),
+                      ("loud", {"uav_tx_power_dbm": 3100.0, "noise_power_dbm": 3000.0})]:
+        path = _write_small_config(tmp_path, **doc)
+        rc = cli.main(["run", "--config", str(path), "--seeds", "1",
+                       "--out", str(tmp_path / name)])
+        assert rc in (0, 3), name
+        results = json.loads((tmp_path / name / "results.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert results["scenarios"] == list(cli.SCENARIOS), name
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,13 +1,16 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mirsim import scenario
+from mirsim.channel import Placement
 from mirsim.scenario import ConfigError, db_to_linear, linear_to_db
 
-from testutil import config_yaml, make_config
+from testutil import config_yaml, make_config, slot_result
 
 
 def test_minimal_document_takes_reference_defaults():
@@ -94,10 +97,124 @@ def test_slots_times_generations_cap_sits_at_ten_to_the_six():
         make_config(num_slots=100, max_iterations=10**4)  # 1,000,100
 
 
-def test_direct_gain_over_noise_must_stay_finite():
-    # Transmit SNR 0 dB, but a 10^18 gain over 10^-300 mW of noise overflows the FTPA split.
-    with pytest.raises(ConfigError, match="^los_intercept_db/los_slope: .*gain / noise"):
-        make_config(los_intercept_db=-200.0, noise_power_dbm=-3000.0, uav_tx_power_dbm=-3000.0)
+# -- The link budget, computed as README states it ---------------------------
+
+_LAWS = "los_intercept_db/los_slope/nlos_intercept_db/nlos_slope"
+
+
+def _linear(x_db):
+    """10^(x_db / 10), inf past the float range."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _within_link_budget(cfg) -> bool:
+    """README's link-budget conditions: every direct gain, from uav_alt_min_m to the
+    region diagonal at uav_alt_max_m, finite and > 0; N^2 a finite float; the
+    largest total gain (largest direct gain plus the reflected peak) finite times
+    the transmit SNR and over the smallest direct gain."""
+    def loss(intercept, slope, d):
+        return intercept + 10.0 * slope * math.log10(d)
+
+    laws = [(cfg.los_intercept_db, cfg.los_slope), (cfg.nlos_intercept_db, cfg.nlos_slope)]
+    diagonal = math.hypot(cfg.region_x_max - cfg.region_x_min,
+                          cfg.region_y_max - cfg.region_y_min)
+    gains = [_linear(-loss(*law, d)) for law in laws
+             for d in (cfg.uav_alt_min_m, math.hypot(diagonal, cfg.uav_alt_max_m))]
+    n = cfg.irs_elements_per_user
+    peak_db = 20.0 * math.log10(n) - loss(*laws[1], cfg.irs_height_m) - (
+        loss(*laws[0], cfg.uav_alt_min_m - cfg.irs_height_m) if cfg.irs_uav_leg_enabled else 0.0)
+    total = max(gains) + _linear(peak_db)
+    snr = _linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
+    return (0.0 < snr < math.inf and 0.0 < min(gains) and max(gains) < math.inf
+            and n * n <= sys.float_info.max and total * snr < math.inf
+            and total / min(gains) < math.inf)
+
+
+def _float_edge(holds, inside, outside):
+    """Adjacent floats (a, b) from inside to outside (of one sign): holds(a), not holds(b)."""
+    a, b = np.array([inside, outside]).view(np.int64).tolist()
+    assert holds(inside) and not holds(outside)
+    while abs(b - a) > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if holds(np.array(mid).view(float).item()) else (a, mid)
+    return np.array(a).view(float).item(), np.array(b).view(float).item()
+
+
+_REGION = dict(region_x_min=20.0, region_x_max=520.0, region_y_min=30.0, region_y_max=530.0,
+               init_x_min=20.0, init_x_max=70.0, init_y_min=30.0, init_y_max=80.0)
+
+
+@pytest.mark.parametrize("base, keys, inside, outside, named", [
+    # every gain tiny: the longest link's gain underflows first
+    (dict(los_slope=2.0, nlos_slope=2.0, irs_height_m=100.0),
+     ("los_intercept_db", "nlos_intercept_db"), 3000.0, 3300.0, _LAWS),
+    # both laws 10^300 at 100 m: the pair ratio grows with the longest link, in a shifted region
+    (dict(los_intercept_db=-10000.0, nlos_intercept_db=-10000.0, los_slope=350.0,
+          nlos_slope=350.0, irs_height_m=100.0, uav_tx_power_dbm=0.0, noise_power_dbm=0.0,
+          **_REGION), ("uav_alt_max_m",), 200.0, 300.0, f"{_LAWS}/irs_elements_per_user"),
+    # a 10^300 direct gain times the transmit SNR
+    (dict(los_intercept_db=-3040.0, nlos_intercept_db=-3040.0, nlos_slope=2.0,
+          irs_height_m=100.0, noise_power_dbm=0.0), ("uav_tx_power_dbm",), 1.0, 160.0,
+     f"{_LAWS}/irs_elements_per_user"),
+    # the transmit SNR alone, at both ends of the float range
+    ({}, ("uav_tx_power_dbm",), 3000.0, 3100.0, "uav_tx_power_dbm/noise_power_dbm"),
+    (dict(noise_power_dbm=0.0), ("uav_tx_power_dbm",), -3000.0, -3300.0,
+     "uav_tx_power_dbm/noise_power_dbm"),
+    # a reflected peak of 10^300 x the NLoS gain at irs_height_m over the weakest direct gain
+    (dict(irs_elements_per_user=10**150), ("irs_height_m",), 2.0, 1.0,
+     f"{_LAWS}/irs_elements_per_user"),
+    # the same with the UAV leg, whose shortest hop shrinks as uav_alt_min_m falls
+    (dict(irs_elements_per_user=16 * 10**148, irs_uav_leg_enabled=True, irs_height_m=50.0,
+          los_intercept_db=-100.0), ("uav_alt_min_m",), 150.0, 100.0,
+     f"{_LAWS}/irs_elements_per_user"),
+], ids=["weakest-gain", "pair-ratio", "snr-times-total", "snr-overflow", "snr-underflow",
+        "reflected-peak", "uav-leg"])
+def test_link_budget_edges_sit_where_readme_puts_them(base, keys, inside, outside, named):
+    # validate must accept the last float inside README's bounds and refuse the
+    # next one, naming the bound's keys.
+    def config(value):
+        return scenario.ScenarioConfig(**{**base, **dict.fromkeys(keys, value)})
+
+    a, b = _float_edge(lambda value: _within_link_budget(config(value)), inside, outside)
+    scenario.validate(config(a))
+    with pytest.raises(ConfigError, match=f"^{named}: "):
+        scenario.validate(config(b))
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"los_intercept_db": -1e10}, f"{_LAWS}: linear direct gains"),
+    ({"nlos_intercept_db": 1e10}, f"{_LAWS}: linear direct gains"),
+], ids=["gain-overflow", "gain-underflow"])
+def test_each_link_budget_bound_names_its_keys(overrides, named):
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
+        make_config(**overrides)
+
+
+def _ratio_config(slope, **overrides):
+    """Both laws at slope, a 10^300 gain at 100 m, and uav_alt_max_m = uav_alt_min_m:
+    the corner placement below then forms half the bound on a pair's FTPA ratio."""
+    return make_config(los_intercept_db=-3000.0 - 20.0 * slope, los_slope=slope,
+                       nlos_intercept_db=-3000.0 - 20.0 * slope, nlos_slope=slope,
+                       irs_height_m=100.0, uav_alt_max_m=100.0, uav_tx_power_dbm=0.0,
+                       noise_power_dbm=0.0, **overrides)
+
+
+@pytest.mark.parametrize("favor_strong", [False, True])
+def test_a_pair_just_inside_the_ftpa_ratio_bound_splits_finitely(favor_strong):
+    # The user under the UAV and the surface gets 10^300 on each link; the corner
+    # user, 714.1 m away on both, the weakest gains.  validate refuses from a slope
+    # of about 360.6923, where the bound, twice this pair's ratio, overflows; the
+    # suite's filter turns any numpy warning into an error.
+    with pytest.raises(ConfigError, match=f"^{_LAWS}/irs_elements_per_user: "):
+        _ratio_config(360.693, ftpa_favor_strong=favor_strong)
+    cfg = _ratio_config(360.692, ftpa_favor_strong=favor_strong)
+    result = slot_result(Placement((0.0, 0.0, 100.0), (0.0, 0.0)), [[0.0, 0.0], [500.0, 500.0]],
+                         cfg)
+    assert np.isfinite([*result.sinr, *result.rate, *result.alpha, result.sum_rate]).all()
+    assert (result.alpha[0] > result.alpha[1]) == favor_strong  # user 0 is the strong one
 
 
 def test_degenerate_initial_subregion_is_allowed():
