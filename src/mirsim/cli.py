@@ -168,8 +168,8 @@ def _record_first_seed_detail(report, name, slot, record):
         "irs": None if placement.irs is None else list(placement.irs)})
     report.convergence.setdefault(name, []).append(
         {"slot": slot, "best": record.best_fitness, "mean": record.mean_fitness})
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr_db = np.where(result.sinr > 0, scenario.linear_to_db(result.sinr), -np.inf)
+    # validate() keeps every SINR > 0, so each has a finite dB value.
+    sinr_db = scenario.linear_to_db(result.sinr)
     report.per_user["rows"].extend(map(list, zip(
         itertools.repeat(slot), itertools.repeat(name), itertools.count(), result.pair_id.tolist(),
         result.alpha.tolist(), sinr_db.tolist(), result.rate.tolist())))

@@ -3,19 +3,26 @@
 Each user repeatedly picks a uniform waypoint inside the region and a uniform
 speed from [speed_min, speed_max], walks straight toward it, pauses for a
 constant time on arrival, then repeats.  Users start uniformly inside the
-initial subregion.  Time advances in fixed sub-steps (default 1 s); ``step``
-is the law of one sub-step for every user at once.  ``generate_trace``
-follows that law without visiting every sub-step: a user's course changes
+initial subregion; the first slot records that distribution.
+
+Time advances in sub-steps of dt = substep_duration_s (default 1 s).  A leg
+of length d walked at v m/s covers v * dt per sub-step and ends on its
+waypoint after ceil(d / (v * dt)) sub-steps (at least one; never, at zero
+speed).  The user then stands there for ceil(pause_duration_s / dt) whole
+sub-steps and, in the next one, draws a new waypoint and speed and walks on.
+A user that starts on its waypoint redraws in the first sub-step.
+``generate_trace`` states this law event by event: a user's course changes
 only at its events (arrival, pause end and redraw), so each user jumps from
-event to event and is placed on its open leg at slot boundaries.  The first
-slot records the initial distribution.
+event to event and is placed on its open leg at slot boundaries.  The scalar
+oracle in tests/test_mobility.py walks every user through every sub-step
+and pins the generator to this law.
 
 Draw order is fixed so traces are reproducible.  At init one (U, 5) block
 gives each user, row by row in id order, x, y, waypoint x, waypoint y and
-speed; in a sub-step, the k users that need a new waypoint draw one (k, 3)
-block in id order: waypoint x, waypoint y, speed.  Each uniform is
-lo + (hi - lo) * u for one ``rng.random`` double u, as numpy's scalar
-``uniform(lo, hi)`` computes it.
+speed; in a sub-step, the k users that redraw draw one (k, 3) block in id
+order: waypoint x, waypoint y, speed.  Each uniform is lo + (hi - lo) * u
+for one ``rng.random`` double u, as numpy's scalar ``uniform(lo, hi)``
+computes it.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ class Users:
     position: np.ndarray  # (U, 2), m
     waypoint: np.ndarray  # (U, 2), m
     speed: np.ndarray  # (U,), m/s
-    pause_remaining: np.ndarray  # (U,), whole sub-steps left to stand on the waypoint
 
 
 @dataclass(frozen=True)
@@ -62,59 +68,14 @@ class MobilityTrace:
         return self.positions.shape[1]
 
 
-def _uniform(lo: list[float], hi: list[float], rows: int, rng: np.random.Generator):
-    """A (rows, len(lo)) block of uniforms on [lo, hi), column by column."""
-    lo, hi = np.array(lo), np.array(hi)
-    return lo + (hi - lo) * rng.random((rows, len(lo)))
-
-
 def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Users:
     """Place users uniformly in the initial subregion with fresh waypoints and speeds."""
-    sub = cfg.initial_subregion
-    region = cfg.region
-    draw = _uniform([sub.x_min, sub.y_min, region.x_min, region.y_min, cfg.speed_min_mps],
-                    [sub.x_max, sub.y_max, region.x_max, region.y_max, cfg.speed_max_mps],
-                    cfg.num_users, rng)
+    sub, region = cfg.initial_subregion, cfg.region
+    lo = np.array([sub.x_min, sub.y_min, region.x_min, region.y_min, cfg.speed_min_mps])
+    hi = np.array([sub.x_max, sub.y_max, region.x_max, region.y_max, cfg.speed_max_mps])
+    draw = lo + (hi - lo) * rng.random((cfg.num_users, 5))
     return Users(position=draw[:, 0:2].copy(), waypoint=draw[:, 2:4].copy(),
-                 speed=draw[:, 4].copy(), pause_remaining=np.zeros(cfg.num_users))
-
-
-def step(users: Users, dt: float, region: Region, cfg: ScenarioConfig,
-         rng: np.random.Generator) -> Users:
-    """Advance every user by dt seconds (in place): the law of one sub-step.
-
-    ``generate_trace`` follows this law event by event rather than calling
-    it.  Paused users only count down one sub-step of their pause.  A moving
-    user advances toward its waypoint by speed*dt; reaching the waypoint
-    clamps to it and starts a pause of ceil(pause_duration_s / dt) sub-steps,
-    the count ``generate_trace`` uses.  A new waypoint and speed are drawn at
-    the start of the next moving phase.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    pos, wp, pause = users.position, users.waypoint, users.pause_remaining
-    moving = pause <= 0.0
-    np.maximum(pause - 1.0, 0.0, out=pause)
-    d = wp - pos
-    dist = np.hypot(d[:, 0], d[:, 1])
-    redraw = moving & (dist == 0.0)  # standing on the waypoint, pause over
-    if k := np.count_nonzero(redraw):
-        draw = _uniform([region.x_min, region.y_min, cfg.speed_min_mps],
-                        [region.x_max, region.y_max, cfg.speed_max_mps], k, rng)
-        wp[redraw] = draw[:, 0:2]
-        users.speed[redraw] = draw[:, 2]
-        d = wp - pos
-        dist = np.hypot(d[:, 0], d[:, 1])
-    travel = users.speed * dt
-    walk = moving & (travel < dist)
-    arrive = moving & ~walk
-    if np.count_nonzero(arrive):
-        pos[arrive] = wp[arrive]
-        pause[arrive] = _pause_steps(cfg.pause_duration_s, dt)
-    # Only walking users divide; the others keep their position untouched.
-    unit = d / np.where(walk, dist, 1.0)[:, None]
-    np.add(pos, unit * travel[:, None], out=pos, where=walk[:, None])
-    return users
+                 speed=draw[:, 4].copy())
 
 
 def _pause_steps(pause_duration_s: float, dt: float) -> np.float64:
@@ -126,12 +87,13 @@ def _pause_steps(pause_duration_s: float, dt: float) -> np.float64:
 def _leg_steps(dist: np.ndarray, travel: np.ndarray) -> np.ndarray:
     """Sub-steps that legs of length dist take at travel m per sub-step.
 
-    ceil(dist / travel), and at least one: ``step`` walks while travel falls
-    short of the distance left.  Repeated ``step`` calls can take one more
-    where the ratio sits within rounding of an integer (11 for a 6-8-10 leg at
-    travel 1).  The ratio is inf at zero travel or on overflow, a leg that
-    never ends, and nan for a zero-length leg at zero speed, which ends at
-    once; callers silence those floating-point warnings.
+    ceil(dist / travel), and at least one: a user walks while travel falls
+    short of the distance left.  A walk that adds travel sub-step by sub-step,
+    as the suite's scalar oracle does, can take one more where the ratio sits
+    within rounding of an integer (11 for a 6-8-10 leg at travel 1).  The
+    ratio is inf at zero travel or on overflow, a leg that never ends, and
+    nan for a zero-length leg at zero speed, which ends at once; callers
+    silence those floating-point warnings.
     """
     return np.fmax(np.ceil(dist / travel), 1.0)
 
@@ -139,16 +101,16 @@ def _leg_steps(dist: np.ndarray, travel: np.ndarray) -> np.ndarray:
 def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTrace:
     """Simulate all users and record positions at slot boundaries.
 
-    Follows ``step``'s law event by event.  For each user, ``start`` is where
-    its open leg began, after ``leg`` sub-steps; it walks toward ``wp`` at
-    ``travel`` m per sub-step, stands on it once ``arrive`` sub-steps have
+    States the module's law event by event.  For each user, ``start`` is
+    where its open leg began, after ``leg`` sub-steps; it walks toward ``wp``
+    at ``travel`` m per sub-step, stands on it once ``arrive`` sub-steps have
     passed, and redraws in sub-step ``redraw``, ceil(pause / dt) sub-steps
     later.  Only redraws draw randomness, so the loop visits just the
     sub-steps where some user redraws and serves that group with array
-    operations, one (k, 3) block in id order as ``step`` draws it.  At a
-    slot boundary a user stands on its waypoint or at
-    start + unit * (travel * walked) on its open leg, so positions match
-    repeated ``step`` calls to the last bits.
+    operations, one (k, 3) block in id order.  At a slot boundary a user
+    stands on its waypoint or at start + unit * (travel * walked) on its
+    open leg: one multiply where a sub-stepped walk adds ``walked`` times,
+    so positions match such a walk to the last bits.
     """
     dt = cfg.substep_duration_s
     n_sub = round(cfg.slot_duration_s / dt)

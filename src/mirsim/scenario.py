@@ -270,8 +270,9 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.blocker_height_m > 0, "blocker_height_m", "must be > 0")
 
     snr = _linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
-    _check(0.0 < snr < math.inf, "uav_tx_power_dbm/noise_power_dbm",
-           "linear transmit SNR, the power over the noise, must be finite and > 0")
+    _check(0.0 < snr < math.inf and 1.0 / snr < math.inf, "uav_tx_power_dbm/noise_power_dbm",
+           "linear transmit SNR, the power over the noise, and its reciprocal must be "
+           "finite and > 0")
     _check(0.0 < _linear(cfg.snr_threshold_db) < math.inf, "snr_threshold_db",
            "linear threshold must be finite and > 0")
     _check(0.0 <= cfg.ftpa_decay <= 1.0, "ftpa_decay", "must be in [0, 1]")
@@ -339,7 +340,14 @@ def validate(cfg: ScenarioConfig) -> None:
     # times the NLoS gain at irs_height_m and, with the UAV leg, the LoS gain
     # over the shortest hop.  A pair's ratio then lies in [1, total / weakest];
     # as ftpa_decay <= 1, its power +decay lies there too and 1 + that is finite,
-    # while -decay gives a power in (0, 1].
+    # while -decay gives a power in (0, 1].  So a pair's shares lie in
+    # [small, 1 - small] for small = 1 / (1 + (total / weakest)^decay), and the
+    # favoured user (the weak one, unless ftpa_favor_strong) gets at least 1/2.
+    # A noise-limited SINR (strong, unpaired or OMA user) is then at least its
+    # smallest share of the weakest gain times the SNR, and a weak user's at
+    # least its smallest share of the weakest gain over the strong user's
+    # largest share of the strongest plus 1/SNR.  Both bounds are formed in the
+    # kernels' order, so a bound > 0 keeps every SINR > 0 and its dB value finite.
     diagonal = math.hypot(cfg.region_x_max - cfg.region_x_min,
                           cfg.region_y_max - cfg.region_y_min)
     longest = math.hypot(diagonal, cfg.uav_alt_max_m)
@@ -367,6 +375,16 @@ def validate(cfg: ScenarioConfig) -> None:
            "at irs_height_m, and over uav_alt_min_m - irs_height_m with irs_uav_leg_enabled) "
            "times the transmit SNR, and over the smallest direct gain (the bound of a NOMA "
            f"pair's FTPA ratio), must be finite ({lengths})")
+    small = 1.0 / (1.0 + (total / weakest) ** cfg.ftpa_decay)
+    weak_share, strong_share = (small, 0.5) if cfg.ftpa_favor_strong else (0.5, small)
+    _check(min(strong_share * weakest * snr,
+               weak_share * weakest / ((1.0 - weak_share) * strongest + 1.0 / snr)) > 0.0,
+           f"{law_keys}/irs_elements_per_user/ftpa_decay/ftpa_favor_strong/uav_tx_power_dbm/"
+           "noise_power_dbm", "the smallest SINR the kernels can form must be > 0: the "
+           "smallest FTPA share (1 / (1 + (largest total gain / smallest direct gain)^"
+           "ftpa_decay), or 1/2 for the user ftpa_favor_strong favours) of the smallest direct "
+           "gain, times the transmit SNR or, for a weak NOMA user, over the strong user's "
+           f"largest share of the largest direct gain plus 1 / SNR ({lengths})")
     # The blockage exponent peaks at the region diagonal and uav_alt_min_m.
     _check(math.isfinite(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * diagonal
                          * cfg.blocker_height_m / cfg.uav_alt_min_m),

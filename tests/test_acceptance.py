@@ -160,49 +160,43 @@ def test_criterion_6_coherent_combining_law(cfg):
 
 
 def test_criterion_7_mobility_properties():
+    # One sub-step per slot, so the trace records the position after every sub-step.
     cfg = make_config(num_users=5, speed_min_mps=0.1, speed_max_mps=0.9,
-                      pause_duration_s=3.0)
+                      pause_duration_s=3.0, num_slots=10_001, slot_duration_s=1.0)
     rng = scenario.stream(5, scenario.MOBILITY_STREAM)
-    users = mobility.init_users(cfg, rng)
-    dt = 1.0
+    positions = mobility.generate_trace(cfg, rng).positions
+    dt = cfg.substep_duration_s
     s_max = cfg.speed_max_mps
     contained = True
     speed_ok = True
     pause_ok = True
     pause_counts = 0
-    pending: dict[int, int] = {}
-    prev = users.position.copy()
-    for _ in range(10_000):
-        arrived_before = (np.all(users.position == users.waypoint, axis=1)
-                          & (users.pause_remaining > 0))
-        mobility.step(users, dt, cfg.region, cfg, rng)
+    still = [0] * cfg.num_users  # sub-steps each user has stood since it last moved
+    prev = positions[0]
+    for current in positions[1:]:
         for i in range(cfg.num_users):
-            position = tuple(users.position[i])
+            position = tuple(current[i])
             moved = math.dist(prev[i], position)
             if moved > s_max * dt + 1e-9:
                 speed_ok = False
             if not cfg.region.contains(*position):
                 contained = False
-            if i in pending:
-                if moved == 0.0:
-                    pending[i] += 1
-                else:
-                    if pending[i] != math.ceil(cfg.pause_duration_s / dt):
+            if moved == 0.0:
+                still[i] += 1
+            else:
+                if still[i]:  # a pause just ended; it lasts whole sub-steps
+                    if still[i] != math.ceil(cfg.pause_duration_s / dt):
                         pause_ok = False
                     pause_counts += 1
-                    del pending[i]
-            elif (not arrived_before[i] and position == tuple(users.waypoint[i])
-                  and users.pause_remaining[i] > 0):
-                pending[i] = 0  # just arrived; count the stationary steps that follow
-        prev = users.position.copy()
+                still[i] = 0
+        prev = current
 
-    zero_cfg = make_config(num_users=3, speed_min_mps=0.0, speed_max_mps=0.0)
+    zero_cfg = make_config(num_users=3, speed_min_mps=0.0, speed_max_mps=0.0,
+                           num_slots=101, slot_duration_s=1.0)
     zrng = scenario.stream(6, scenario.MOBILITY_STREAM)
-    zero_users = mobility.init_users(zero_cfg, zrng)
-    start_pos = zero_users.position.copy()
-    for _ in range(100):
-        mobility.step(zero_users, dt, zero_cfg.region, zero_cfg, zrng)
-    frozen_ok = np.array_equal(zero_users.position, start_pos)
+    zero_positions = mobility.generate_trace(zero_cfg, zrng).positions
+    frozen_ok = np.array_equal(zero_positions,
+                               np.broadcast_to(zero_positions[0], zero_positions.shape))
 
     ok = contained and speed_ok and pause_ok and pause_counts > 0 and frozen_ok
     _verdict(7, "mobility containment, speed bound, pause fidelity, zero-speed", ok,

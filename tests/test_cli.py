@@ -174,23 +174,23 @@ def test_user_rows_format():
             assert math.isclose(sinr_db, 10.0 * math.log10(result.sinr[user]), rel_tol=1e-12)
 
 
-def test_user_rows_match_the_per_element_oracle_and_zero_sinr_is_minus_inf():
+def test_user_rows_match_the_per_element_oracle():
     cfg = small_config(num_users=5)
     trace = mobility.generate_trace(cfg, scenario.stream(3, scenario.MOBILITY_STREAM))
     result = slot_result(Placement(uav=(100.0, 100.0, 50.0), irs=(20.0, 30.0)),
                          trace.positions[0], cfg)
-    result.sinr[[0, 3]] = [0.0, 1e-300]  # no signal, and a vanishing one
+    # validate() keeps every SINR > 0: the least a float allows, and a vanishing one
+    result.sinr[[0, 3]] = [5e-324, 1e-300]
     record = optimizer.GaRunRecord(Placement(uav=(100.0, 100.0, 50.0), irs=None), [0.0], [0.0],
                                    np.zeros(1), result)
     report = cli.ExperimentReport(fractions_scenario="M-IRS-NOMA")
     cli._record_first_seed_detail(report, "M-IRS-NOMA", 4, record)
     oracle = [[4, "M-IRS-NOMA", user, pair, float(result.alpha[user]),
-               float(scenario.linear_to_db(sinr)) if sinr > 0 else float("-inf"),
-               float(result.rate[user])]
+               float(scenario.linear_to_db(sinr)), float(result.rate[user])]
               for user, (pair, sinr) in enumerate(zip(result.pair_id.tolist(),
                                                       result.sinr.tolist()))]
     rows = report.per_user["rows"]
-    assert rows == oracle and rows[0][5] == -math.inf and rows[3][5] == -3000.0
+    assert rows == oracle and math.isfinite(rows[0][5]) and rows[3][5] == -3000.0
     assert [[type(cell) for cell in row] for row in rows] == \
         [[type(cell) for cell in row] for row in oracle]
     assert [(f["weak_user"], f["strong_user"], f["alpha_weak"], f["alpha_strong"])
@@ -361,6 +361,13 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
      "irs_height_m: 100\nuav_tx_power_dbm: 0\nnoise_power_dbm: 0\nftpa_favor_strong: true\n",
      ["los_intercept_db", "los_slope", "nlos_intercept_db", "nlos_slope", "irs_height_m",
       "region_x_max", "uav_alt_min_m", "uav_alt_max_m"]),
+    # a 10^-310 transmit SNR is > 0, but its reciprocal, the noise floor of a weak
+    # NOMA user's SINR, overflows to inf
+    ("uav_tx_power_dbm: -1600\nnoise_power_dbm: 1500\n", ["uav_tx_power_dbm", "noise_power_dbm"]),
+    # gains of about 10^-205 times a 10^-150 SNR: every SINR underflows to 0
+    ("los_intercept_db: 2000\nnlos_intercept_db: 2000\nuav_tx_power_dbm: -1500\n"
+     "noise_power_dbm: 0\n", ["los_intercept_db", "nlos_intercept_db", "ftpa_decay",
+                              "ftpa_favor_strong", "uav_tx_power_dbm", "noise_power_dbm"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirsim import mobility, scenario
-from mirsim.mobility import Users
 from mirsim.scenario import ConfigError
 
 from testutil import make_config
@@ -25,7 +24,7 @@ class UserState:
     position: tuple[float, float]
     waypoint: tuple[float, float]
     speed: float
-    pause_remaining: int = 0  # whole sub-steps
+    pause_left: int = 0  # whole sub-steps
 
 
 def oracle_init_users(cfg, rng) -> list[UserState]:
@@ -41,9 +40,15 @@ def oracle_init_users(cfg, rng) -> list[UserState]:
 
 
 def oracle_step(user: UserState, dt, region, cfg, rng) -> UserState:
-    """Oracle: advance one user by dt seconds (in place)."""
-    if user.pause_remaining > 0:
-        user.pause_remaining -= 1
+    """Oracle: advance one user by dt seconds (in place), the law of one sub-step.
+
+    This walk pins ``mobility.generate_trace``: a paused user counts down one
+    whole sub-step; a user standing on its waypoint redraws; a moving user
+    advances speed * dt toward its waypoint, and reaching it clamps to it and
+    starts a pause of ceil(pause_duration_s / dt) sub-steps.
+    """
+    if user.pause_left > 0:
+        user.pause_left -= 1
         return user
     if user.position == user.waypoint:
         user.waypoint = (rng.uniform(region.x_min, region.x_max),
@@ -55,7 +60,7 @@ def oracle_step(user: UserState, dt, region, cfg, rng) -> UserState:
     travel = user.speed * dt
     if travel >= dist:
         user.position = user.waypoint
-        user.pause_remaining = math.ceil(cfg.pause_duration_s / dt)
+        user.pause_left = math.ceil(cfg.pause_duration_s / dt)
     else:
         user.position = (user.position[0] + dx / dist * travel,
                          user.position[1] + dy / dist * travel)
@@ -66,30 +71,39 @@ def oracle_trace(cfg, rng) -> np.ndarray:
     """Oracle: the trace's (slots, users, 2) positions, every user stepped through every sub-step."""
     dt = cfg.substep_duration_s
     n_sub = round(cfg.slot_duration_s / dt)
-    users = mobility.init_users(cfg, rng)
+    users = oracle_init_users(cfg, rng)
     positions = np.empty((cfg.num_slots, cfg.num_users, 2))
-    positions[0] = users.position
+    positions[0] = [user.position for user in users]
     for slot in range(1, cfg.num_slots):
         for _ in range(n_sub):
-            mobility.step(users, dt, cfg.region, cfg, rng)
-        positions[slot] = users.position
+            for user in users:
+                oracle_step(user, dt, cfg.region, cfg, rng)
+        positions[slot] = [user.position for user in users]
     return positions
 
 
-def _one_user(position, waypoint, speed, pause_remaining=0.0) -> Users:
-    return Users(position=np.array([position], dtype=float),
-                 waypoint=np.array([waypoint], dtype=float),
-                 speed=np.array([speed], dtype=float),
-                 pause_remaining=np.array([pause_remaining], dtype=float))
+def _every_substep(num_substeps, seed=0, dt=1.0, **overrides):
+    """(config, positions) of a trace that records every sub-step: one sub-step per
+    slot, num_substeps of them after the initial slot."""
+    cfg = make_config(num_slots=num_substeps + 1, slot_duration_s=dt, substep_duration_s=dt,
+                      **overrides)
+    return cfg, mobility.generate_trace(cfg, _rng(seed)).positions
+
+
+def _pauses(positions) -> list[int]:
+    """Every completed pause in a trace that records every sub-step: the number of
+    sub-steps a user stands still between two sub-steps in which it moves."""
+    moved = np.any(positions[1:] != positions[:-1], axis=2)
+    gaps = np.concatenate([np.diff(np.flatnonzero(column)) - 1 for column in moved.T])
+    return gaps[gaps > 0].tolist()
 
 
 def test_initial_positions_inside_subregion():
     users = mobility.init_users(make_config(), _rng())
     assert users.position.shape == users.waypoint.shape == (10, 2)
-    assert users.speed.shape == users.pause_remaining.shape == (10,)
+    assert users.speed.shape == (10,)
     assert np.all((0.0 <= users.position) & (users.position <= 50.0))
     assert np.all((0.05 <= users.speed) & (users.speed <= 0.25))
-    assert np.all(users.pause_remaining == 0.0)
 
 
 def test_point_subregion_collapses_all_users():
@@ -103,7 +117,7 @@ def test_same_seed_gives_identical_users():
     cfg = make_config()
     a = mobility.init_users(cfg, _rng(3))
     b = mobility.init_users(cfg, _rng(3))
-    for field in ("position", "waypoint", "speed", "pause_remaining"):
+    for field in ("position", "waypoint", "speed"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -131,92 +145,67 @@ def test_negative_zero_subregion_bound_reads_as_zero():
 
 
 def test_step_advances_along_unit_vector():
-    cfg = make_config()
-    users = _one_user((0.0, 0.0), (3.0, 4.0), 1.0)
-    mobility.step(users, 1.0, cfg.region, cfg, _rng())
-    assert math.isclose(users.position[0, 0], 0.6, abs_tol=1e-12)
-    assert math.isclose(users.position[0, 1], 0.8, abs_tol=1e-12)
+    # In its first sub-step each user walks speed * dt along the unit vector
+    # toward its first waypoint, which lies farther away.
+    cfg, positions = _every_substep(1, seed=1, dt=0.5)
+    users = mobility.init_users(cfg, _rng(1))
+    d = users.waypoint - users.position
+    dist = np.hypot(d[:, 0], d[:, 1])
+    assert np.all(users.speed * 0.5 < dist)
+    np.testing.assert_allclose(positions[1] - positions[0],
+                               d / dist[:, None] * (users.speed * 0.5)[:, None],
+                               rtol=0.0, atol=1e-12)
 
 
 def test_step_zero_speed_is_stationary():
-    cfg = make_config(speed_min_mps=0.0, speed_max_mps=0.0)
-    rng = _rng()
-    users = mobility.init_users(cfg, rng)
-    start = users.position.copy()
-    for _ in range(50):
-        mobility.step(users, 1.0, cfg.region, cfg, rng)
-    assert np.array_equal(users.position, start)
+    _, positions = _every_substep(50, speed_min_mps=0.0, speed_max_mps=0.0)
+    assert np.array_equal(positions, np.broadcast_to(positions[0], positions.shape))
 
 
 def test_step_overshoot_clamps_and_pauses():
-    cfg = make_config(pause_duration_s=7.0)
-    for speed in (5.0, 1.0):  # overshoot, exact arrival
-        users = _one_user((0.0, 0.0), (0.0, 1.0), speed)
-        mobility.step(users, 1.0, cfg.region, cfg, _rng())
-        assert np.array_equal(users.position, [[0.0, 1.0]])
-        assert users.pause_remaining[0] == 7.0
+    # In a 1 m region at 5 m/s every user overshoots its first waypoint in the
+    # first sub-step, stands exactly on it for 7 more, and walks on in the 9th.
+    # (An exact arrival, travel == distance, also ends a leg: `_leg_steps` below.)
+    cfg, positions = _every_substep(9, region_x_max=1.0, region_y_max=1.0, init_x_max=1.0,
+                                    init_y_max=1.0, speed_min_mps=5.0, speed_max_mps=5.0,
+                                    pause_duration_s=7.0)
+    waypoint = mobility.init_users(cfg, _rng()).waypoint
+    assert np.array_equal(positions[1:9], np.broadcast_to(waypoint, (8, 10, 2)))
+    assert np.all(np.any(positions[9] != waypoint, axis=1))
 
 
 def test_step_pause_counts_down_without_motion():
-    cfg = make_config(pause_duration_s=2.5)
-    users = _one_user((5.0, 5.0), (5.0, 5.0), 1.0, pause_remaining=3.0)
-    for expected in (2.0, 1.0, 0.0):
-        mobility.step(users, 1.0, cfg.region, cfg, _rng())
-        assert np.array_equal(users.position, [[5.0, 5.0]])
-        assert users.pause_remaining[0] == expected
+    # Every pause a user takes lasts ceil(2.5) = 3 whole sub-steps on its
+    # waypoint, without motion, before it walks on.
+    _, positions = _every_substep(300, region_x_max=5.0, region_y_max=5.0, init_x_max=5.0,
+                                  init_y_max=5.0, speed_min_mps=0.5, speed_max_mps=1.5,
+                                  pause_duration_s=2.5)
+    pauses = _pauses(positions)
+    assert len(pauses) > 50 and set(pauses) == {3}
 
 
 def test_step_moves_each_user_by_its_own_state():
-    cfg = make_config(pause_duration_s=4.0)
-    users = Users(position=np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0], [1.0, 1.0]]),
-                  waypoint=np.array([[3.0, 4.0], [5.0, 5.0], [10.0, 11.0], [1.0, 1.0]]),
-                  speed=np.array([1.0, 1.0, 2.0, 0.5]),
-                  pause_remaining=np.array([0.0, 2.0, 0.0, 0.0]))
-    rng = _rng(5)
-    oracle_rng = _rng(5)
-    # user 3 stands on its waypoint unpaused, so it alone draws a new one
-    draw = oracle_rng.uniform(0.0, 500.0), oracle_rng.uniform(0.0, 500.0)
-    speed = oracle_rng.uniform(0.05, 0.25)
-    mobility.step(users, 1.0, cfg.region, cfg, rng)
-    assert np.allclose(users.position[:3], [[0.6, 0.8], [5.0, 5.0], [10.0, 11.0]],
-                       rtol=0.0, atol=1e-12)
-    assert np.array_equal(users.pause_remaining, [0.0, 1.0, 4.0, 0.0])
-    assert tuple(users.waypoint[3]) == draw and users.speed[3] == speed
-    assert 0.0 < math.dist(users.position[3], (1.0, 1.0)) <= speed + 1e-12
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_step_rejects_nonpositive_dt():
-    cfg = make_config()
-    users = _one_user((0.0, 0.0), (1.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        mobility.step(users, 0.0, cfg.region, cfg, _rng())
-
-
-@settings(max_examples=60, deadline=None)
-@given(num_users=st.integers(1, 12),
-       side=st.sampled_from([5.0, 40.0, 500.0]),
-       speeds=st.tuples(st.sampled_from([0.0, 0.05, 1.0, 5.0, 20.0]),
-                        st.sampled_from([0.0, 0.25, 3.0, 20.0])),
-       pause=st.sampled_from([0.0, 0.5, 3.0, 7.5]),
-       dt=st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]),
-       seed=st.integers(0, 2**32 - 1))
-def test_population_step_matches_scalar_oracle(num_users, side, speeds, pause, dt, seed):
-    cfg = make_config(num_users=num_users, region_x_max=side, region_y_max=side,
-                      init_x_max=min(side, 50.0), init_y_max=min(side, 50.0),
-                      speed_min_mps=min(speeds), speed_max_mps=max(speeds),
-                      pause_duration_s=pause)
-    rng, oracle_rng = _rng(seed), _rng(seed)
-    users = mobility.init_users(cfg, rng)
+    # One sub-step per slot in a 10 m region: in some sub-step one user walks,
+    # one stands out its pause, one arrives and one redraws, and each sub-step's
+    # positions and draws are the scalar oracle's.
+    cfg = make_config(num_users=8, num_slots=61, slot_duration_s=1.0, region_x_max=10.0,
+                      region_y_max=10.0, init_x_max=10.0, init_y_max=10.0, speed_min_mps=0.5,
+                      speed_max_mps=3.0, pause_duration_s=4.0)
+    rng, oracle_rng = _rng(5), _rng(5)
+    positions = mobility.generate_trace(cfg, rng).positions
     oracle = oracle_init_users(cfg, oracle_rng)
-    for _ in range(150):
-        mobility.step(users, dt, cfg.region, cfg, rng)
+    mixed = False
+    for slot in range(1, cfg.num_slots):
+        states = set()
         for user in oracle:
-            oracle_step(user, dt, cfg.region, cfg, oracle_rng)
-        np.testing.assert_allclose(users.position, [u.position for u in oracle],
-                                   rtol=0.0, atol=1e-9)
-    assert np.array_equal(users.waypoint, [u.waypoint for u in oracle])
-    assert np.array_equal(users.pause_remaining, [u.pause_remaining for u in oracle])
+            paused, redraws = user.pause_left > 0, user.position == user.waypoint
+            oracle_step(user, 1.0, cfg.region, cfg, oracle_rng)
+            states.add("pause" if paused else "redraw" if redraws
+                       else "arrive" if user.pause_left > 0 else "walk")
+        mixed |= states == {"walk", "pause", "arrive", "redraw"}
+        np.testing.assert_allclose(positions[slot], [u.position for u in oracle],
+                                   rtol=0.0, atol=1e-9 * 10.0)
+    assert mixed
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -251,21 +240,21 @@ def test_trace_matches_substep_oracle(num_users, corner, side, speeds, pause, dt
 
 
 def _substeps_to_arrive(waypoint, speed=1.0) -> int:
-    """Sub-steps repeated `step` calls take to walk from the origin onto waypoint."""
+    """Sub-steps the scalar oracle's walk takes from the origin onto waypoint."""
     cfg = make_config()
-    users = _one_user((0.0, 0.0), waypoint, speed)
+    user = UserState(id=0, position=(0.0, 0.0), waypoint=waypoint, speed=speed)
     for n in range(1, 1000):
-        mobility.step(users, 1.0, cfg.region, cfg, _rng())
-        if np.array_equal(users.position[0], waypoint):
+        oracle_step(user, 1.0, cfg.region, cfg, _rng())
+        if user.position == waypoint:
             return n
     raise AssertionError(f"no arrival at {waypoint}")
 
 
 def test_leg_takes_ceil_of_distance_over_travel():
     # A 3-4-5 leg at 1 m per sub-step arrives in its 5th sub-step, a 6-8-10 leg
-    # in its 10th.  Repeated `step` calls agree on the first, but after nine
-    # steps of 0.6/0.8 m their distance left rounds above 1 m, so they arrive
-    # one sub-step later on the second.
+    # in its 10th.  The scalar oracle's walk agrees on the first, but after
+    # nine sub-steps of 0.6/0.8 m its distance left rounds above 1 m, so it
+    # arrives one sub-step later on the second.
     legs = mobility._leg_steps(np.array([5.0, 10.0]), np.array([1.0, 1.0]))
     assert legs.tolist() == [5.0, 10.0]
     assert [_substeps_to_arrive((3.0, 4.0)), _substeps_to_arrive((6.0, 8.0))] == [5, 11]
@@ -323,19 +312,33 @@ def test_stopped_users_stay_frozen(speed_max):
     assert np.array_equal(positions, np.broadcast_to(positions[0], positions.shape))
 
 
+def test_users_that_start_on_their_waypoint_redraw_at_once():
+    # In a region 5e-324 m wide, the smallest subnormal, every uniform rounds to
+    # 0 or to that width, so some users start on their first waypoint: they
+    # redraw in the first sub-step, as the scalar oracle does.
+    overrides = dict(region_x_max=5e-324, region_y_max=5e-324, init_x_max=0.0, init_y_max=0.0,
+                     speed_min_mps=1.0, speed_max_mps=2.0, num_slots=4, slot_duration_s=3.0,
+                     pause_duration_s=1.0)
+    users = mobility.init_users(make_config(**overrides), _rng(2))
+    assert np.any(np.all(users.position == users.waypoint, axis=1))
+    positions, expected, same_draws = _trace_pair(seed=2, **overrides)
+    assert same_draws
+    assert np.array_equal(positions, expected)
+
+
 def test_tiny_region_is_bit_equal_to_oracle_and_visits_each_sub_step_once():
     # In a 0.1 m region at >= 1 m/s every leg lasts one sub-step, so every user
     # redraws every sub-step: one event per sub-step, the loop's worst case.
     cfg = make_config(region_x_max=0.1, region_y_max=0.1, init_x_max=0.1, init_y_max=0.1,
                       speed_min_mps=1.0, speed_max_mps=2.0)
-    rng, oracle_rng = _CountingRng(_rng(4)), _CountingRng(_rng(4))
+    rng, oracle_rng = _CountingRng(_rng(4)), _rng(4)
     positions = mobility.generate_trace(cfg, rng).positions
     expected = oracle_trace(cfg, oracle_rng)
-    assert rng.rng.bit_generator.state == oracle_rng.rng.bit_generator.state
+    assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
     assert np.array_equal(positions, expected)
     # The init draw, then one array-operation group in each of the 4 x 300
     # sub-steps but the first, which walks the legs drawn at init.
-    assert rng.calls == oracle_rng.calls == 1 + 1199
+    assert rng.calls == 1 + 1199
 
 
 def _paused_substeps(positions, waypoint) -> int:
@@ -359,8 +362,8 @@ def test_trace_pauses_ceil_of_duration_over_dt():
 
 def test_pause_at_a_non_binary_dt_is_ceil_not_repeated_subtraction():
     # At dt 0.1 a 1 s pause lasts ceil(1.0 / 0.1) = 10 sub-steps, acceptance
-    # criterion 7's law, in the trace and under repeated `step` calls alike:
-    # `step` counts whole sub-steps, where subtracting 0.1 s ten times would
+    # criterion 7's law, in the trace and in the scalar oracle alike: the
+    # oracle counts whole sub-steps, where subtracting 0.1 s ten times would
     # leave 1.4e-16 s and pause an 11th.
     cfg = make_config(num_slots=400, substep_duration_s=0.1, slot_duration_s=0.1,
                       region_x_max=5.0, region_y_max=5.0, init_x_max=5.0, init_y_max=5.0,
@@ -400,37 +403,19 @@ def test_trace_positions_contained():
 
 
 def test_displacement_bounded_by_speed():
-    cfg = make_config(speed_min_mps=0.3, speed_max_mps=1.4, pause_duration_s=2.0)
-    rng = _rng(4)
-    users = mobility.init_users(cfg, rng)
-    prev = users.position.copy()
-    for _ in range(2000):
-        mobility.step(users, 1.0, cfg.region, cfg, rng)
-        moved = np.hypot(*(users.position - prev).T)
-        assert np.all(moved <= 1.4 + 1e-9)
-        prev = users.position.copy()
+    _, positions = _every_substep(2000, seed=4, speed_min_mps=0.3, speed_max_mps=1.4,
+                                  pause_duration_s=2.0)
+    step = positions[1:] - positions[:-1]
+    assert np.all(np.hypot(step[..., 0], step[..., 1]) <= 1.4 + 1e-9)
 
 
 def test_pause_lasts_ceil_of_duration_over_dt():
-    cfg = make_config(speed_min_mps=0.5, speed_max_mps=1.5, pause_duration_s=3.5)
-    rng = _rng(8)
-    users = mobility.init_users(cfg, rng)
-    # run to user 0's first arrival
-    for _ in range(10_000):
-        mobility.step(users, 1.0, cfg.region, cfg, rng)
-        if users.pause_remaining[0] > 0:
-            break
-    assert np.array_equal(users.position[0], users.waypoint[0])
-    still = 0
-    pos = users.position[0].copy()
-    for _ in range(100):
-        mobility.step(users, 1.0, cfg.region, cfg, rng)
-        if not np.array_equal(users.position[0], pos):
-            break
-        still += 1
-    else:
-        pytest.fail("user 0 never left its waypoint in 100 steps")
-    assert still == math.ceil(3.5 / 1.0)
+    # Every pause in the default region, user 0's first among them, lasts
+    # ceil(3.5 / 1.0) = 4 sub-steps.
+    cfg, positions = _every_substep(2000, seed=8, speed_min_mps=0.5, speed_max_mps=1.5,
+                                    pause_duration_s=3.5)
+    assert _paused_substeps(positions, mobility.init_users(cfg, _rng(8)).waypoint[0]) == 4
+    assert set(_pauses(positions)) == {math.ceil(3.5 / 1.0)}
 
 
 def test_trace_round_trips_through_csv(tmp_path):

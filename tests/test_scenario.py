@@ -84,6 +84,7 @@ def test_half_specified_static_position_rejected():
     {"sinr_penalty_weight": 1e300, "snr_threshold_db": 100.0},
     {"bits_per_coordinate": 54},
     {"bits_per_coordinate": 64},
+    {"substep_duration_s": 0.0},  # the trace's sub-step, dt
 ])
 def test_invariant_violations_rejected(overrides):
     # the message names the first override key
@@ -100,6 +101,8 @@ def test_slots_times_generations_cap_sits_at_ten_to_the_six():
 # -- The link budget, computed as README states it ---------------------------
 
 _LAWS = "los_intercept_db/los_slope/nlos_intercept_db/nlos_slope"
+_FLOOR = (f"{_LAWS}/irs_elements_per_user/ftpa_decay/ftpa_favor_strong/uav_tx_power_dbm/"
+          "noise_power_dbm")
 
 
 def _linear(x_db):
@@ -114,7 +117,8 @@ def _within_link_budget(cfg) -> bool:
     """README's link-budget conditions: every direct gain, from uav_alt_min_m to the
     region diagonal at uav_alt_max_m, finite and > 0; N^2 a finite float; the
     largest total gain (largest direct gain plus the reflected peak) finite times
-    the transmit SNR and over the smallest direct gain."""
+    the transmit SNR and over the smallest direct gain; the SNR's reciprocal
+    finite; and the smallest SINR > 0."""
     def loss(intercept, slope, d):
         return intercept + 10.0 * slope * math.log10(d)
 
@@ -128,9 +132,19 @@ def _within_link_budget(cfg) -> bool:
         loss(*laws[0], cfg.uav_alt_min_m - cfg.irs_height_m) if cfg.irs_uav_leg_enabled else 0.0)
     total = max(gains) + _linear(peak_db)
     snr = _linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
-    return (0.0 < snr < math.inf and 0.0 < min(gains) and max(gains) < math.inf
-            and n * n <= sys.float_info.max and total * snr < math.inf
-            and total / min(gains) < math.inf)
+    weakest, strongest = min(gains), max(gains)
+    if not (0.0 < snr < math.inf and 1.0 / snr < math.inf and 0.0 < weakest
+            and strongest < math.inf and n * n <= sys.float_info.max
+            and total * snr < math.inf and total / weakest < math.inf):
+        return False
+    # The smallest SINR: a noise-limited user's smallest share of the weakest gain
+    # times the SNR, or a weak user's over the strong user's largest share of the
+    # strongest gain plus 1 / SNR.  A pair's shares lie in [small, 1 - small], the
+    # favoured user's (the weak one's, unless ftpa_favor_strong) from 1/2 up.
+    small = 1.0 / (1.0 + (total / weakest) ** cfg.ftpa_decay)
+    weak, strong = (small, 0.5) if cfg.ftpa_favor_strong else (0.5, small)
+    return min(strong * weakest * snr,
+               weak * weakest / ((1.0 - weak) * strongest + 1.0 / snr)) > 0.0
 
 
 def _float_edge(holds, inside, outside):
@@ -148,9 +162,10 @@ _REGION = dict(region_x_min=20.0, region_x_max=520.0, region_y_min=30.0, region_
 
 
 @pytest.mark.parametrize("base, keys, inside, outside, named", [
-    # every gain tiny: the longest link's gain underflows first
+    # every gain tiny: the smallest SINR, a share of the longest link's gain, reaches 0
+    # before that gain does
     (dict(los_slope=2.0, nlos_slope=2.0, irs_height_m=100.0),
-     ("los_intercept_db", "nlos_intercept_db"), 3000.0, 3300.0, _LAWS),
+     ("los_intercept_db", "nlos_intercept_db"), 3000.0, 3300.0, _FLOOR),
     # both laws 10^300 at 100 m: the pair ratio grows with the longest link, in a shifted region
     (dict(los_intercept_db=-10000.0, nlos_intercept_db=-10000.0, los_slope=350.0,
           nlos_slope=350.0, irs_height_m=100.0, uav_tx_power_dbm=0.0, noise_power_dbm=0.0,
@@ -159,10 +174,11 @@ _REGION = dict(region_x_min=20.0, region_x_max=520.0, region_y_min=30.0, region_
     (dict(los_intercept_db=-3040.0, nlos_intercept_db=-3040.0, nlos_slope=2.0,
           irs_height_m=100.0, noise_power_dbm=0.0), ("uav_tx_power_dbm",), 1.0, 160.0,
      f"{_LAWS}/irs_elements_per_user"),
-    # the transmit SNR alone, at both ends of the float range
+    # the transmit SNR alone, at both ends of the float range; at the low end its
+    # reciprocal overflows first, with gains of about 10^100 keeping every SINR > 0
     ({}, ("uav_tx_power_dbm",), 3000.0, 3100.0, "uav_tx_power_dbm/noise_power_dbm"),
-    (dict(noise_power_dbm=0.0), ("uav_tx_power_dbm",), -3000.0, -3300.0,
-     "uav_tx_power_dbm/noise_power_dbm"),
+    (dict(noise_power_dbm=0.0, los_intercept_db=-1100.0, nlos_intercept_db=-1100.0),
+     ("uav_tx_power_dbm",), -3000.0, -3300.0, "uav_tx_power_dbm/noise_power_dbm"),
     # a reflected peak of 10^300 x the NLoS gain at irs_height_m over the weakest direct gain
     (dict(irs_elements_per_user=10**150), ("irs_height_m",), 2.0, 1.0,
      f"{_LAWS}/irs_elements_per_user"),
@@ -170,8 +186,11 @@ _REGION = dict(region_x_min=20.0, region_x_max=520.0, region_y_min=30.0, region_
     (dict(irs_elements_per_user=16 * 10**148, irs_uav_leg_enabled=True, irs_height_m=50.0,
           los_intercept_db=-100.0), ("uav_alt_min_m",), 150.0, 100.0,
      f"{_LAWS}/irs_elements_per_user"),
+    # gains of about 10^-205 times a falling SNR: the smallest SINR underflows to 0
+    (dict(los_intercept_db=2000.0, nlos_intercept_db=2000.0, noise_power_dbm=0.0),
+     ("uav_tx_power_dbm",), -1000.0, -1500.0, _FLOOR),
 ], ids=["weakest-gain", "pair-ratio", "snr-times-total", "snr-overflow", "snr-underflow",
-        "reflected-peak", "uav-leg"])
+        "reflected-peak", "uav-leg", "sinr-floor"])
 def test_link_budget_edges_sit_where_readme_puts_them(base, keys, inside, outside, named):
     # validate must accept the last float inside README's bounds and refuse the
     # next one, naming the bound's keys.
@@ -207,14 +226,30 @@ def test_a_pair_just_inside_the_ftpa_ratio_bound_splits_finitely(favor_strong):
     # The user under the UAV and the surface gets 10^300 on each link; the corner
     # user, 714.1 m away on both, the weakest gains.  validate refuses from a slope
     # of about 360.6923, where the bound, twice this pair's ratio, overflows; the
-    # suite's filter turns any numpy warning into an error.
+    # suite's filter turns any numpy warning into an error.  In comparison mode the
+    # weak user's share falls as the ratio grows, and the bound on its SINR reaches
+    # 0 at a lower slope: at the last slope validate accepts, the pair's SINRs, with
+    # and without the surface, must still be > 0.
     with pytest.raises(ConfigError, match=f"^{_LAWS}/irs_elements_per_user: "):
         _ratio_config(360.693, ftpa_favor_strong=favor_strong)
-    cfg = _ratio_config(360.692, ftpa_favor_strong=favor_strong)
-    result = slot_result(Placement((0.0, 0.0, 100.0), (0.0, 0.0)), [[0.0, 0.0], [500.0, 500.0]],
-                         cfg)
-    assert np.isfinite([*result.sinr, *result.rate, *result.alpha, result.sum_rate]).all()
-    assert (result.alpha[0] > result.alpha[1]) == favor_strong  # user 0 is the strong one
+    slope = 360.692
+    if favor_strong:
+        def accepted(slope):
+            try:
+                return bool(_ratio_config(slope, ftpa_favor_strong=True))
+            except ConfigError:
+                return False
+
+        slope, refused = _float_edge(accepted, 200.0, 360.692)
+        with pytest.raises(ConfigError, match=f"^{re.escape(_FLOOR)}: "):
+            _ratio_config(refused, ftpa_favor_strong=True)
+    cfg = _ratio_config(slope, ftpa_favor_strong=favor_strong)
+    for irs in ((0.0, 0.0), None):
+        result = slot_result(Placement((0.0, 0.0, 100.0), irs), [[0.0, 0.0], [500.0, 500.0]],
+                             cfg)
+        assert np.isfinite([*result.sinr, *result.rate, *result.alpha, result.sum_rate]).all()
+        assert (result.sinr > 0.0).all()
+        assert (result.alpha[0] > result.alpha[1]) == favor_strong  # user 0 is the strong one
 
 
 def test_degenerate_initial_subregion_is_allowed():
