@@ -8,13 +8,14 @@ combines coherently, so the aggregate scales as N^2.  The kernels write each
 law as ln(gain) = a + k log10(d^2), the dB-to-linear step folded into a and
 k, and end it in one exp; the averaged direct law is one such affine form,
 mixed by the LoS probability, and q^2 is formed once (q = sqrt(q^2), d^2 =
-q^2 + z^2).  pathloss_los and pathloss_nlos state the dB laws.  Users are a
-(..., U, 2) array.  All functions are pure and broadcast over leading
-placement axes, so a batch of candidate placements evaluates in one call;
-(J, 1, U, 2) users against (J, P, .) placements score P candidates of each
-of J jobs, each job with its own users.  The kernels rely on
-scenario.validate's bounds (positive altitudes and link lengths, finite
-gains) and do not check the arrays passed to them.
+q^2 + z^2).  uav_link_pathloss gives the direct law in dB; the laws' dB
+statements live in README "Model summary" and in the suite's textbook
+oracles.  Users are a (..., U, 2) array.  All functions are pure and
+broadcast over leading placement axes, so a batch of candidate placements
+evaluates in one call; (J, 1, U, 2) users against (J, P, .) placements
+score P candidates of each of J jobs, each job with its own users.  The
+kernels rely on scenario.validate's bounds (positive altitudes, finite
+squared link lengths and gains) and do not check the arrays they get.
 """
 
 from __future__ import annotations
@@ -84,23 +85,6 @@ def distance_3d(uav_xyz, users_xy):
 def horizontal_distance(uav_xyz, users_xy):
     """2D distance between the UAV's ground projection and each of (..., U, 2) users."""
     return np.sqrt(_squared_ground_distance(uav_xyz, users_xy))
-
-
-def pathloss_los(d, cfg: ScenarioConfig):
-    """LoS pathloss in dB at distance d (meters)."""
-    return _log_law(d, cfg.los_intercept_db, cfg.los_slope)
-
-
-def pathloss_nlos(d, cfg: ScenarioConfig):
-    """NLoS pathloss in dB at distance d (meters)."""
-    return _log_law(d, cfg.nlos_intercept_db, cfg.nlos_slope)
-
-
-def _log_law(d, intercept_db: float, slope: float):
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("pathloss distance must be > 0")
-    return intercept_db + 10.0 * slope * np.log10(d)
 
 
 _DB = 10.0 / math.log(10.0)  # a loss of L dB is the linear power gain exp(-L / _DB)

@@ -47,8 +47,11 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(x_db):
-    """Convert dB (or dBm) to a linear ratio (or mW)."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert dB (or dBm) to a linear ratio (or mW); inf past the float range."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(x):
@@ -241,14 +244,6 @@ def _check(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"{field_name}: {message}")
 
 
-def _linear(x_db: float) -> float:
-    """db_to_linear, or inf past the float range."""
-    try:
-        return db_to_linear(x_db)
-    except OverflowError:
-        return math.inf
-
-
 def validate(cfg: ScenarioConfig) -> None:
     """Check every invariant; raises ConfigError naming the offending field."""
     _check(cfg.region_x_max > cfg.region_x_min, "region_x_max", "must exceed region_x_min")
@@ -269,11 +264,11 @@ def validate(cfg: ScenarioConfig) -> None:
     _check(cfg.blocker_diameter_m > 0, "blocker_diameter_m", "must be > 0")
     _check(cfg.blocker_height_m > 0, "blocker_height_m", "must be > 0")
 
-    snr = _linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
+    snr = db_to_linear(cfg.uav_tx_power_dbm - cfg.noise_power_dbm)
     _check(0.0 < snr < math.inf and 1.0 / snr < math.inf, "uav_tx_power_dbm/noise_power_dbm",
            "linear transmit SNR, the power over the noise, and its reciprocal must be "
            "finite and > 0")
-    _check(0.0 < _linear(cfg.snr_threshold_db) < math.inf, "snr_threshold_db",
+    _check(0.0 < db_to_linear(cfg.snr_threshold_db) < math.inf, "snr_threshold_db",
            "linear threshold must be finite and > 0")
     _check(0.0 <= cfg.ftpa_decay <= 1.0, "ftpa_decay", "must be in [0, 1]")
 
@@ -332,6 +327,16 @@ def validate(cfg: ScenarioConfig) -> None:
         _check(cfg.sinr_penalty_weight > 0, "max_slot_displacement_m",
                "needs sinr_penalty_weight > 0, the weight that enforces it")
 
+    # The kernels form squared link lengths dx^2 + dy^2 + z^2, with |dx| and |dy|
+    # at most the region's spans and z at most uav_alt_max_m (UAV) or
+    # irs_height_m (surface); past the float range the ln-gain law meets inf - inf.
+    span_x, span_y = cfg.region_x_max - cfg.region_x_min, cfg.region_y_max - cfg.region_y_min
+    top = max(cfg.uav_alt_max_m, cfg.irs_height_m)
+    _check(span_x * span_x + span_y * span_y + top * top < math.inf,
+           "region_x_min/region_x_max/region_y_min/region_y_max/uav_alt_max_m/irs_height_m",
+           "the longest squared link, (region_x_max - region_x_min)^2 + (region_y_max - "
+           "region_y_min)^2 + max(uav_alt_max_m, irs_height_m)^2, must be finite")
+
     # The kernels form each user's direct and reflected gain, their total times
     # the transmit SNR, and each NOMA pair's ratio of totals, strong over weak.
     # Both pathloss laws fall with distance, so every direct gain lies between
@@ -348,10 +353,9 @@ def validate(cfg: ScenarioConfig) -> None:
     # least its smallest share of the weakest gain over the strong user's
     # largest share of the strongest plus 1/SNR.  Both bounds are formed in the
     # kernels' order, so a bound > 0 keeps every SINR > 0 and its dB value finite.
-    diagonal = math.hypot(cfg.region_x_max - cfg.region_x_min,
-                          cfg.region_y_max - cfg.region_y_min)
+    diagonal = math.hypot(span_x, span_y)
     longest = math.hypot(diagonal, cfg.uav_alt_max_m)
-    gains = [_linear(-(intercept + 10.0 * slope * math.log10(d)))
+    gains = [db_to_linear(-(intercept + 10.0 * slope * math.log10(d)))
              for intercept, slope in ((cfg.los_intercept_db, cfg.los_slope),
                                       (cfg.nlos_intercept_db, cfg.nlos_slope))
              for d in (cfg.uav_alt_min_m, longest)]
@@ -368,7 +372,7 @@ def validate(cfg: ScenarioConfig) -> None:
     if cfg.irs_uav_leg_enabled:
         hop = cfg.uav_alt_min_m - cfg.irs_height_m
         peak_db -= cfg.los_intercept_db + 10.0 * cfg.los_slope * math.log10(hop)
-    total = strongest + _linear(peak_db)
+    total = strongest + db_to_linear(peak_db)
     _check(total * snr < math.inf and total / weakest < math.inf,
            f"{law_keys}/irs_elements_per_user",
            "the largest total gain (the largest direct gain plus N^2 x the reflected peak "

@@ -114,8 +114,15 @@ def test_criterion_4_ftpa_properties():
 
 
 def test_criterion_5_channel_analytics(cfg):
-    los_100 = float(channel.pathloss_los(100.0, cfg))
-    nlos_100 = float(channel.pathloss_nlos(100.0, cfg))
+    import dataclasses
+    # The anchors come off the kernels the GA runs: the direct law with the UAV
+    # 100 m straight above the user, where P_los = 1, and one surface element
+    # (N = 1, coefficient 1) 100 m above the user.
+    overhead = (np.array([0.0, 0.0, 100.0]), np.zeros((1, 2)))
+    los_100 = float(channel.uav_link_pathloss(*overhead, cfg)[0])
+    one = dataclasses.replace(cfg, irs_height_m=100.0, irs_elements_per_user=1,
+                              irs_reflection_coeff=1.0)
+    nlos_100 = -10.0 * math.log10(channel.irs_combined_gain(np.zeros(2), *overhead, one)[0])
     values_ok = (math.isclose(los_100, 101.4, rel_tol=1e-12)
                  and math.isclose(nlos_100, 130.4, rel_tol=1e-12))
 
@@ -130,8 +137,8 @@ def test_criterion_5_channel_analytics(cfg):
         users = rng.uniform(0, 500, size=(1000, 2))
         d = channel.distance_3d(uav, users)
         avg = channel.uav_link_pathloss(uav, users, cfg)
-        lo_db = channel.pathloss_los(d, cfg)
-        hi_db = channel.pathloss_nlos(d, cfg)
+        lo_db = cfg.los_intercept_db + 10.0 * cfg.los_slope * np.log10(d)
+        hi_db = cfg.nlos_intercept_db + 10.0 * cfg.nlos_slope * np.log10(d)
         if not (np.all(avg >= np.minimum(lo_db, hi_db) - 1e-9)
                 and np.all(avg <= np.maximum(lo_db, hi_db) + 1e-9)):
             bounded_ok = False

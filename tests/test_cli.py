@@ -368,6 +368,15 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
     ("los_intercept_db: 2000\nnlos_intercept_db: 2000\nuav_tx_power_dbm: -1500\n"
      "noise_power_dbm: 0\n", ["los_intercept_db", "nlos_intercept_db", "ftpa_decay",
                               "ftpa_favor_strong", "uav_tx_power_dbm", "noise_power_dbm"]),
+    # near-flat laws keep every gain finite, but the kernels' squared link lengths
+    # overflow: a 10^155 m square region, a 10^200 m ceiling, a 10^200 m high surface
+    ("region_x_max: 1.0e+155\nregion_y_max: 1.0e+155\nlos_slope: 0.001\nnlos_slope: 0.001\n"
+     "num_slots: 2\nmax_iterations: 3\npopulation_size: 8\n",
+     ["region_x_max", "region_y_max", "uav_alt_max_m"]),
+    ("uav_alt_max_m: 1.0e+200\nlos_slope: 0.001\nnlos_slope: 0.001\n"
+     "num_slots: 2\nmax_iterations: 3\npopulation_size: 8\n", ["uav_alt_max_m"]),
+    ("irs_height_m: 1.0e+200\nlos_slope: 0.001\nnlos_slope: 0.001\n"
+     "num_slots: 2\nmax_iterations: 3\npopulation_size: 8\n", ["irs_height_m"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"

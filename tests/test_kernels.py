@@ -440,16 +440,42 @@ def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
         for full in (False, True):
             args = (genomes[:jobs], users[:jobs], cfg, [cli.SCENARIOS[n] for n in stack],
                     [None] * jobs, None, channel.Workspace(), full)
-            optimizer._fitness(*args)
-            started = not tracemalloc.is_tracing()
-            if started:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                optimizer._fitness(*args)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if started:
-                    tracemalloc.stop()
+            peak = _warm_peak_bytes(optimizer._fitness, *args)
             assert peak <= budget, (stack, full, peak)
+
+
+def test_a_warm_workspace_keeps_link_gains_from_allocating_cell_arrays():
+    # Each channel law runs in place in the workspace's roles: with every LoS
+    # model, the UAV leg on and off, and a whole, partial or absent surface
+    # stack, a warm call allocates less than one job's (P, U) array.  An
+    # operation that loses its out= costs a whole (J, P, U) temporary.
+    rng = np.random.default_rng(7)
+    uav = np.concatenate([rng.uniform(0.0, 500.0, (3, 200, 2)),
+                          rng.uniform(100.0, 300.0, (3, 200, 1))], axis=-1)
+    irs = rng.uniform(0.0, 500.0, (3, 200, 2))
+    users = rng.uniform(0.0, 500.0, (3, 1, 301, 2))
+    budget = 200 * 301 * np.dtype(float).itemsize
+    for los_model in ("blockage", "sigmoid"):
+        for leg in (False, True):
+            cfg = make_config(num_users=301, population_size=200, los_model=los_model,
+                              irs_uav_leg_enabled=leg)
+            for surfaces in (irs, irs[:2], None):
+                args = (uav, surfaces, users, cfg, channel.Workspace())
+                peak = _warm_peak_bytes(channel.link_gains, *args)
+                assert peak < budget, (los_model, leg, surfaces is None, peak)
+
+
+def _warm_peak_bytes(kernel, *args):
+    """Peak bytes traced during a second kernel(*args) call, after a first warms args' workspace."""
+    kernel(*args)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        kernel(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -688,21 +688,44 @@ def test_optimize_jobs_pulls_one_stack_of_jobs_at_a_time(monkeypatch):
 
 
 # The config values are copied from the benchmark workloads and CI so that any
-# change to stack sizing shows up here, in review.
-@pytest.mark.parametrize("overrides, seeds, stacks", [
-    (dict(num_users=10, num_slots=5, population_size=50, max_iterations=50), 2, [8]),
-    (dict(num_users=301, num_slots=5, population_size=200, max_iterations=6), 1, [1] * 4),
-    (dict(num_users=200, num_slots=30, population_size=8, max_iterations=4), 1, [4]),
-    (dict(num_users=301, num_slots=2, population_size=200, max_iterations=2), 1, [1] * 4),
-    ({}, 20, [66, 14]),
-    ({}, 16, [64]),  # README: up to 16 seeds of all four scenarios in one stack
+# change to stack sizing shows up here, in review.  A --trace file's slot
+# count stands in for num_slots, so the last case's 1,000-slot trace sizes
+# its stacks, not the config's 5 slots.
+@pytest.mark.parametrize("overrides, seeds, stacks, slots", [
+    (dict(num_users=10, num_slots=5, population_size=50, max_iterations=50), 2, [8], None),
+    (dict(num_users=301, num_slots=5, population_size=200, max_iterations=6), 1, [1] * 4, None),
+    (dict(num_users=200, num_slots=30, population_size=8, max_iterations=4), 1, [4], None),
+    (dict(num_users=301, num_slots=2, population_size=200, max_iterations=2), 1, [1] * 4, None),
+    ({}, 20, [66, 14], None),
+    ({}, 16, [64], None),  # README: up to 16 seeds of all four scenarios in one stack
+    ({}, 16, [2] * 32, 1000),
 ], ids=["paper-default", "dense-crowd", "long-horizon", "ci-301-users", "default-20-seeds",
-        "default-16-seeds"])
-def test_stack_shapes(overrides, seeds, stacks):
+        "default-16-seeds", "trace-of-1000-slots"])
+def test_stack_shapes(overrides, seeds, stacks, slots):
     cfg = scenario.config_from_dict(overrides)
-    trace = mobility.MobilityTrace(np.zeros((cfg.num_slots, cfg.num_users, 2)))
+    trace = mobility.MobilityTrace(np.zeros((slots or cfg.num_slots, cfg.num_users, 2)))
     jobs = [(trace, seed, variant) for seed in range(seeds) for variant in cli.SCENARIOS.values()]
     assert [len(stack) for stack in optimizer._stacks(jobs, cfg)] == stacks
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(num_users=10, num_slots=5, population_size=50, max_iterations=50),
+    dict(num_users=301, num_slots=5, population_size=200, max_iterations=6),
+    dict(num_users=200, num_slots=30, population_size=8, max_iterations=4),
+    dict(num_users=3, num_slots=1, population_size=4, max_iterations=1, bits_per_coordinate=53),
+], ids=["paper-default", "dense-crowd", "long-horizon", "wide-genomes"])
+def test_stacks_charge_each_job_the_module_docstring_s_count(monkeypatch, overrides):
+    # A job holds P L + S (2 G + 8 U) + 8 P U numbers: a bound of twice that
+    # fits two jobs a stack, and one number less fits one.
+    cfg = scenario.config_from_dict(overrides)
+    held = (cfg.population_size * optimizer.genome_length(cfg)
+            + cfg.num_slots * (2 * cfg.max_iterations + 8 * cfg.num_users)
+            + 8 * cfg.population_size * cfg.num_users)
+    trace = mobility.MobilityTrace(np.zeros((cfg.num_slots, cfg.num_users, 2)))
+    for bound, size in ((2 * held, 2), (2 * held - 1, 1)):
+        monkeypatch.setattr(optimizer, "_STACK_NUMBERS", bound)
+        stacks = optimizer._stacks([(trace, seed, MOBILE) for seed in range(4)], cfg)
+        assert [len(stack) for stack in stacks] == [size] * (4 // size)
 
 
 def test_a_lone_stack_starts_no_thread(monkeypatch):

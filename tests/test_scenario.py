@@ -101,6 +101,7 @@ def test_slots_times_generations_cap_sits_at_ten_to_the_six():
 # -- The link budget, computed as README states it ---------------------------
 
 _LAWS = "los_intercept_db/los_slope/nlos_intercept_db/nlos_slope"
+_LENGTHS = "region_x_min/region_x_max/region_y_min/region_y_max/uav_alt_max_m/irs_height_m"
 _FLOOR = (f"{_LAWS}/irs_elements_per_user/ftpa_decay/ftpa_favor_strong/uav_tx_power_dbm/"
           "noise_power_dbm")
 
@@ -114,8 +115,10 @@ def _linear(x_db):
 
 
 def _within_link_budget(cfg) -> bool:
-    """README's link-budget conditions: every direct gain, from uav_alt_min_m to the
-    region diagonal at uav_alt_max_m, finite and > 0; N^2 a finite float; the
+    """README's link-budget conditions: the longest squared link, the region's
+    spans squared plus the higher of uav_alt_max_m and irs_height_m squared,
+    finite; every direct gain, from uav_alt_min_m to the region diagonal at
+    uav_alt_max_m, finite and > 0; N^2 a finite float; the
     largest total gain (largest direct gain plus the reflected peak) finite times
     the transmit SNR and over the smallest direct gain; the SNR's reciprocal
     finite; and the smallest SINR > 0."""
@@ -123,8 +126,11 @@ def _within_link_budget(cfg) -> bool:
         return intercept + 10.0 * slope * math.log10(d)
 
     laws = [(cfg.los_intercept_db, cfg.los_slope), (cfg.nlos_intercept_db, cfg.nlos_slope)]
-    diagonal = math.hypot(cfg.region_x_max - cfg.region_x_min,
-                          cfg.region_y_max - cfg.region_y_min)
+    span_x, span_y = cfg.region_x_max - cfg.region_x_min, cfg.region_y_max - cfg.region_y_min
+    top = max(cfg.uav_alt_max_m, cfg.irs_height_m)
+    if not span_x * span_x + span_y * span_y + top * top < math.inf:
+        return False
+    diagonal = math.hypot(span_x, span_y)
     gains = [_linear(-loss(*law, d)) for law in laws
              for d in (cfg.uav_alt_min_m, math.hypot(diagonal, cfg.uav_alt_max_m))]
     n = cfg.irs_elements_per_user
@@ -189,8 +195,15 @@ _REGION = dict(region_x_min=20.0, region_x_max=520.0, region_y_min=30.0, region_
     # gains of about 10^-205 times a falling SNR: the smallest SINR underflows to 0
     (dict(los_intercept_db=2000.0, nlos_intercept_db=2000.0, noise_power_dbm=0.0),
      ("uav_tx_power_dbm",), -1000.0, -1500.0, _FLOOR),
+    # near-flat laws: the squared link lengths overflow before any gain does, at a
+    # ceiling of about 1.34e154 m or a square of about 9.48e153 m
+    (dict(los_slope=0.001, nlos_slope=0.001), ("uav_alt_max_m",), 1e150, 1e160, _LENGTHS),
+    (dict(los_slope=0.001, nlos_slope=0.001), ("region_x_max", "region_y_max"), 1e150, 1e160,
+     _LENGTHS),
+    (dict(los_slope=0.001, nlos_slope=0.001), ("irs_height_m",), 1e150, 1e160, _LENGTHS),
 ], ids=["weakest-gain", "pair-ratio", "snr-times-total", "snr-overflow", "snr-underflow",
-        "reflected-peak", "uav-leg", "sinr-floor"])
+        "reflected-peak", "uav-leg", "sinr-floor", "squared-ceiling", "squared-region",
+        "squared-surface"])
 def test_link_budget_edges_sit_where_readme_puts_them(base, keys, inside, outside, named):
     # validate must accept the last float inside README's bounds and refuse the
     # next one, naming the bound's keys.
@@ -260,6 +273,15 @@ def test_degenerate_initial_subregion_is_allowed():
 @given(st.floats(min_value=1e-15, max_value=1e15))
 def test_db_linear_round_trip(x):
     assert math.isclose(db_to_linear(float(linear_to_db(x))), x, rel_tol=1e-12)
+
+
+def test_db_to_linear_is_inf_past_the_float_range():
+    # A float overflows in ** where a numpy scalar gives inf; validate reads both alike.
+    assert db_to_linear(3082.0) == 10.0 ** 308.2
+    assert db_to_linear(3083.0) == db_to_linear(1e300) == math.inf
+    assert db_to_linear(-1e300) == 0.0
+    with np.errstate(over="ignore"):
+        assert db_to_linear(np.float64(3083.0)) == math.inf
 
 
 def test_linear_to_db_on_an_array_matches_the_scalar_call_bit_for_bit():
