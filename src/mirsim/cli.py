@@ -3,8 +3,8 @@
 ``run_experiment`` reproduces the benchmark protocol: one shared mobility
 trace per seed, then every (seed, scenario) job's per-slot placement
 searches, fed lazily to ``optimizer.optimize_jobs`` (which stacks them in
-lockstep and bounds its own memory), whose final generations score the
-slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
+lockstep and bounds its own memory), whose winners' full evaluations score
+the slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
 ``SCENARIOS`` is the one place a scenario is defined, as an
 ``optimizer.Variant(surface, access)``:
 

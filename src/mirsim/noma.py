@@ -15,10 +15,11 @@ The OMA baseline gives each user half the resource at full power.
 placements at once, with ``ftpa_allocate`` splitting every pair's power (one
 power per pair), in pair order, so a score-only call scatters nothing back
 to user order; it reads the power, threshold and FTPA keys straight from the
-config and linearizes the dB ones.  The GA keeps its final generation's
-evaluation, and ``SlotResult.from_batch`` copies the winner's row out of it:
-the slot's result, which keeps the pairing as index arrays; the CLI turns it
-into report rows.
+config and linearizes the dB ones.  The GA scores its generations for sum
+rate and deficit alone and then evaluates each winning placement in full;
+``SlotResult.from_batch`` copies the winner's row out of that evaluation: the
+slot's result, which keeps the pairing as index arrays; the CLI turns it into
+report rows.
 """
 
 from __future__ import annotations
@@ -96,10 +97,14 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
     Returns a dict of arrays: sinr, rate, alpha, feasible (all (P, U)),
     sum_rate and deficit (both (P,)), the pairing index arrays weak/strong
     ((P, K)) and mid, the unpaired user of an odd count ((P,), or None).
-    Under OMA every alpha is 1.  Users are ordered as a stable sort of
-    their total gains would order them: the default (SIMD) sort, then a
-    stable re-sort of the rows whose sorted gains are not strictly
-    increasing (ties, NaN), where the two could differ.  NOMA works and sums
+    Under OMA every alpha is 1.  Users are ranked as a stable sort of their
+    total gains would rank them.  Each gain's bits (gains are >= 0 and
+    finite, so their bits sort as they do), with the low (U - 1).bit_length()
+    bits replaced by the user index, form a key; the keys are sorted in place
+    and masked back to user indices.  A row whose ranked gains are not
+    strictly increasing (ties, gains apart only in the replaced bits, or any
+    input the keys misorder) is ranked again by a stable argsort; a strictly
+    increasing row is in the one order that sorts it.  NOMA works and sums
     each row in pair order, as flat blocks of weak users, strong users and
     mid users; OMA in user order.  full=False returns sum_rate and deficit
     alone, with the same bits, and skips the work only the other keys need.
@@ -107,9 +112,9 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
     Every (P, U) array lives in ws (a channel.Workspace), never in "gu" or
     "gi", which hold channel.link_gains' results: "rate" (total gains, pair
     shares, rates), "scratch" (sorted gains, pair-order reflected gains, a
-    full NOMA call's SINRs), "sinr" (SINRs, a full NOMA call's rates),
-    "alpha", "feasible" and "pairs" (users in pair order).  The gathers and
-    scatters index the flattened arrays.
+    full NOMA call's SINRs), "sinr" (the ranking keys as int64, SINRs, a
+    full NOMA call's rates), "alpha", "feasible" and "pairs" (users in pair
+    order).  The gathers and scatters index the flattened arrays.
     """
     gu = np.atleast_2d(np.asarray(uav_gain, dtype=float))
     gi = None if irs_gain is None else np.atleast_2d(np.asarray(irs_gain, dtype=float))
@@ -122,14 +127,21 @@ def evaluate_batch(uav_gain, irs_gain, cfg: ScenarioConfig, access: str,
     heff = gu if gi is None else np.add(gu, gi, out=ws.take("rate", (batch, n)))
     alpha = ws.take("alpha", (batch, n)) if full else None
     if access == "noma" or full:  # OMA's rates do not depend on the pairing
-        # Each row's ascending order, as flat indices into the (batch, n) arrays.
-        order = np.argsort(heff, axis=1)
+        # Each row's ascending order, as flat indices into the (batch, n) arrays: a gain's
+        # bits sort as the gain does, and its low bits give way to the user index.
+        low = (1 << (n - 1).bit_length()) - 1
+        order = np.bitwise_and(heff.view(np.int64), ~low,
+                               out=ws.take("sinr", (batch, n)).view(np.int64))
+        order |= np.arange(n)
+        order.sort(axis=1)
+        order &= low
         first = np.arange(0, batch * n, n)[:, None]
         order += first
         ranked = np.take(heff, order, out=ws.take("scratch", (batch, n)), mode="clip")
         redo = np.flatnonzero(~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1))
-        if redo.size:  # ranked stays: tied gains sort to the same values either way
+        if redo.size:  # ties, or gains apart only in the bits the user index took
             order[redo] = np.argsort(heff[redo], axis=1, kind="stable") + first[redo]
+            ranked[redo] = np.take(heff, order[redo])
         pairs = ws.take("pairs", (batch * n,), np.intp)  # users in pair order
         weak, strong = pairs[:cut].reshape(batch, half), pairs[cut:2 * cut].reshape(batch, half)
         mid = pairs[2 * cut:].reshape(batch, n % 2)

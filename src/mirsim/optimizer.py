@@ -30,20 +30,24 @@ count and pairs = ceil((P - E) / 2):
    (P - E, L), after a trailing odd child is dropped.
 
 Fitness draws nothing and no draw depends on it, so a generation makes each
-family's draws, breeds the whole stack with array operations and scores it
-in one pass: one decode, one channel.link_gains call (reflecting for the
-surface jobs alone, first in _STACK_ORDER), one displacement penalty and one
-noma.evaluate_batch call per access mode.  Memory is bounded by one count: a
-job holds about P * L + S * (2G + 8U) + 8 * P * U numbers for S slots, G
-generations and U users (genomes, slot records until the caller takes them,
-and its P * U cells in the stack's channel.Workspace, kept across slots: five
-float arrays and an integer one, and after a final generation a sixth float
-and a boolean one), and a stack takes as many jobs as fit in 2^19 numbers, at
-least one.  A warm call allocates little more than its argsort output.
-Kernel results are views into the workspace, so an access mode's final
-winners (placement and noma.SlotResult row) are copied out before the next
-mode's call.  A family's tournament keys shrink to entrants as drawn.
-Generations before the last ask the kernels for sum rate and deficit alone.
+family's draws, one family at a time into buffers the stack reuses, breeds
+the whole stack with array operations and scores it in one pass: one decode,
+one channel.link_gains call (reflecting for the surface jobs alone, first in
+_STACK_ORDER), one displacement penalty and one noma.evaluate_batch call per
+access mode, each asking for sum rate and deficit alone.  After the last
+generation one more such pass, in full, scores each job's winning genome
+alone, a (J, 1, L) stack; a row's evaluation does not depend on the rows
+batched with it.  Memory is bounded by one count: a job holds about P * L +
+S * (2G + 8U) + 8 * P * U numbers for S slots, G generations and U users
+(genomes, slot records until the caller takes them, and its P * U cells in
+the stack's channel.Workspace, kept across slots: five float arrays and an
+integer one, two fewer than the count charges), and a stack takes as many
+jobs as fit in 2^19 numbers, at least one.  The workspace also holds one
+family's draws, about P^2 + P * L numbers, and the stack's mutation mask.  A
+warm fitness call allocates well under one P * U array per job.  Kernel
+results are views into the workspace, so an access mode's winners
+(placement and noma.SlotResult row) are copied out before the next mode's
+call.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
@@ -106,7 +110,7 @@ class Variant:
 @dataclass
 class GaRunRecord:
     """One slot search: the winning placement and genome, per-generation
-    best/mean fitness, and the winner's evaluation from the final generation."""
+    best/mean fitness, and the winner's full evaluation."""
 
     placement: Placement
     best_fitness: list[float]
@@ -184,34 +188,61 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
 
 
 def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
-           mutation_prob_per_bit: float, rngs, family=slice(None)) -> np.ndarray:
+           mutation_prob_per_bit: float, rngs, family=None,
+           ws: Optional[channel.Workspace] = None) -> np.ndarray:
     """Next generation of a (J, P, L) stack: each job's elitism_count fittest
     genomes, then its mutated children.
 
     Children come in crossover pairs of tournament winners; a trailing odd
     child is dropped so a job keeps population_size genomes.  Job j takes
     the draws of rngs[family[j]] (by default of rngs[j]), each generator
-    drawn once in the order the module docstring gives.
+    drawn once in the order the module docstring gives, into ws's roles
+    "keys", "coins" and "uniforms"; "flips" holds the stack's mutation mask.
+
+    A tournament's k = tournament_size smallest keys enter, an exact tie at
+    the k-th going to the lower genome index, and the fittest entrant wins,
+    ties going to the lowest index: the entrant first in its job's order
+    (fittest first).  One np.partition per family finds each row's k-th key.
     """
     jobs, size, length = population.shape
     num_children = size - cfg.elitism_count
-    pairs = (num_children + 1) // 2
-    k = cfg.tournament_size
-    draws = [(np.argpartition(rng.random((2 * pairs, size)), k - 1, axis=1)[:, :k],
-              rng.random(pairs) < cfg.crossover_prob, rng.integers(1, length, pairs),
-              rng.random((num_children, length)) < mutation_prob_per_bit) for rng in rngs]
-    entrants, coin, cut, flips = (np.stack(draw)[family] for draw in zip(*draws))
-    entrants.sort(axis=2)  # ties go to the lowest index
+    pairs, k = (num_children + 1) // 2, cfg.tournament_size
+    family = np.arange(jobs) if family is None else family
+    ws = channel.Workspace() if ws is None else ws
     rows = np.arange(jobs)[:, None]
-    best = np.argmax(fit[rows[:, :, None], entrants], axis=2)
-    parents = population[rows, entrants[rows, np.arange(2 * pairs), best]]
+    order = np.argsort(-fit, axis=1, kind="stable")  # fittest first, ties to the lowest index
+    keys, coins = ws.take("keys", (2 * pairs, size)), ws.take("coins", (pairs,))
+    uniforms = ws.take("uniforms", (num_children, length))
+    flips = ws.take("flips", (jobs, num_children, length), bool)
+    coin, cut = np.empty((len(rngs), pairs), bool), np.empty((len(rngs), pairs), np.intp)
+    best = np.empty((jobs, 2 * pairs), np.intp)  # each winner's place in its job's order
+    for f, rng in enumerate(rngs):
+        rng.random(out=keys)
+        np.less(rng.random(out=coins), cfg.crossover_prob, out=coin[f])
+        cut[f] = rng.integers(1, length, pairs)
+        np.less(rng.random(out=uniforms), mutation_prob_per_bit, out=flips[f])  # row f, for now
+        enters = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1, None]
+        if np.count_nonzero(enters) > k * len(keys):  # an exact tie at some row's k-th key
+            for row in np.flatnonzero(np.count_nonzero(enters, axis=1) > k):
+                enters[row] = False
+                enters[row, np.argsort(keys[row], kind="stable")[:k]] = True
+        members = family == f
+        best[members] = np.argmax(enters[:, order[members]], axis=2).T
+    # Each job takes its family's mask from row family[j] (f < J: every family has a job);
+    # the right side is gathered before any row is written.
+    moved = np.flatnonzero(family != rows[:, 0])
+    flips[moved] = flips[family[moved]]
+    parents = population[rows, order[rows, best]]
     parents_a, parents_b = parents[:, 0::2], parents[:, 1::2]
     # The bits a pair swaps: where its parents differ, from the cut on if its coin says so.
-    swap = (parents_a ^ parents_b) & (np.arange(length) >= np.where(coin, cut, length)[:, :, None])
-    children = np.stack([parents_a ^ swap, parents_b ^ swap], axis=2)
-    children = children.reshape(jobs, 2 * pairs, length)[:, :num_children]
-    elites = population[rows, np.argsort(-fit, axis=1, kind="stable")[:, :cfg.elitism_count]]
-    return np.concatenate([elites, children ^ flips], axis=1)
+    swap = parents_a ^ parents_b
+    swap &= np.arange(length) >= np.where(coin, cut, length)[family, :, None]
+    parents_a ^= swap  # parents now holds the children, pair by pair
+    parents_b ^= swap
+    offspring = np.empty_like(population)
+    offspring[:, :cfg.elitism_count] = population[rows, order[:, :cfg.elitism_count]]
+    np.bitwise_xor(parents[:, :num_children], flips, out=offspring[:, cfg.elitism_count:])
+    return offspring
 
 
 def optimize_jobs(jobs, cfg: ScenarioConfig) -> Iterator[list[GaRunRecord]]:
@@ -287,17 +318,18 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
             if stop.is_set():
                 return None
             if generation:
-                population = _breed(population, fit, cfg, mut_p, rngs, family)
-            fit, winners = _fitness(population, users, cfg, variants, pinned, prev, ws,
-                                    generation == cfg.max_iterations)
+                population = _breed(population, fit, cfg, mut_p, rngs, family, ws)
+            fit = _fitness(population, users, cfg, variants, pinned, prev, ws, False)[0]
             history.append((fit.max(axis=1), fit.mean(axis=1)))
 
         best_per_gen, mean_per_gen = np.array(history).transpose(1, 2, 0).tolist()
-        for j, (best, placement, result) in enumerate(winners):
+        champions = population[np.arange(len(jobs)), fit.argmax(axis=1), None]
+        winners = _fitness(champions, users, cfg, variants, pinned, prev, ws)[1]
+        for j, (_, placement, result) in enumerate(winners):
             if variants[j].surface == "static" and pinned[j] is None:
                 pinned[j] = placement.irs
             results[j].append(GaRunRecord(
                 placement=placement, best_fitness=best_per_gen[j],
-                mean_fitness=mean_per_gen[j], best_genome=population[j, best].copy(),
+                mean_fitness=mean_per_gen[j], best_genome=champions[j, 0].copy(),
                 result=result))
     return [results[i] for i in np.argsort(order)]

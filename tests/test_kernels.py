@@ -4,8 +4,9 @@ and those forms against the textbook laws.
 ``channel.link_gains`` and ``noma.evaluate_batch`` compute in place over
 reused buffers, state each law as one pass (the channel laws as ln(gain),
 ending in one exp; FTPA as one power per pair; NOMA rates in pair order) and
-sort with the default (SIMD) argsort, re-sorting stably only the rows with
-ties.  The ``fused_*`` oracles below are the same arithmetic as plain
+rank users by sorting integer keys in place (a gain's bits, the user index
+in the lowest), ranking stably again only the rows those keys may misorder.
+The ``fused_*`` oracles below are the same arithmetic as plain
 expressions, each temporary its own array and every sort stable; every array
 the kernels return must equal theirs exactly.  So must every array they
 return when they compute in a ``channel.Workspace`` that an earlier call of
@@ -23,6 +24,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mirsim import channel, cli, noma, optimizer
@@ -412,6 +414,46 @@ def test_evaluate_batch_equals_its_oracle_on_random_gains(seed, batch, num_users
     assert_scores_same(ws, gu, gi, cfg, access, want)
 
 
+def adversarial_gains(num_users, seed):
+    """Rows of total gains that test the ranking keys: distinct gains; exact
+    ties; gains equal but for the low (U - 1).bit_length() bits the user index
+    takes, larger at lower indices; and normal gains among which up to half
+    the users (so no NOMA pair is two zeros) hold +0.0 and -0.0, the +0.0 at
+    lower indices, or zeros from exp underflow and subnormals."""
+    rng = np.random.default_rng(seed)
+    low = (1 << (num_users - 1).bit_length()) - 1
+    distinct = rng.uniform(1e-12, 1e-8, num_users)
+    ties = rng.choice([1e-10, 3e-10, 2e-9], num_users)
+    apart = (np.full(num_users, 3e-10).view(np.int64) & ~low) | (low - np.arange(num_users))
+    rows = [distinct, ties, apart.view(float)]
+    for specials in ([0.0, -0.0], [np.exp(-800.0), 5e-324, 1e-310, 2.0**-1060]):
+        row = rng.uniform(1e-12, 1e-8, num_users)
+        odd = np.sort(rng.permutation(num_users)[:num_users // 2])
+        row[odd] = np.repeat(specials, -(-len(odd) // len(specials)))[:len(odd)]
+        rows.append(row)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("num_users", [1, 2, 3, 511, 512, 513])
+def test_in_place_ranking_equals_a_stable_argsort_on_adversarial_rows(num_users):
+    gu = adversarial_gains(num_users, num_users)
+    cfg = make_config()
+    ws = used_workspace(np.random.default_rng(num_users), "noma", "moving")
+    half = num_users // 2
+    for gi in (None, np.zeros_like(gu)):  # heff is gu itself, or gu + 0.0 (no -0.0 left)
+        order = np.argsort(gu if gi is None else gu + gi, axis=1, kind="stable")
+        for access in ("noma", "oma"):
+            with np.errstate(divide="ignore", over="ignore"):  # FTPA over zero and subnormal gains
+                want = fused_evaluate_batch(gu, gi, cfg, access)
+                got = noma.evaluate_batch(gu, gi, cfg, access, ws)
+                assert np.array_equal(got["weak"], order[:, :half])
+                assert np.array_equal(got["strong"], order[:, ::-1][:, :half])
+                assert got["mid"] is None if num_users % 2 == 0 else np.array_equal(
+                    got["mid"], order[:, half])
+                assert_same(got, want)
+                assert_scores_same(ws, gu, gi, cfg, access, want)
+
+
 def test_one_placement_and_one_user_shapes_match_the_oracle(cfg):
     users = np.array([[10.0, 20.0], [30.0, 5.0], [30.0, 5.0]])
     for uav, irs, pts in [((250.0, 250.0, 100.0), (40.0, 40.0), users),
@@ -425,10 +467,12 @@ def test_one_placement_and_one_user_shapes_match_the_oracle(cfg):
 
 
 def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
-    # Jobs of 200 candidates and 301 users, alone and as one mixed stack; only
-    # an argsort output, one (P, U) array per job, is expected, and each
-    # kernel's small temporaries on top.  Copying an access mode's whole final
-    # evaluation out of the workspace, not just its winners, breaks the budget.
+    # Jobs of 200 candidates and 301 users, alone and as one mixed stack.  NOMA
+    # ranks users in a workspace buffer, so a score-only call allocates only
+    # the kernels' small temporaries (bool masks, a byte per cell), well under
+    # one (P, U) array per job; a fresh ranking array would fill that budget.
+    # A full call may copy out its winners, but copying an access mode's whole
+    # evaluation out of the workspace breaks its budget of two such arrays.
     cfg = make_config(num_users=301, population_size=200)
     rng = np.random.default_rng(7)
     genomes = (rng.random((3, 200, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
@@ -436,8 +480,8 @@ def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
     names = ["M-IRS-NOMA", "No-IRS-NOMA", "M-IRS-OMA"]
     for stack in [[name] for name in names] + [names]:
         jobs = len(stack)
-        budget = 2 * jobs * 200 * 301 * np.dtype(float).itemsize
-        for full in (False, True):
+        cells = jobs * 200 * 301 * np.dtype(float).itemsize
+        for full, budget in ((False, cells), (True, 2 * cells)):
             args = (genomes[:jobs], users[:jobs], cfg, [cli.SCENARIOS[n] for n in stack],
                     [None] * jobs, None, channel.Workspace(), full)
             peak = _warm_peak_bytes(optimizer._fitness, *args)

@@ -483,6 +483,55 @@ def test_elite_ties_go_to_the_lowest_index():
     assert np.array_equal(nxt[:cfg.elitism_count], population[tied[:cfg.elitism_count]])
 
 
+@pytest.mark.parametrize("elitism_count", [0, 2])
+@pytest.mark.parametrize("tournament_size", [1, 2, 3, 8, 9])  # up to P - 1 and P
+def test_breeding_picks_the_winners_of_argpartition_tournaments(tournament_size, elitism_count):
+    # A stack of three jobs in two families, [0, 0, 1], with many tied fitness
+    # values: every job's next generation is oracle_breed's, which takes a
+    # row's entrants with argpartition and its winner with argmax.  P = 9
+    # leaves an odd child count either way.
+    cfg = small_config(population_size=9, tournament_size=tournament_size,
+                       elitism_count=elitism_count)
+    rng = np.random.default_rng(tournament_size)
+    population = (rng.random((3, 9, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
+    fit = rng.integers(0, 4, (3, 9)).astype(float)
+    family = np.array([0, 0, 1])
+    bred = optimizer._breed(population, fit, cfg, 0.1, [_ga_rng(5), _ga_rng(6)], family,
+                            channel.Workspace())
+    for j, seed in enumerate([5, 5, 6]):
+        assert np.array_equal(bred[j], oracle_breed(population[j], fit[j], cfg, 0.1,
+                                                    _ga_rng(seed))), j
+
+
+class _TiedKeys:
+    """A family's generator whose tournament keys are `keys` in every row; its
+    other uniforms are 0.5 and its cuts 1."""
+
+    def __init__(self, keys):
+        self.keys, self.calls = np.asarray(keys, dtype=float), 0
+
+    def random(self, out):
+        out[...] = self.keys if self.calls % 3 == 0 else 0.5  # keys, coins, flip uniforms
+        self.calls += 1
+        return out
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+
+@pytest.mark.parametrize("k, keys, winner", [(2, [0.5, 0.1, 0.5, 0.9], 1),
+                                             (3, [0.5, 0.1, 0.5, 0.5], 2)])
+def test_an_exact_tie_at_the_kth_key_lets_the_lower_index_enter(k, keys, winner):
+    # Fitness rises with the index, so a tied genome that entered in place of
+    # the lower one would win.  No crossover and no mutation: every child is
+    # its tournament's winner.
+    cfg = small_config(population_size=4, tournament_size=k, elitism_count=0,
+                       crossover_prob=0.0)
+    population = np.eye(4, optimizer.genome_length(cfg), dtype=np.uint8)[None]
+    nxt = optimizer._breed(population, np.arange(4.0)[None], cfg, 0.0, [_TiedKeys(keys)])[0]
+    assert np.array_equal(nxt, population[0, [winner] * 4])
+
+
 def test_odd_population_without_elitism_keeps_its_size():
     cfg = small_config(population_size=7, elitism_count=0)
     rng = _ga_rng(12)
