@@ -102,14 +102,12 @@ def blockage_prob(q, z, cfg: ScenarioConfig, out=None):
     lies in (0, 1] and decays exponentially in q, floored at the smallest
     normal double where exp underflows.  out (which may be q) receives it.
     """
-    q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     rate = -(cfg.blocker_density_per_m2 * cfg.blocker_diameter_m * cfg.blocker_height_m) / z
     return np.maximum(np.exp(np.multiply(q, rate, out=out), out=out), _TINY, out=out)
 
 
 def sigmoid_los_prob(q, z, cfg: ScenarioConfig, out=None):
     """Elevation-angle LoS probability (alternative model); out as in blockage_prob."""
-    q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     alpha, beta = cfg.sigmoid_alpha, cfg.sigmoid_beta
     elevation = np.degrees(np.arctan2(z, q, out=out), out=out)
     p = np.exp(np.multiply(-beta, np.subtract(elevation, alpha, out=out), out=out), out=out)
@@ -155,14 +153,13 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig,
     distance (elements sit at irs_height_m above the vehicle position); N
     elements combine coherently into N^2 times that, scaled by the power
     reflection coefficient (which may be 0, so both multiply after the exp).
-    An enabled UAV-to-surface leg multiplies in the LoS gain of that hop.  A
-    surface position shared by several UAV placements is scored once for
-    each.  Computed in ws's roles "gi" (the result) and "scratch".
+    An enabled UAV-to-surface leg multiplies in the LoS gain of that hop.
+    irs_xy has uav_xyz's leading shape.  Computed in ws's roles "gi" (the
+    result) and "scratch".
     """
     height = cfg.irs_height_m
     uav = np.asarray(uav_xyz, dtype=float)
     irs = np.asarray(irs_xy, dtype=float)
-    irs = np.broadcast_to(irs, np.broadcast_shapes(irs.shape[:-1], uav.shape[:-1]) + (2,))
     d2 = _squared_ground_distance(irs, users_xy, ws, ("gi", "scratch"))
     d2 += height * height
     a, k = _ln_gain_law(cfg.nlos_intercept_db, cfg.nlos_slope)
@@ -182,25 +179,16 @@ def irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg: ScenarioConfig,
 def link_gains(uav_xyz, irs_xy, users_xy, cfg: ScenarioConfig, ws: Optional[Workspace] = None):
     """Direct and reflected linear gains for every user; broadcasts over placements.
 
-    irs_xy None means there is no surface: the reflected gains are None.
-    For a stack of jobs (uav_xyz (J, P, 3), users_xy (J, 1, U, 2)),
-    irs_xy (S, P or 1, 2) with S < J holds the first S jobs' surfaces only:
-    the other jobs have none, and their reflected rows are zero.
-    The gains are written to ws's roles "gu" and "gi"; "scratch" is scratch.
+    irs_xy is None when there is no surface, and the reflected gains are
+    then None; otherwise it has uav_xyz's leading shape.  The gains are
+    written to ws's roles "gu" and "gi"; "scratch" is scratch.
     """
     ws = Workspace() if ws is None else ws
     uav_gain = _direct_ln_gain(uav_xyz, users_xy, cfg, ws)
     np.exp(uav_gain, out=uav_gain)
     if irs_xy is None:
         return uav_gain, None
-    irs = np.asarray(irs_xy, dtype=float)
-    if irs.ndim < 3 or len(irs) == len(uav_gain):
-        return uav_gain, irs_combined_gain(irs, uav_xyz, users_xy, cfg, ws)
-    irs_gain = ws.take("gi", uav_gain.shape)  # the first S jobs' rows are its prefix
-    irs_combined_gain(irs, np.asarray(uav_xyz)[:len(irs)], np.asarray(users_xy)[:len(irs)],
-                      cfg, ws)
-    irs_gain[len(irs):] = 0.0
-    return uav_gain, irs_gain
+    return uav_gain, irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg, ws)
 
 
 def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:

@@ -78,12 +78,6 @@ def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Users:
                  speed=draw[:, 4].copy())
 
 
-def _pause_steps(pause_duration_s: float, dt: float) -> np.float64:
-    """Sub-steps a pause lasts, ceil(pause_duration_s / dt); inf where the ratio overflows."""
-    with np.errstate(over="ignore"):
-        return np.ceil(np.float64(pause_duration_s) / dt)
-
-
 def _leg_steps(dist: np.ndarray, travel: np.ndarray) -> np.ndarray:
     """Sub-steps that legs of length dist take at travel m per sub-step.
 
@@ -123,7 +117,7 @@ def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTra
     positions[0] = start
     # Sub-step counts are floats so that a leg or pause that never ends is inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pause = _pause_steps(cfg.pause_duration_s, dt)
+        pause = np.ceil(np.float64(cfg.pause_duration_s) / dt)
         travel = users.speed * dt
         d = wp - start
         dist = np.hypot(d[:, 0], d[:, 1])

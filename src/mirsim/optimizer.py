@@ -32,18 +32,19 @@ count and pairs = ceil((P - E) / 2):
 Fitness draws nothing and no draw depends on it, so a generation makes each
 family's draws, one family at a time into buffers the stack reuses, breeds
 the whole stack with array operations and scores it in one pass: one decode,
-one channel.link_gains call (reflecting for the surface jobs alone, first in
-_STACK_ORDER), one displacement penalty and one noma.evaluate_batch call per
-access mode, each asking for sum rate and deficit alone.  After the last
-generation one more such pass, in full, scores each job's winning genome
-alone, a (J, 1, L) stack; a row's evaluation does not depend on the rows
-batched with it.  Memory is bounded by one count: a job holds about P * L +
+one channel.link_gains call (with no surface at all if no job has one, and
+else with zero reflected gains for the jobs without one), one displacement
+penalty and one noma.evaluate_batch call per access mode, each asking for
+sum rate and deficit alone.  After the last generation one more such pass,
+in full, scores each job's winning genome alone, a (J, 1, L) stack; a row's
+evaluation does not depend on the rows batched with it.  Memory is bounded
+by one count: a job holds about P * L +
 S * (2G + 8U) + 8 * P * U numbers for S slots, G generations and U users
 (genomes, slot records until the caller takes them, and its P * U cells in
 the stack's channel.Workspace, kept across slots: five float arrays and an
 integer one, two fewer than the count charges), and a stack takes as many
 jobs as fit in 2^19 numbers, at least one.  The workspace also holds one
-family's draws, about P^2 + P * L numbers, and the stack's mutation mask.  A
+family's draws, about P^2 + P * L numbers, and each family's mutation mask.  A
 warm fitness call allocates well under one P * U array per job.  Kernel
 results are views into the workspace, so an access mode's winners
 (placement and noma.SlotResult row) are copied out before the next mode's
@@ -84,9 +85,6 @@ _GA_KINDS = {"noma": 0, "oma": 1}
 
 # A stack's bound on numbers held (one job at least); _stacks counts them.
 _STACK_NUMBERS = 2**19
-
-# A stack's job order by (access, has a surface): surface jobs first, each mode's contiguous.
-_STACK_ORDER = {("oma", True): 0, ("noma", True): 1, ("noma", False): 2, ("oma", False): 3}
 
 # Stacks searched at once, one thread each: the CPUs this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -166,10 +164,9 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
             excess[moves] += np.maximum(
                 0.0, np.hypot(irs[moves, :, 0] - qx, irs[moves, :, 1] - qy) - limit)
         penalty = cfg.sinr_penalty_weight * excess
-    lead = max((j + 1 for j in range(jobs) if surface[j]), default=0)  # through the last surface
-    gu, gi = channel.link_gains(uav, irs[:lead] if lead else None, users[:, None], cfg, ws)
-    if lead:
-        gi[:lead][~surface[:lead]] = 0.0  # a no-surface job among them (never in _STACK_ORDER)
+    gu, gi = channel.link_gains(uav, irs if surface.any() else None, users[:, None], cfg, ws)
+    if gi is not None:
+        gi[~surface] = 0.0
     fit, winners = np.empty((jobs, size)), [] if full else None
     for access, run in itertools.groupby(range(jobs), lambda j: variants[j].access):
         run = list(run)
@@ -188,16 +185,16 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
 
 
 def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
-           mutation_prob_per_bit: float, rngs, family=None,
-           ws: Optional[channel.Workspace] = None) -> np.ndarray:
+           mutation_prob_per_bit: float, rngs, family: np.ndarray,
+           ws: channel.Workspace) -> np.ndarray:
     """Next generation of a (J, P, L) stack: each job's elitism_count fittest
     genomes, then its mutated children.
 
     Children come in crossover pairs of tournament winners; a trailing odd
     child is dropped so a job keeps population_size genomes.  Job j takes
-    the draws of rngs[family[j]] (by default of rngs[j]), each generator
-    drawn once in the order the module docstring gives, into ws's roles
-    "keys", "coins" and "uniforms"; "flips" holds the stack's mutation mask.
+    the draws of rngs[family[j]], each generator drawn once in the order the
+    module docstring gives, into ws's roles "keys" and "uniforms"; family f's
+    crossover coins and mutation mask are row f of roles "coins" and "flips".
 
     A tournament's k = tournament_size smallest keys enter, an exact tie at
     the k-th going to the lower genome index, and the fittest entrant wins,
@@ -207,20 +204,18 @@ def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
     jobs, size, length = population.shape
     num_children = size - cfg.elitism_count
     pairs, k = (num_children + 1) // 2, cfg.tournament_size
-    family = np.arange(jobs) if family is None else family
-    ws = channel.Workspace() if ws is None else ws
     rows = np.arange(jobs)[:, None]
     order = np.argsort(-fit, axis=1, kind="stable")  # fittest first, ties to the lowest index
-    keys, coins = ws.take("keys", (2 * pairs, size)), ws.take("coins", (pairs,))
+    keys, coins = ws.take("keys", (2 * pairs, size)), ws.take("coins", (len(rngs), pairs))
     uniforms = ws.take("uniforms", (num_children, length))
-    flips = ws.take("flips", (jobs, num_children, length), bool)
-    coin, cut = np.empty((len(rngs), pairs), bool), np.empty((len(rngs), pairs), np.intp)
+    flips = ws.take("flips", (len(rngs), num_children, length), bool)
+    cut = np.empty((len(rngs), pairs), np.intp)
     best = np.empty((jobs, 2 * pairs), np.intp)  # each winner's place in its job's order
     for f, rng in enumerate(rngs):
         rng.random(out=keys)
-        np.less(rng.random(out=coins), cfg.crossover_prob, out=coin[f])
+        rng.random(out=coins[f])
         cut[f] = rng.integers(1, length, pairs)
-        np.less(rng.random(out=uniforms), mutation_prob_per_bit, out=flips[f])  # row f, for now
+        np.less(rng.random(out=uniforms), mutation_prob_per_bit, out=flips[f])
         enters = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1, None]
         if np.count_nonzero(enters) > k * len(keys):  # an exact tie at some row's k-th key
             for row in np.flatnonzero(np.count_nonzero(enters, axis=1) > k):
@@ -228,20 +223,16 @@ def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
                 enters[row, np.argsort(keys[row], kind="stable")[:k]] = True
         members = family == f
         best[members] = np.argmax(enters[:, order[members]], axis=2).T
-    # Each job takes its family's mask from row family[j] (f < J: every family has a job);
-    # the right side is gathered before any row is written.
-    moved = np.flatnonzero(family != rows[:, 0])
-    flips[moved] = flips[family[moved]]
     parents = population[rows, order[rows, best]]
     parents_a, parents_b = parents[:, 0::2], parents[:, 1::2]
     # The bits a pair swaps: where its parents differ, from the cut on if its coin says so.
     swap = parents_a ^ parents_b
-    swap &= np.arange(length) >= np.where(coin, cut, length)[family, :, None]
+    swap &= np.arange(length) >= np.where(coins < cfg.crossover_prob, cut, length)[family, :, None]
     parents_a ^= swap  # parents now holds the children, pair by pair
     parents_b ^= swap
     offspring = np.empty_like(population)
     offspring[:, :cfg.elitism_count] = population[rows, order[:, :cfg.elitism_count]]
-    np.bitwise_xor(parents[:, :num_children], flips, out=offspring[:, cfg.elitism_count:])
+    np.bitwise_xor(parents[:, :num_children], flips[family], out=offspring[:, cfg.elitism_count:])
     return offspring
 
 
@@ -287,12 +278,12 @@ def _stacks(jobs, cfg: ScenarioConfig):
 
 def _optimize_stack(jobs, cfg: ScenarioConfig,
                     stop: threading.Event) -> Optional[list[list[GaRunRecord]]]:
-    """optimize_jobs on one stack, held in _STACK_ORDER and returned in job order.
+    """optimize_jobs on one stack, held with each access mode's jobs contiguous
+    and returned in job order.
 
     Gives up, returning None, at the first generation that finds stop set.
     """
-    rank = [_STACK_ORDER[v.access, v.surface != "none"] for _, _, v in jobs]
-    order = sorted(range(len(jobs)), key=rank.__getitem__)
+    order = sorted(range(len(jobs)), key=lambda j: jobs[j][2].access)
     jobs = [jobs[j] for j in order]
     size, length = cfg.population_size, genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length

@@ -221,20 +221,6 @@ def test_no_surface_gives_no_reflected_gains():
     assert np.all(gu > 0.0)
 
 
-def test_a_stack_s_surfaceless_tail_jobs_get_zero_reflected_rows():
-    rng = np.random.default_rng(3)
-    uav = np.concatenate([rng.uniform(0, 500, (3, 4, 2)), rng.uniform(100, 300, (3, 4, 1))],
-                         axis=-1)
-    irs = rng.uniform(0, 500, (3, 4, 2))
-    users = rng.uniform(0, 500, (3, 1, 5, 2))
-    gu, gi = channel.link_gains(uav, irs[:2], users, CFG)
-    whole_gu, whole_gi = channel.link_gains(uav, irs, users, CFG)
-    assert gi.shape == gu.shape == (3, 4, 5)
-    assert np.array_equal(gu, whole_gu)
-    assert np.array_equal(gi[:2], whole_gi[:2])
-    assert np.all(gi[2] == 0.0)
-
-
 def test_validate_placement():
     channel.validate_placement(Placement(uav=(10.0, 10.0, 100.0), irs=(5.0, 5.0)), CFG)
     with pytest.raises(ValueError, match="altitude"):

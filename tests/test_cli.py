@@ -219,6 +219,14 @@ def test_seed_results_do_not_depend_on_the_other_seeds():
         assert getattr(first, key) == getattr(alone, key)
 
 
+def test_run_experiment_takes_numpy_seeds_and_refuses_none(tmp_path):
+    cfg = small_config(num_slots=1, population_size=4, max_iterations=1)
+    with pytest.raises(ConfigError, match="seed"):
+        cli.run_experiment(cfg, ["No-IRS-NOMA"], [])
+    cli.emit_outputs(cli.run_experiment(cfg, ["No-IRS-NOMA"], np.arange(2, 4)), tmp_path)
+    assert json.loads((tmp_path / "results.json").read_text())["seeds"] == [2, 3]
+
+
 def test_seed_stacks_do_not_change_the_report(monkeypatch):
     cfg = small_config(num_slots=2, population_size=6, max_iterations=3)
     names = list(cli.SCENARIOS)
@@ -648,7 +656,7 @@ def test_cli_seed_precedence(tmp_path, monkeypatch):
         == (tmp_path / "other" / "trace.csv").read_bytes()
 
 
-def test_cli_inspect_channel(tmp_path):
+def test_cli_inspect_channel(tmp_path, capsys):
     cfg_path = _write_small_config(tmp_path)
     out = tmp_path / "out"
     rc = cli.main(["inspect-channel", "--config", str(cfg_path), "--seed", "1",
@@ -659,9 +667,11 @@ def test_cli_inspect_channel(tmp_path):
                        "avg_pathloss_db", "uav_gain", "irs_gain"]
     assert len(rows) == 1 + small_config().num_users
 
-    rc = cli.main(["inspect-channel", "--config", str(cfg_path), "--uav", "1,2",
-                   "--out", str(out)])
-    assert rc == 2
+    for uav in ("1,2", "a,1,2"):  # too few numbers; not a number
+        rc = cli.main(["inspect-channel", "--config", str(cfg_path), "--uav", uav,
+                       "--out", str(out)])
+        assert rc == 2
+        assert "--uav: " in capsys.readouterr().err
     rc = cli.main(["inspect-channel", "--config", str(cfg_path), "--slot", "99",
                    "--out", str(out)])
     assert rc == 2

@@ -67,7 +67,6 @@ def fused_irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg):
     irs_height = cfg.irs_height_m
     uav = np.asarray(uav_xyz, dtype=float)
     irs = np.asarray(irs_xy, dtype=float)
-    irs = np.broadcast_to(irs, np.broadcast_shapes(irs.shape[:-1], uav.shape[:-1]) + (2,))
     users = np.asarray(users_xy, dtype=float)
     dx = irs[..., 0, None] - users[..., 0]
     dy = irs[..., 1, None] - users[..., 1]
@@ -86,14 +85,7 @@ def fused_link_gains(uav_xyz, irs_xy, users_xy, cfg):
     uav_gain = np.exp(fused_direct_ln_gain(uav_xyz, users_xy, cfg))
     if irs_xy is None:
         return uav_gain, None
-    irs = np.asarray(irs_xy, dtype=float)
-    lead = len(irs)
-    if irs.ndim != 3 or lead == len(uav_gain):
-        return uav_gain, fused_irs_combined_gain(irs, uav_xyz, users_xy, cfg)
-    irs_gain = np.zeros_like(uav_gain)  # the surfaces of the first lead jobs only
-    irs_gain[:lead] = fused_irs_combined_gain(irs, np.asarray(uav_xyz)[:lead],
-                                              np.asarray(users_xy)[:lead], cfg)
-    return uav_gain, irs_gain
+    return uav_gain, fused_irs_combined_gain(irs_xy, uav_xyz, users_xy, cfg)
 
 
 def fused_ftpa_allocate(gain_weak, gain_strong, decay, favor_strong=False):
@@ -264,18 +256,26 @@ def assert_meets_textbook(got, want, cfg):
 
 
 def _placements(rng, cfg, jobs, size, surface):
-    """(uav, irs) as the GA scores them: (J, P, 3) and (J, P, 2), (J, 1, 2),
-    the first J - 1 jobs' (J - 1, P, 2) ("tail": the last job has no surface) or None."""
+    """(uav, irs) as the GA scores them: (J, P, 3) and (J, P, 2), each job's
+    point repeated ("pinned"), or None.  With "tail" the last job has no
+    surface: _zero_tail zeroes its reflected rows, as the GA does."""
     r = cfg.region
     uav = np.stack([rng.uniform(r.x_min, r.x_max, (jobs, size)),
                     rng.uniform(r.y_min, r.y_max, (jobs, size)),
                     rng.uniform(cfg.uav_alt_min_m, cfg.uav_alt_max_m, (jobs, size))], axis=-1)
     if surface == "none":
         return uav, None
-    shape = (jobs - (surface == "tail"), 1 if surface == "pinned" else size)
+    shape = (jobs, 1 if surface == "pinned" else size)
     irs = np.stack([rng.uniform(r.x_min, r.x_max, shape),
                     rng.uniform(r.y_min, r.y_max, shape)], axis=-1)
-    return uav, irs
+    return uav, np.repeat(irs, size, axis=1) if surface == "pinned" else irs
+
+
+def _zero_tail(gains, surface):
+    """(gu, gi) with the last job's reflected rows zeroed if surface is "tail"."""
+    if surface == "tail":
+        gains[1][-1] = 0.0
+    return gains
 
 
 def assert_scores_same(ws, gu, gi, cfg, access, want):
@@ -343,6 +343,7 @@ def test_fitness_kernels_equal_their_oracles_bit_for_bit(seed, jobs, size, num_u
                           fused_direct_ln_gain(uav, users, cfg) * -DB)
     want = fused_link_gains(uav, irs, users, cfg)
     assert_gains_same(channel.link_gains(uav, irs, users, cfg), want)
+    want = _zero_tail(want, surface)
     rows = jobs * size
     gu, gi = (_rows(g, rows, num_users) for g in want)
     assert_same(noma.evaluate_batch(gu, gi, cfg, access),
@@ -351,7 +352,7 @@ def test_fitness_kernels_equal_their_oracles_bit_for_bit(seed, jobs, size, num_u
     ws = used_workspace(rng, _other(access, ["noma", "oma"]),
                         _other(surface, ["none", "pinned", "moving", "tail"]))
     got = channel.link_gains(uav, irs, users, cfg, ws)
-    assert_gains_same(got, want)
+    assert_gains_same(_zero_tail(got, surface), want)
     ws_gu, ws_gi = (_rows(g, rows, num_users) for g in got)
     want_ev = fused_evaluate_batch(gu, gi, cfg, access)
     assert_same(noma.evaluate_batch(ws_gu, ws_gi, cfg, access, ws), want_ev)
@@ -366,10 +367,6 @@ def test_fitness_kernels_meet_the_textbook_laws(seed, jobs, size, num_users, sur
                                                 blockers, coeff):
     cfg, _, uav, irs, users = case(seed, jobs, size, num_users, surface, los_model, uav_leg,
                                    elements, blockers, coeff)
-    if surface == "tail":  # the surface jobs alone; the bit test pins the tail's zero rows
-        uav, users = uav[:-1], users[:-1]
-        if not len(uav):
-            return
     loss, want_gu, want_gi = textbook_link_gains(uav, irs, users, cfg)
     assert np.allclose(channel.uav_link_pathloss(uav, users, cfg), loss, rtol=1e-12, atol=0.0)
     gu, gi = channel.link_gains(uav, irs, users, cfg)
@@ -490,9 +487,9 @@ def test_a_warm_workspace_keeps_fitness_calls_from_allocating_cell_arrays():
 
 def test_a_warm_workspace_keeps_link_gains_from_allocating_cell_arrays():
     # Each channel law runs in place in the workspace's roles: with every LoS
-    # model, the UAV leg on and off, and a whole, partial or absent surface
-    # stack, a warm call allocates less than one job's (P, U) array.  An
-    # operation that loses its out= costs a whole (J, P, U) temporary.
+    # model, the UAV leg on and off, and with and without surfaces, a warm
+    # call allocates less than one job's (P, U) array.  An operation that
+    # loses its out= costs a whole (J, P, U) temporary.
     rng = np.random.default_rng(7)
     uav = np.concatenate([rng.uniform(0.0, 500.0, (3, 200, 2)),
                           rng.uniform(100.0, 300.0, (3, 200, 1))], axis=-1)
@@ -503,7 +500,7 @@ def test_a_warm_workspace_keeps_link_gains_from_allocating_cell_arrays():
         for leg in (False, True):
             cfg = make_config(num_users=301, population_size=200, los_model=los_model,
                               irs_uav_leg_enabled=leg)
-            for surfaces in (irs, irs[:2], None):
+            for surfaces in (irs, None):
                 args = (uav, surfaces, users, cfg, channel.Workspace())
                 peak = _warm_peak_bytes(channel.link_gains, *args)
                 assert peak < budget, (los_model, leg, surfaces is None, peak)

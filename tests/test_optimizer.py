@@ -273,9 +273,10 @@ def test_fitness_respects_sinr_dominance():
 
 
 def test_no_surface_jobs_are_scored_without_reflected_work(monkeypatch):
-    # In _STACK_ORDER the jobs with a surface lead: one link_gains call is given
-    # their surfaces alone, the rest get zero reflected rows, and a stack without
-    # surfaces gets no reflected array at all, which evaluate_batch takes as None.
+    # A stack with a surface job makes one link_gains call with every job's
+    # surface and zeroes the reflected rows of the jobs without one, wherever
+    # they sit; a stack without surfaces gets no reflected array at all, which
+    # evaluate_batch takes as None.
     calls = []
     link_gains, evaluate_batch = channel.link_gains, noma.evaluate_batch
 
@@ -295,19 +296,20 @@ def test_no_surface_jobs_are_scored_without_reflected_work(monkeypatch):
     users = rng.uniform(0.0, 500.0, (4, cfg.num_users, 2))
     variants = [cli.SCENARIOS[name] for name in ["M-IRS-OMA", "M-IRS-NOMA", "No-IRS-NOMA"]]
     variants.append(Variant("none", "oma"))
-    assert sorted(variants, key=lambda v: optimizer._STACK_ORDER[v.access, v.surface != "none"]) \
-        == variants
     fit, _ = optimizer._fitness(genomes, users, cfg, variants, [None] * 4, None)
-    assert calls == [("link_gains", 4, 2), ("evaluate_batch", "oma", 10, False),
+    assert calls == [("link_gains", 4, 4), ("evaluate_batch", "oma", 10, False),
                      ("evaluate_batch", "noma", 20, False), ("evaluate_batch", "oma", 10, False)]
     calls.clear()
     alone = optimizer._fitness(genomes[2:3], users[2:3], cfg, variants[2:3], [None], None)[0]
     assert calls == [("link_gains", 1, None), ("evaluate_batch", "noma", 10, True)]
     assert np.array_equal(alone[0], fit[2])  # a zero reflected row gives the same bits
-    # Out of _STACK_ORDER, a no-surface job among the surfaces still reflects nothing.
-    mixed = optimizer._fitness(genomes[[1, 2, 0]], users[[1, 2, 0]], cfg,
-                               [variants[1], variants[2], variants[0]], [None] * 3, None)[0]
-    assert np.array_equal(mixed, fit[[1, 2, 0]])
+    # A no-surface job between surface jobs, one of them pinned, still reflects nothing.
+    static, point = cli.SCENARIOS["S-IRS-NOMA"], (420.0, 35.0)
+    pinned = optimizer._fitness(genomes[3:], users[3:], cfg, [static], [point], None)[0]
+    mixed = optimizer._fitness(genomes[[1, 2, 0, 3]], users[[1, 2, 0, 3]], cfg,
+                               [variants[1], variants[2], variants[0], static],
+                               [None, None, None, point], None)[0]
+    assert np.array_equal(mixed, np.concatenate([fit[[1, 2, 0]], pinned]))
 
 
 def test_full_tournament_returns_global_best():
@@ -450,6 +452,12 @@ def _one_slot(users) -> mobility.MobilityTrace:
     return mobility.MobilityTrace(np.asarray(users, dtype=float)[None])
 
 
+def _breed_alone(population, fit, cfg, mutation_prob_per_bit, rng):
+    """optimizer._breed on a one-job stack whose family draws from rng."""
+    return optimizer._breed(population[None], fit[None], cfg, mutation_prob_per_bit, [rng],
+                            np.zeros(1, np.intp), channel.Workspace())[0]
+
+
 def _random_generation(cfg, rng):
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
     population = (rng.random((cfg.population_size, optimizer.genome_length(cfg))) < 0.5
@@ -461,7 +469,7 @@ def test_elites_are_carried_over_bit_for_bit():
     cfg = small_config(population_size=9, elitism_count=3, mutation_prob_per_bit=0.5)
     rng = _ga_rng(11)
     population, fit = _random_generation(cfg, rng)
-    nxt = optimizer._breed(population[None], fit[None], cfg, 0.5, [rng])[0]
+    nxt = _breed_alone(population, fit, cfg, 0.5, rng)
     assert nxt.shape == population.shape and nxt.dtype == np.uint8
     assert np.array_equal(nxt[:3], population[np.argsort(-fit, kind="stable")[:3]])
 
@@ -479,7 +487,7 @@ def test_elite_ties_go_to_the_lowest_index():
                              [None], None)[0][0]
     tied = np.flatnonzero(fit == fit.max())
     assert len(tied) > cfg.elitism_count
-    nxt = optimizer._breed(population[None], fit[None], cfg, 0.1, [rng])[0]
+    nxt = _breed_alone(population, fit, cfg, 0.1, rng)
     assert np.array_equal(nxt[:cfg.elitism_count], population[tied[:cfg.elitism_count]])
 
 
@@ -527,16 +535,16 @@ def test_an_exact_tie_at_the_kth_key_lets_the_lower_index_enter(k, keys, winner)
     # its tournament's winner.
     cfg = small_config(population_size=4, tournament_size=k, elitism_count=0,
                        crossover_prob=0.0)
-    population = np.eye(4, optimizer.genome_length(cfg), dtype=np.uint8)[None]
-    nxt = optimizer._breed(population, np.arange(4.0)[None], cfg, 0.0, [_TiedKeys(keys)])[0]
-    assert np.array_equal(nxt, population[0, [winner] * 4])
+    population = np.eye(4, optimizer.genome_length(cfg), dtype=np.uint8)
+    nxt = _breed_alone(population, np.arange(4.0), cfg, 0.0, _TiedKeys(keys))
+    assert np.array_equal(nxt, population[[winner] * 4])
 
 
 def test_odd_population_without_elitism_keeps_its_size():
     cfg = small_config(population_size=7, elitism_count=0)
     rng = _ga_rng(12)
     population, fit = _random_generation(cfg, rng)
-    nxt = optimizer._breed(population[None], fit[None], cfg, 0.1, [rng])[0]
+    nxt = _breed_alone(population, fit, cfg, 0.1, rng)
     assert nxt.shape == (7, optimizer.genome_length(cfg))
     users = np.array([[10.0, 10.0], [250.0, 250.0]])
     _, (record,) = optimize_trajectory(_one_slot(users), cfg, 12)

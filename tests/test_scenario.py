@@ -28,6 +28,9 @@ def test_minimal_document_takes_reference_defaults():
     assert cfg.max_iterations == 50
     assert cfg.uav_alt_min_m == 100.0
     assert cfg.initial_subregion == scenario.Region(0.0, 0.0, 50.0, 50.0)
+    assert scenario.parse_config("") == scenario.ScenarioConfig()
+    whole = scenario.parse_config("population_size: 50.0\n")  # an integral float is an integer
+    assert whole.population_size == 50 and type(whole.population_size) is int
 
 
 def test_speed_inversion_names_the_field():
@@ -60,9 +63,11 @@ def test_non_mapping_document_rejected():
     "num_users: 9.5",
     "warm_start: 3",
     "los_slope: surely",
+    "num_users: true",
+    "los_model: 3",
 ])
 def test_bad_value_types_name_the_key(doc):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^key '{doc.split(':')[0]}': expected "):
         scenario.parse_config(doc)
 
 
