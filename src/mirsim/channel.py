@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import ScenarioConfig
+from .scenario import _REGION_TOL, ScenarioConfig
 
 _TINY = np.finfo(float).tiny  # keeps LoS probability strictly positive
 
@@ -196,7 +196,7 @@ def validate_placement(placement: Placement, cfg: ScenarioConfig) -> None:
     x, y, z = placement.uav
     if not cfg.region.contains(x, y):
         raise ValueError(f"UAV ({x}, {y}) outside region")
-    if not (cfg.uav_alt_min_m - 1e-9 <= z <= cfg.uav_alt_max_m + 1e-9):
+    if not (cfg.uav_alt_min_m - _REGION_TOL <= z <= cfg.uav_alt_max_m + _REGION_TOL):
         raise ValueError(f"UAV altitude {z} outside "
                          f"[{cfg.uav_alt_min_m}, {cfg.uav_alt_max_m}]")
     if placement.irs is not None and not cfg.region.contains(*placement.irs):

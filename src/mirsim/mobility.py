@@ -17,12 +17,13 @@ event to event and is placed on its open leg at slot boundaries.  The scalar
 oracle in tests/test_mobility.py walks every user through every sub-step
 and pins the generator to this law.
 
-Draw order is fixed so traces are reproducible.  At init one (U, 5) block
-gives each user, row by row in id order, x, y, waypoint x, waypoint y and
-speed; in a sub-step, the k users that redraw draw one (k, 3) block in id
-order: waypoint x, waypoint y, speed.  Each uniform is lo + (hi - lo) * u
-for one ``rng.random`` double u, as numpy's scalar ``uniform(lo, hi)``
-computes it.
+Draw order is fixed so traces are reproducible.  ``generate_trace`` first
+draws one (U, 5) block that gives each user, row by row in id order, x, y,
+waypoint x, waypoint y and speed; in a sub-step, the k users that redraw
+draw one (k, 3) block in id order: waypoint x, waypoint y, speed, over the
+initial block's last three bounds.  Each uniform is lo + (hi - lo) * u for
+one ``rng.random`` double u, as numpy's scalar ``uniform(lo, hi)`` computes
+it.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ import numpy as np
 from .scenario import MAX_TRACE_ROWS, ConfigError, Region, ScenarioConfig
 
 TRACE_COLUMNS = ["slot", "user_id", "x", "y"]
-
-
-@dataclass
-class Users:
-    """Random-waypoint state of every user; row i is user i."""
-
-    position: np.ndarray  # (U, 2), m
-    waypoint: np.ndarray  # (U, 2), m
-    speed: np.ndarray  # (U,), m/s
 
 
 @dataclass(frozen=True)
@@ -66,16 +58,6 @@ class MobilityTrace:
     @property
     def num_users(self) -> int:
         return self.positions.shape[1]
-
-
-def init_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Users:
-    """Place users uniformly in the initial subregion with fresh waypoints and speeds."""
-    sub, region = cfg.initial_subregion, cfg.region
-    lo = np.array([sub.x_min, sub.y_min, region.x_min, region.y_min, cfg.speed_min_mps])
-    hi = np.array([sub.x_max, sub.y_max, region.x_max, region.y_max, cfg.speed_max_mps])
-    draw = lo + (hi - lo) * rng.random((cfg.num_users, 5))
-    return Users(position=draw[:, 0:2].copy(), waypoint=draw[:, 2:4].copy(),
-                 speed=draw[:, 4].copy())
 
 
 def _leg_steps(dist: np.ndarray, travel: np.ndarray) -> np.ndarray:
@@ -99,26 +81,26 @@ def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTra
     where its open leg began, after ``leg`` sub-steps; it walks toward ``wp``
     at ``travel`` m per sub-step, stands on it once ``arrive`` sub-steps have
     passed, and redraws in sub-step ``redraw``, ceil(pause / dt) sub-steps
-    later.  Only redraws draw randomness, so the loop visits just the
-    sub-steps where some user redraws and serves that group with array
-    operations, one (k, 3) block in id order.  At a slot boundary a user
-    stands on its waypoint or at start + unit * (travel * walked) on its
-    open leg: one multiply where a sub-stepped walk adds ``walked`` times,
-    so positions match such a walk to the last bits.
+    later.  After the initial block only redraws draw randomness, so the
+    loop visits just the sub-steps where some user redraws and serves that
+    group with array operations, one (k, 3) block in id order.  At a slot
+    boundary a user stands on its waypoint or at start + unit * (travel *
+    walked) on its open leg: one multiply where a sub-stepped walk adds
+    ``walked`` times, so positions match such a walk to the last bits.
     """
     dt = cfg.substep_duration_s
     n_sub = round(cfg.slot_duration_s / dt)
-    users = init_users(cfg, rng)
-    region = cfg.region
-    lo = np.array([region.x_min, region.y_min, cfg.speed_min_mps])
-    span = np.array([region.x_max, region.y_max, cfg.speed_max_mps]) - lo
+    sub, region = cfg.initial_subregion, cfg.region
+    lo = np.array([sub.x_min, sub.y_min, region.x_min, region.y_min, cfg.speed_min_mps])
+    span = np.array([sub.x_max, sub.y_max, region.x_max, region.y_max, cfg.speed_max_mps]) - lo
+    init = lo + span * rng.random((cfg.num_users, 5))  # redraws use lo[2:] and span[2:]
     positions = np.empty((cfg.num_slots, cfg.num_users, 2), dtype=float)
-    start, wp = users.position, users.waypoint
+    start, wp = init[:, 0:2], init[:, 2:4]
     positions[0] = start
     # Sub-step counts are floats so that a leg or pause that never ends is inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pause = np.ceil(np.float64(cfg.pause_duration_s) / dt)
-        travel = users.speed * dt
+        travel = init[:, 4] * dt
         d = wp - start
         dist = np.hypot(d[:, 0], d[:, 1])
         leg = np.zeros(cfg.num_users)
@@ -129,7 +111,7 @@ def generate_trace(cfg: ScenarioConfig, rng: np.random.Generator) -> MobilityTra
             now = slot * n_sub  # sub-steps passed at this slot's boundary
             while (t := redraw.min()) < now:
                 ids = np.flatnonzero(redraw == t)
-                draw = lo + span * rng.random((ids.size, 3))
+                draw = lo[2:] + span[2:] * rng.random((ids.size, 3))
                 p = wp[ids]
                 d = draw[:, :2] - p
                 start[ids] = p

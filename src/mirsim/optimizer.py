@@ -30,25 +30,25 @@ count and pairs = ceil((P - E) / 2):
    (P - E, L), after a trailing odd child is dropped.
 
 Fitness draws nothing and no draw depends on it, so a generation makes each
-family's draws, one family at a time into buffers the stack reuses, breeds
-the whole stack with array operations and scores it in one pass: one decode,
-one channel.link_gains call (with no surface at all if no job has one, and
-else with zero reflected gains for the jobs without one), one displacement
-penalty and one noma.evaluate_batch call per access mode, each asking for
-sum rate and deficit alone.  After the last generation one more such pass,
-in full, scores each job's winning genome alone, a (J, 1, L) stack; a row's
-evaluation does not depend on the rows batched with it.  Memory is bounded
-by one count: a job holds about P * L +
-S * (2G + 8U) + 8 * P * U numbers for S slots, G generations and U users
-(genomes, slot records until the caller takes them, and its P * U cells in
-the stack's channel.Workspace, kept across slots: five float arrays and an
-integer one, two fewer than the count charges), and a stack takes as many
-jobs as fit in 2^19 numbers, at least one.  The workspace also holds one
-family's draws, about P^2 + P * L numbers, and each family's mutation mask.  A
-warm fitness call allocates well under one P * U array per job.  Kernel
-results are views into the workspace, so an access mode's winners
-(placement and noma.SlotResult row) are copied out before the next mode's
-call.
+family's draws, one family at a time, breeds the whole stack with array
+operations and scores it in one pass: one decode, one channel.link_gains
+call (with no surface at all if no job has one, and else with zero
+reflected gains for the jobs without one), one displacement penalty and one
+noma.evaluate_batch call per access mode, each asking for sum rate and
+deficit alone.  After the last generation one more such pass, in full,
+scores each job's winning genome alone, a (J, 1, L) stack; a row's
+evaluation does not depend on the rows batched with it, and the next
+slot's warm start takes these champions.  Memory is bounded by one count:
+a job holds about P * L + S * (2G + 8U) + 8 * P * U numbers for S slots, G
+generations and U users (genomes, slot records until the caller takes
+them, and its P * U cells in the stack's channel.Workspace, kept across
+slots: five float arrays and an integer one, two fewer than the count
+charges), and a stack takes as many jobs as fit in 2^19 numbers, at least
+one.  Breeding adds, per generation, one family's draws, about P^2 + P * L
+numbers, and each family's mutation mask.  A warm fitness call allocates
+well under one P * U array per job.  Kernel results are views into the
+workspace, so an access mode's winners (placement and noma.SlotResult row)
+are copied out before the next mode's call.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
@@ -107,13 +107,12 @@ class Variant:
 
 @dataclass
 class GaRunRecord:
-    """One slot search: the winning placement and genome, per-generation
-    best/mean fitness, and the winner's full evaluation."""
+    """One slot search: the winning placement, per-generation best/mean
+    fitness, and the winner's full evaluation."""
 
     placement: Placement
     best_fitness: list[float]
     mean_fitness: list[float]
-    best_genome: np.ndarray
     result: noma.SlotResult
 
 
@@ -185,16 +184,15 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
 
 
 def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
-           mutation_prob_per_bit: float, rngs, family: np.ndarray,
-           ws: channel.Workspace) -> np.ndarray:
+           mutation_prob_per_bit: float, rngs, family: np.ndarray) -> np.ndarray:
     """Next generation of a (J, P, L) stack: each job's elitism_count fittest
     genomes, then its mutated children.
 
     Children come in crossover pairs of tournament winners; a trailing odd
     child is dropped so a job keeps population_size genomes.  Job j takes
     the draws of rngs[family[j]], each generator drawn once in the order the
-    module docstring gives, into ws's roles "keys" and "uniforms"; family f's
-    crossover coins and mutation mask are row f of roles "coins" and "flips".
+    module docstring gives; family f's crossover coins, cuts and mutation
+    mask are row f of coins, cut and flips.
 
     A tournament's k = tournament_size smallest keys enter, an exact tie at
     the k-th going to the lower genome index, and the fittest entrant wins,
@@ -206,9 +204,9 @@ def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
     pairs, k = (num_children + 1) // 2, cfg.tournament_size
     rows = np.arange(jobs)[:, None]
     order = np.argsort(-fit, axis=1, kind="stable")  # fittest first, ties to the lowest index
-    keys, coins = ws.take("keys", (2 * pairs, size)), ws.take("coins", (len(rngs), pairs))
-    uniforms = ws.take("uniforms", (num_children, length))
-    flips = ws.take("flips", (len(rngs), num_children, length), bool)
+    keys, coins = np.empty((2 * pairs, size)), np.empty((len(rngs), pairs))
+    uniforms = np.empty((num_children, length))
+    flips = np.empty((len(rngs), num_children, length), bool)
     cut = np.empty((len(rngs), pairs), np.intp)
     best = np.empty((jobs, 2 * pairs), np.intp)  # each winner's place in its job's order
     for f, rng in enumerate(rngs):
@@ -301,7 +299,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
         population = np.stack([(rng.random((size, length)) < 0.5).astype(np.uint8)
                                for rng in rngs])[family]
         if cfg.warm_start and slot:
-            population[:, 0] = [records[-1].best_genome for records in results]
+            population[:, 0] = champions[:, 0]  # the previous slot's
         users = np.stack([trace.positions[slot] for trace, _, _ in jobs])
         prev = [records[-1].placement for records in results] if slot else None
         history = []
@@ -309,7 +307,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
             if stop.is_set():
                 return None
             if generation:
-                population = _breed(population, fit, cfg, mut_p, rngs, family, ws)
+                population = _breed(population, fit, cfg, mut_p, rngs, family)
             fit = _fitness(population, users, cfg, variants, pinned, prev, ws, False)[0]
             history.append((fit.max(axis=1), fit.mean(axis=1)))
 
@@ -321,6 +319,5 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
                 pinned[j] = placement.irs
             results[j].append(GaRunRecord(
                 placement=placement, best_fitness=best_per_gen[j],
-                mean_fitness=mean_per_gen[j], best_genome=champions[j, 0].copy(),
-                result=result))
+                mean_fitness=mean_per_gen[j], result=result))
     return [results[i] for i in np.argsort(order)]

@@ -34,7 +34,8 @@ ENV_SEED_VAR = "MIRSIM_SEED"
 MAX_SEEDS = 10**4
 # Most trace entries, num_users x num_slots (config or trace CSV).
 MAX_TRACE_ROWS = 10**5
-# How far outside a Region a point may lie and still count as inside, meters.
+# How far a point may lie outside a Region, or a UAV outside its altitude band,
+# and still count as inside, meters.
 _REGION_TOL = 1e-9
 
 # SeedSequence spawn-key prefixes for per-module sub-streams.

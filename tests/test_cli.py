@@ -182,7 +182,7 @@ def test_user_rows_match_the_per_element_oracle():
     # validate() keeps every SINR > 0: the least a float allows, and a vanishing one
     result.sinr[[0, 3]] = [5e-324, 1e-300]
     record = optimizer.GaRunRecord(Placement(uav=(100.0, 100.0, 50.0), irs=None), [0.0], [0.0],
-                                   np.zeros(1), result)
+                                   result)
     report = cli.ExperimentReport(fractions_scenario="M-IRS-NOMA")
     cli._record_first_seed_detail(report, "M-IRS-NOMA", 4, record)
     oracle = [[4, "M-IRS-NOMA", user, pair, float(result.alpha[user]),
@@ -217,6 +217,26 @@ def test_seed_results_do_not_depend_on_the_other_seeds():
     # first-seed detail: seed 8 leading [8, 7] reports what seed 8 alone reports
     for key in ("trajectories", "convergence", "per_user", "power_fractions"):
         assert getattr(first, key) == getattr(alone, key)
+
+
+def _report_of(**overrides) -> dict:
+    """A small four-scenario report's fields, all but the config it echoes."""
+    cfg = small_config(num_slots=2, population_size=6, max_iterations=3, **overrides)
+    report = vars(cli.run_experiment(cfg, list(cli.SCENARIOS), [7, 8]))
+    return {key: value for key, value in report.items() if key != "config"}
+
+
+@pytest.mark.parametrize("one, other", [
+    # The transmit SNR is their difference, exact at whole dB.
+    (dict(uav_tx_power_dbm=36.0, noise_power_dbm=-80.0),
+     dict(uav_tx_power_dbm=46.0, noise_power_dbm=-70.0)),
+    # The reflected gain scales by N^2 times the coefficient: 1.0 exactly in both.
+    (dict(irs_elements_per_user=1, irs_reflection_coeff=1.0),
+     dict(irs_elements_per_user=2, irs_reflection_coeff=0.25)),
+])
+def test_configs_that_state_one_link_budget_give_one_report(one, other):
+    # Metamorphic relations: two ways to write the same link budget.
+    assert _report_of(**one) == _report_of(**other)
 
 
 def test_run_experiment_takes_numpy_seeds_and_refuses_none(tmp_path):
@@ -717,15 +737,18 @@ def test_cli_converge(tmp_path):
     assert len(rows) == 1 + small_config().max_iterations + 1
 
 
-def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path):
+@pytest.mark.parametrize("name", ["S-IRS-NOMA", "No-IRS-NOMA"])
+def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path, name):
     # A job's results do not depend on which jobs share the GA stack, nor on
     # where the full run lists its scenario: the stack holds its jobs in access
-    # order, so an OMA-first list is reordered inside it.
+    # order, so an OMA-first list is reordered inside it.  A lone No-IRS-NOMA
+    # stack passes link_gains no surface at all, and reproduces the rows that
+    # the mixed stack scores with zeroed reflected gains.
     cfg_path = _write_small_config(tmp_path, num_users=5, num_slots=3,
                                    max_slot_displacement_m=40.0)
     common = ["run", "--config", str(cfg_path), "--seeds", "2", "--seed", "3"]
     assert cli.main(common + ["--out", str(tmp_path / "all")]) in (0, 3)
-    assert cli.main(common + ["--scenarios", "S-IRS-NOMA",
+    assert cli.main(common + ["--scenarios", name,
                               "--out", str(tmp_path / "one")]) in (0, 3)
     assert cli.main(common + ["--scenarios", "M-IRS-OMA,No-IRS-NOMA,S-IRS-NOMA,M-IRS-NOMA",
                               "--out", str(tmp_path / "oma-first")]) in (0, 3)
@@ -734,11 +757,11 @@ def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path):
         out = tmp_path / run
         doc = json.loads((out / "results.json").read_text())
         both[run] = (
-            [row for row in _read_csv(out / "rates.csv") if row[1] == "S-IRS-NOMA"],
-            [row for row in _read_csv(out / "users.csv") if row[1] == "S-IRS-NOMA"],
-            [row for row in _read_csv(out / "convergence.csv") if row[0] == "S-IRS-NOMA"],
-            [row for row in doc["infeasible_slots"] if row["scenario"] == "S-IRS-NOMA"],
-            doc["per_seed_sum_rate"]["S-IRS-NOMA"], doc["trajectories"]["S-IRS-NOMA"])
+            [row for row in _read_csv(out / "rates.csv") if row[1] == name],
+            [row for row in _read_csv(out / "users.csv") if row[1] == name],
+            [row for row in _read_csv(out / "convergence.csv") if row[0] == name],
+            [row for row in doc["infeasible_slots"] if row["scenario"] == name],
+            doc["per_seed_sum_rate"][name], doc["trajectories"][name])
     assert all(both["one"][:3])
     assert both["all"] == both["one"]
     assert both["oma-first"] == both["one"]

@@ -39,6 +39,13 @@ def oracle_init_users(cfg, rng) -> list[UserState]:
     return users
 
 
+def _initial_waypoints_and_speeds(cfg, seed=0):
+    """(U, 2) first waypoints and (U,) speeds, read off the oracle's init draws,
+    which are generate_trace's (test_init_draws_equal_scalar_uniform_draws)."""
+    users = oracle_init_users(cfg, _rng(seed))
+    return np.array([u.waypoint for u in users]), np.array([u.speed for u in users])
+
+
 def oracle_step(user: UserState, dt, region, cfg, rng) -> UserState:
     """Oracle: advance one user by dt seconds (in place), the law of one sub-step.
 
@@ -99,36 +106,38 @@ def _pauses(positions) -> list[int]:
 
 
 def test_initial_positions_inside_subregion():
-    users = mobility.init_users(make_config(), _rng())
-    assert users.position.shape == users.waypoint.shape == (10, 2)
-    assert users.speed.shape == (10,)
-    assert np.all((0.0 <= users.position) & (users.position <= 50.0))
-    assert np.all((0.05 <= users.speed) & (users.speed <= 0.25))
+    # Slot 0 holds the initial positions.  At one 1 s sub-step per slot, slot 1
+    # shows each user's first speed: no first leg ends within 0.25 m.
+    _, positions = _every_substep(1)
+    assert positions.shape == (2, 10, 2)
+    assert np.all((0.0 <= positions[0]) & (positions[0] <= 50.0))
+    step = positions[1] - positions[0]
+    speed = np.hypot(step[:, 0], step[:, 1])
+    assert np.all((0.05 - 1e-12 <= speed) & (speed <= 0.25 + 1e-12))
 
 
 def test_point_subregion_collapses_all_users():
     cfg = make_config(init_x_min=25.0, init_x_max=25.0,
                       init_y_min=25.0, init_y_max=25.0)
-    users = mobility.init_users(cfg, _rng())
-    assert np.all(users.position == 25.0)
+    assert np.all(mobility.generate_trace(cfg, _rng()).positions[0] == 25.0)
 
 
 def test_same_seed_gives_identical_users():
-    cfg = make_config()
-    a = mobility.init_users(cfg, _rng(3))
-    b = mobility.init_users(cfg, _rng(3))
-    for field in ("position", "waypoint", "speed"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
+    # A user's first sub-step reads its start, first waypoint and speed.
+    _, a = _every_substep(1, seed=3)
+    _, b = _every_substep(1, seed=3)
+    assert np.array_equal(a, b)
 
 
 def test_init_draws_equal_scalar_uniform_draws():
-    cfg = make_config(num_users=25, speed_min_mps=0.3, speed_max_mps=4.0)
+    # A one-slot trace draws only the initial block: the oracle's draws, in
+    # number (the generator states) and in the positions they give.  The
+    # first waypoints and speeds are checked in test_step_advances_along_unit_vector.
+    cfg = make_config(num_users=25, num_slots=1, speed_min_mps=0.3, speed_max_mps=4.0)
     rng, oracle_rng = _rng(11), _rng(11)
-    users = mobility.init_users(cfg, rng)
+    positions = mobility.generate_trace(cfg, rng).positions
     oracle = oracle_init_users(cfg, oracle_rng)
-    assert np.array_equal(users.position, [u.position for u in oracle])
-    assert np.array_equal(users.waypoint, [u.waypoint for u in oracle])
-    assert np.array_equal(users.speed, [u.speed for u in oracle])
+    assert np.array_equal(positions[0], [u.position for u in oracle])
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -139,21 +148,22 @@ def test_subregion_outside_region_rejected():
 
 def test_negative_zero_subregion_bound_reads_as_zero():
     cfg = make_config(init_x_max=-0.0, init_y_max=-0.0)
-    users = mobility.init_users(cfg, _rng())
-    assert np.all(users.position == 0.0)
-    assert not np.any(np.signbit(users.position))
+    start = mobility.generate_trace(cfg, _rng()).positions[0]
+    assert np.all(start == 0.0)
+    assert not np.any(np.signbit(start))
 
 
 def test_step_advances_along_unit_vector():
     # In its first sub-step each user walks speed * dt along the unit vector
-    # toward its first waypoint, which lies farther away.
+    # toward its first waypoint, which lies farther away: the oracle's first
+    # waypoints and speeds, to the last bits.
     cfg, positions = _every_substep(1, seed=1, dt=0.5)
-    users = mobility.init_users(cfg, _rng(1))
-    d = users.waypoint - users.position
+    waypoint, speed = _initial_waypoints_and_speeds(cfg, 1)
+    d = waypoint - positions[0]
     dist = np.hypot(d[:, 0], d[:, 1])
-    assert np.all(users.speed * 0.5 < dist)
+    assert np.all(speed * 0.5 < dist)
     np.testing.assert_allclose(positions[1] - positions[0],
-                               d / dist[:, None] * (users.speed * 0.5)[:, None],
+                               d / dist[:, None] * (speed * 0.5)[:, None],
                                rtol=0.0, atol=1e-12)
 
 
@@ -169,7 +179,7 @@ def test_step_overshoot_clamps_and_pauses():
     cfg, positions = _every_substep(9, region_x_max=1.0, region_y_max=1.0, init_x_max=1.0,
                                     init_y_max=1.0, speed_min_mps=5.0, speed_max_mps=5.0,
                                     pause_duration_s=7.0)
-    waypoint = mobility.init_users(cfg, _rng()).waypoint
+    waypoint = _initial_waypoints_and_speeds(cfg)[0]
     assert np.array_equal(positions[1:9], np.broadcast_to(waypoint, (8, 10, 2)))
     assert np.all(np.any(positions[9] != waypoint, axis=1))
 
@@ -295,7 +305,7 @@ def test_endless_pause_is_jumped_not_walked():
     rng = _CountingRng(_rng(5))
     trace = mobility.generate_trace(cfg, rng)
     assert rng.calls == 1
-    assert np.array_equal(trace.positions[1], mobility.init_users(cfg, _rng(5)).waypoint)
+    assert np.array_equal(trace.positions[1], _initial_waypoints_and_speeds(cfg, 5)[0])
     positions, expected, same_draws = _trace_pair(pause_duration_s=1e12, speed_min_mps=1.0,
                                                   speed_max_mps=2.0)
     assert same_draws
@@ -319,8 +329,8 @@ def test_users_that_start_on_their_waypoint_redraw_at_once():
     overrides = dict(region_x_max=5e-324, region_y_max=5e-324, init_x_max=0.0, init_y_max=0.0,
                      speed_min_mps=1.0, speed_max_mps=2.0, num_slots=4, slot_duration_s=3.0,
                      pause_duration_s=1.0)
-    users = mobility.init_users(make_config(**overrides), _rng(2))
-    assert np.any(np.all(users.position == users.waypoint, axis=1))
+    users = oracle_init_users(make_config(**overrides), _rng(2))
+    assert any(u.position == u.waypoint for u in users)
     positions, expected, same_draws = _trace_pair(seed=2, **overrides)
     assert same_draws
     assert np.array_equal(positions, expected)
@@ -357,7 +367,7 @@ def test_trace_pauses_ceil_of_duration_over_dt():
                       region_y_max=20.0, init_x_max=20.0, init_y_max=20.0,
                       speed_min_mps=0.5, speed_max_mps=1.5, pause_duration_s=3.5)
     positions = mobility.generate_trace(cfg, _rng(8)).positions
-    assert _paused_substeps(positions, mobility.init_users(cfg, _rng(8)).waypoint[0]) == 4
+    assert _paused_substeps(positions, _initial_waypoints_and_speeds(cfg, 8)[0][0]) == 4
 
 
 def test_pause_at_a_non_binary_dt_is_ceil_not_repeated_subtraction():
@@ -368,7 +378,7 @@ def test_pause_at_a_non_binary_dt_is_ceil_not_repeated_subtraction():
     cfg = make_config(num_slots=400, substep_duration_s=0.1, slot_duration_s=0.1,
                       region_x_max=5.0, region_y_max=5.0, init_x_max=5.0, init_y_max=5.0,
                       speed_min_mps=1.0, speed_max_mps=2.0, pause_duration_s=1.0)
-    waypoint = mobility.init_users(cfg, _rng(8)).waypoint[0]
+    waypoint = _initial_waypoints_and_speeds(cfg, 8)[0][0]
     positions = mobility.generate_trace(cfg, _rng(8)).positions
     assert _paused_substeps(positions, waypoint) == 10
     assert _paused_substeps(oracle_trace(cfg, _rng(8)), waypoint) == 10
@@ -380,8 +390,8 @@ def test_trace_shape_and_initial_slot():
     assert trace.positions.shape == (5, 10, 2)
     rng, init_rng = _rng(1), _rng(1)
     single = mobility.generate_trace(make_config(num_slots=1), rng)
-    users = mobility.init_users(make_config(num_slots=1), init_rng)
-    assert np.array_equal(single.positions[0], users.position)
+    users = oracle_init_users(make_config(num_slots=1), init_rng)
+    assert np.array_equal(single.positions[0], [u.position for u in users])
     assert rng.bit_generator.state == init_rng.bit_generator.state  # nothing drawn past init
 
 
@@ -414,7 +424,7 @@ def test_pause_lasts_ceil_of_duration_over_dt():
     # ceil(3.5 / 1.0) = 4 sub-steps.
     cfg, positions = _every_substep(2000, seed=8, speed_min_mps=0.5, speed_max_mps=1.5,
                                     pause_duration_s=3.5)
-    assert _paused_substeps(positions, mobility.init_users(cfg, _rng(8)).waypoint[0]) == 4
+    assert _paused_substeps(positions, _initial_waypoints_and_speeds(cfg, 8)[0][0]) == 4
     assert set(_pauses(positions)) == {math.ceil(3.5 / 1.0)}
 
 

@@ -327,3 +327,34 @@ def test_feasibility_flags_respect_threshold():
     assert bool(ev["feasible"][0, strong])
     assert not bool(ev["feasible"][0, weak])
     assert ev["deficit"][0] > 0.0
+    # At rho = 1 and a 0 dB threshold the gain-1.0 user's SINR is the threshold
+    # exactly, under OMA and as NOMA's unpaired mid user: it is feasible.
+    cfg = _power_config(rho_db=0.0, threshold_db=0.0)
+    for access in ("oma", "noma"):
+        ev = noma.evaluate_batch(np.array([[1.0, 0.25, 4.0]]), np.zeros((1, 3)), cfg, access)
+        assert ev["sinr"][0, 0] == 1.0, access
+        assert ev["feasible"][0].tolist() == [True, False, True], access
+
+
+def test_relabelling_users_permutes_sinr_and_keeps_the_sum_rate():
+    # A metamorphic relation: a user is known only by its gains.  NOMA sums in
+    # pair order, which a relabelling leaves as it is, so its sums are bit-equal;
+    # OMA sums in user order, and two orders of 9 positive terms lie within
+    # 8 ulps of each other, relative.
+    cfg = make_config(num_users=9)
+    rng = np.random.default_rng(3)
+    users = rng.uniform(0.0, 500.0, (9, 2))
+    uav = np.column_stack([rng.uniform(0.0, 500.0, (20, 2)), rng.uniform(100.0, 300.0, 20)])
+    gu, gi = channel.link_gains(uav, rng.uniform(0.0, 500.0, (20, 2)), users, cfg)
+    perm = rng.permutation(9)
+    for access in ("noma", "oma"):
+        ev = noma.evaluate_batch(gu, gi, cfg, access)
+        relabelled = noma.evaluate_batch(gu[:, perm], gi[:, perm], cfg, access)
+        assert np.array_equal(relabelled["sinr"], ev["sinr"][:, perm]), access
+        assert np.array_equal(relabelled["rate"], ev["rate"][:, perm]), access
+        for key in ("sum_rate", "deficit"):
+            if access == "noma":
+                assert np.array_equal(relabelled[key], ev[key]), key
+            else:
+                np.testing.assert_allclose(relabelled[key], ev[key], rtol=8 * np.finfo(float).eps,
+                                           atol=0.0, err_msg=key)

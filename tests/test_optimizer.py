@@ -126,7 +126,7 @@ def oracle_breed(population, fitnesses, cfg, mutation_prob_per_bit, rng):
 
 def optimize_slot(users_xy, cfg, rng, variant=MOBILE, *, fixed_irs=None,
                   warm_start_genome=None, prev_placement=None):
-    """Oracle: the GA for one slot of one job; its run record."""
+    """Oracle: the GA for one slot of one job; its run record and winning genome."""
     length = optimizer.genome_length(cfg)
     mut_p = cfg.mutation_prob_per_bit if cfg.mutation_prob_per_bit is not None else 1.0 / length
     population = (rng.random((cfg.population_size, length)) < 0.5).astype(np.uint8)
@@ -143,23 +143,24 @@ def optimize_slot(users_xy, cfg, rng, variant=MOBILE, *, fixed_irs=None,
     best = int(np.argmax(fit))
     placement = Placement(uav=tuple(uav[best].tolist()),
                           irs=None if irs is None else tuple(irs[best].tolist()))
-    return optimizer.GaRunRecord(
+    record = optimizer.GaRunRecord(
         placement=placement, best_fitness=best_per_gen, mean_fitness=mean_per_gen,
-        best_genome=population[best].copy(), result=noma.SlotResult.from_batch(ev, best))
+        result=noma.SlotResult.from_batch(ev, best))
+    return record, population[best].copy()
 
 
 def oracle_trajectory(trace, cfg, master_seed, variant=MOBILE):
     """Oracle: one job's slot searches one after another, warm starts chained."""
-    records = []
+    records, genome = [], None
     frozen = None
     if variant.surface == "static" and cfg.s_irs_x is not None:
         frozen = (cfg.s_irs_x, cfg.s_irs_y)
     for slot in range(trace.num_slots):
         rng = scenario.stream(master_seed, scenario.GA_STREAM,
                               {"noma": 0, "oma": 1}[variant.access], slot)
-        record = optimize_slot(
+        record, genome = optimize_slot(
             trace.positions[slot], cfg, rng, variant, fixed_irs=frozen,
-            warm_start_genome=records[-1].best_genome if cfg.warm_start and records else None,
+            warm_start_genome=genome if cfg.warm_start else None,
             prev_placement=records[-1].placement if records else None)
         if variant.surface == "static" and frozen is None:
             frozen = record.placement.irs
@@ -422,21 +423,18 @@ def test_closed_population_never_returns_worse_than_the_seed_genome():
                < 0.5).astype(np.uint8)
     initial[0] = genome
     fit = _fitness(initial, users, cfg)
-    record = optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
+    record, _ = optimize_slot(users, cfg, _ga_rng(7), warm_start_genome=genome)
     assert record.best_fitness == [fit.max()] * (cfg.max_iterations + 1)
     assert record.best_fitness[-1] >= fit[0]
-    assert np.array_equal(record.best_genome, initial[np.argmax(fit)])
-    assert record.placement == decode(record.best_genome, bounds, cfg.bits_per_coordinate)
+    assert record.placement == decode(initial[np.argmax(fit)], bounds, cfg.bits_per_coordinate)
 
 
 def test_optimize_slot_is_deterministic():
     cfg = small_config()
     users = np.array([[10.0, 10.0], [40.0, 30.0], [90.0, 60.0], [250.0, 250.0]])
-    a = optimize_slot(users, cfg, _ga_rng(8))
-    b = optimize_slot(users, cfg, _ga_rng(8))
+    (a, _), (b, _) = optimize_slot(users, cfg, _ga_rng(8)), optimize_slot(users, cfg, _ga_rng(8))
     assert a.placement == b.placement
     assert a.best_fitness == b.best_fitness
-    assert np.array_equal(a.best_genome, b.best_genome)
 
 
 def test_elitism_keeps_best_fitness_monotone():
@@ -455,7 +453,7 @@ def _one_slot(users) -> mobility.MobilityTrace:
 def _breed_alone(population, fit, cfg, mutation_prob_per_bit, rng):
     """optimizer._breed on a one-job stack whose family draws from rng."""
     return optimizer._breed(population[None], fit[None], cfg, mutation_prob_per_bit, [rng],
-                            np.zeros(1, np.intp), channel.Workspace())[0]
+                            np.zeros(1, np.intp))[0]
 
 
 def _random_generation(cfg, rng):
@@ -504,8 +502,7 @@ def test_breeding_picks_the_winners_of_argpartition_tournaments(tournament_size,
     population = (rng.random((3, 9, optimizer.genome_length(cfg))) < 0.5).astype(np.uint8)
     fit = rng.integers(0, 4, (3, 9)).astype(float)
     family = np.array([0, 0, 1])
-    bred = optimizer._breed(population, fit, cfg, 0.1, [_ga_rng(5), _ga_rng(6)], family,
-                            channel.Workspace())
+    bred = optimizer._breed(population, fit, cfg, 0.1, [_ga_rng(5), _ga_rng(6)], family)
     for j, seed in enumerate([5, 5, 6]):
         assert np.array_equal(bred[j], oracle_breed(population[j], fit[j], cfg, 0.1,
                                                     _ga_rng(seed))), j
@@ -628,7 +625,6 @@ def _assert_same_records(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.placement == b.placement
         assert a.best_fitness == b.best_fitness and a.mean_fitness == b.mean_fitness
-        assert np.array_equal(a.best_genome, b.best_genome)
         for key, value in vars(b.result).items():
             assert np.array_equal(getattr(a.result, key), value), key
 
