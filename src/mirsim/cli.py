@@ -3,10 +3,10 @@
 ``run_experiment`` reproduces the benchmark protocol: one shared mobility
 trace per seed, then every (seed, scenario) job's per-slot placement
 searches, fed lazily to ``optimizer.optimize_jobs`` (which stacks them in
-lockstep and bounds its own memory), whose winners' full evaluations score
-the slots, averaged across seeds; ``converge`` is a one-seed, one-scenario run.
-``SCENARIOS`` is the one place a scenario is defined, as an
-``optimizer.Variant(surface, access)``:
+lockstep and bounds its own memory), whose winning placements'
+``noma.SlotResult.of`` evaluations score the slots, averaged across seeds;
+``converge`` is a one-seed, one-scenario run.  ``SCENARIOS`` is the one
+place a scenario is defined, as an ``optimizer.Variant(surface, access)``:
 
 * M-IRS-NOMA  -- joint UAV + vehicle placement every slot
 * S-IRS-NOMA  -- vehicle frozen at the slot-1 joint optimum (or configured point)

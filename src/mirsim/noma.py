@@ -16,10 +16,9 @@ placements at once, with ``ftpa_allocate`` splitting every pair's power (one
 power per pair), in pair order, so a score-only call scatters nothing back
 to user order; it reads the power, threshold and FTPA keys straight from the
 config and linearizes the dB ones.  The GA scores its generations for sum
-rate and deficit alone and then evaluates each winning placement in full;
-``SlotResult.from_batch`` copies the winner's row out of that evaluation: the
-slot's result, which keeps the pairing as index arrays; the CLI turns it into
-report rows.
+rate and deficit alone; ``SlotResult.of`` evaluates one placement in full, as
+a one-row batch: a slot's result, which keeps the pairing as index arrays;
+the CLI turns it into report rows.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import Workspace
+from .channel import Placement, Workspace, link_gains
 from .scenario import ScenarioConfig, db_to_linear
 
 
@@ -51,12 +50,13 @@ class SlotResult:
     mid: Optional[int]
 
     @classmethod
-    def from_batch(cls, ev: dict, row: int) -> "SlotResult":
-        """Row `row` of an evaluate_batch result, copied out of the batch arrays."""
+    def of(cls, placement: Placement, users_xy, cfg: ScenarioConfig, access: str) -> "SlotResult":
+        """placement's full evaluation for (U, 2) users, in fresh arrays: the
+        row a GA candidate at placement gets in any evaluate_batch call."""
+        ev = evaluate_batch(*link_gains(placement.uav, placement.irs, users_xy, cfg), cfg, access)
         arrays = ("sinr", "rate", "alpha", "feasible", "weak", "strong")
-        return cls(**{key: ev[key][row].copy() for key in arrays},
-                   sum_rate=float(ev["sum_rate"][row]),
-                   mid=None if ev["mid"] is None else int(ev["mid"][row]))
+        return cls(**{key: ev[key][0] for key in arrays}, sum_rate=float(ev["sum_rate"][0]),
+                   mid=None if ev["mid"] is None else int(ev["mid"][0]))
 
     @property
     def pair_id(self) -> np.ndarray:

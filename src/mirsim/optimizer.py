@@ -35,20 +35,18 @@ operations and scores it in one pass: one decode, one channel.link_gains
 call (with no surface at all if no job has one, and else with zero
 reflected gains for the jobs without one), one displacement penalty and one
 noma.evaluate_batch call per access mode, each asking for sum rate and
-deficit alone.  After the last generation one more such pass, in full,
-scores each job's winning genome alone, a (J, 1, L) stack; a row's
-evaluation does not depend on the rows batched with it, and the next
-slot's warm start takes these champions.  Memory is bounded by one count:
-a job holds about P * L + S * (2G + 8U) + 8 * P * U numbers for S slots, G
-generations and U users (genomes, slot records until the caller takes
-them, and its P * U cells in the stack's channel.Workspace, kept across
-slots: five float arrays and an integer one, two fewer than the count
-charges), and a stack takes as many jobs as fit in 2^19 numbers, at least
-one.  Breeding adds, per generation, one family's draws, about P^2 + P * L
-numbers, and each family's mutation mask.  A warm fitness call allocates
-well under one P * U array per job.  Kernel results are views into the
-workspace, so an access mode's winners (placement and noma.SlotResult row)
-are copied out before the next mode's call.
+deficit alone.  The last generation's fittest genome of each job is its
+winner: the next slot's warm start takes it, and its decoded placement,
+evaluated alone by noma.SlotResult.of, is the slot's result (a row's
+evaluation does not depend on the rows batched with it).  Memory is bounded
+by one count: a job holds about P * L + S * (2G + 8U) + 8 * P * U numbers
+for S slots, G generations and U users (genomes, slot records until the
+caller takes them, and its P * U cells in the stack's channel.Workspace,
+kept across slots: five float arrays and an integer one, two fewer than
+the count charges), and a stack takes as many jobs as fit in 2^19 numbers,
+at least one.  Breeding adds, per generation, one family's draws, about
+P^2 + P * L numbers, and each family's mutation mask.  A warm fitness call
+allocates well under one P * U array per job.
 
 Stacks are searched in waves of up to W = _WORKERS at once, W being the
 number of CPUs this process may run on (its affinity mask): the calling
@@ -136,15 +134,16 @@ def decode_batch(genomes: np.ndarray, bounds, bits: int) -> np.ndarray:
 
 
 def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, prev,
-             ws: Optional[channel.Workspace] = None, full: bool = True):
-    """Score a (J, P, L) stack: the penalized fitness (J, P) and, if full,
-    each job's winner (genome index, Placement, noma.SlotResult), else None.
+             ws: Optional[channel.Workspace] = None):
+    """Score a (J, P, L) stack: the penalized fitness (J, P) and the points
+    scored, (J, P, 5) in genome order, pinned vehicle points in place (a job
+    without a surface scores none of its vehicle points).
 
     users is (J, U, 2); variants[j] is job j's Variant; pinned[j] is job
     j's fixed vehicle point (None: the encoded one moves); prev[j] is job
     j's previous placement (prev None: no displacement penalty).  One
-    channel.link_gains call, and one noma.evaluate_batch call per run of
-    one access mode, full or (full=False) score-only, in ws.
+    channel.link_gains call, and one score-only noma.evaluate_batch call per
+    run of one access mode, in ws.
     """
     jobs, size = genomes.shape[:2]
     coords = decode_batch(genomes, genome_bounds(cfg), cfg.bits_per_coordinate)
@@ -166,21 +165,16 @@ def _fitness(genomes: np.ndarray, users, cfg: ScenarioConfig, variants, pinned, 
     gu, gi = channel.link_gains(uav, irs if surface.any() else None, users[:, None], cfg, ws)
     if gi is not None:
         gi[~surface] = 0.0
-    fit, winners = np.empty((jobs, size)), [] if full else None
+    fit = np.empty((jobs, size))
     for access, run in itertools.groupby(range(jobs), lambda j: variants[j].access):
         run = list(run)
         block = slice(run[0], run[-1] + 1)
         ev = noma.evaluate_batch(*(None if g is None else g[block].reshape(-1, g.shape[-1])
-                                   for g in (gu, gi)), cfg, access, ws, full)
+                                   for g in (gu, gi)), cfg, access, ws, False)
         fit[block] = (ev["sum_rate"] - cfg.sinr_penalty_weight * ev["deficit"]).reshape(-1, size)
         if penalty is not None:
             fit[block] -= penalty[block]
-        for row, j in enumerate(run if full else ()):  # before the next call overwrites ev
-            best = int(np.argmax(fit[j]))
-            winners.append((best, Placement(tuple(uav[j, best].tolist()),
-                                            tuple(irs[j, best].tolist()) if surface[j] else None),
-                            noma.SlotResult.from_batch(ev, row * size + best)))
-    return fit, winners
+    return fit, coords
 
 
 def _breed(population: np.ndarray, fit: np.ndarray, cfg: ScenarioConfig,
@@ -299,7 +293,7 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
         population = np.stack([(rng.random((size, length)) < 0.5).astype(np.uint8)
                                for rng in rngs])[family]
         if cfg.warm_start and slot:
-            population[:, 0] = champions[:, 0]  # the previous slot's
+            population[:, 0] = champions  # the previous slot's winners
         users = np.stack([trace.positions[slot] for trace, _, _ in jobs])
         prev = [records[-1].placement for records in results] if slot else None
         history = []
@@ -308,16 +302,18 @@ def _optimize_stack(jobs, cfg: ScenarioConfig,
                 return None
             if generation:
                 population = _breed(population, fit, cfg, mut_p, rngs, family)
-            fit = _fitness(population, users, cfg, variants, pinned, prev, ws, False)[0]
+            fit, coords = _fitness(population, users, cfg, variants, pinned, prev, ws)
             history.append((fit.max(axis=1), fit.mean(axis=1)))
 
         best_per_gen, mean_per_gen = np.array(history).transpose(1, 2, 0).tolist()
-        champions = population[np.arange(len(jobs)), fit.argmax(axis=1), None]
-        winners = _fitness(champions, users, cfg, variants, pinned, prev, ws)[1]
-        for j, (_, placement, result) in enumerate(winners):
-            if variants[j].surface == "static" and pinned[j] is None:
+        best = np.arange(len(jobs)), fit.argmax(axis=1)
+        champions = population[best]
+        for j, point in enumerate(coords[best].tolist()):
+            surface = variants[j].surface
+            placement = Placement(tuple(point[:3]), None if surface == "none" else tuple(point[3:]))
+            if surface == "static" and pinned[j] is None:
                 pinned[j] = placement.irs
             results[j].append(GaRunRecord(
-                placement=placement, best_fitness=best_per_gen[j],
-                mean_fitness=mean_per_gen[j], result=result))
+                placement=placement, best_fitness=best_per_gen[j], mean_fitness=mean_per_gen[j],
+                result=noma.SlotResult.of(placement, users[j], cfg, variants[j].access)))
     return [results[i] for i in np.argsort(order)]

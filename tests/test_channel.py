@@ -242,6 +242,18 @@ def test_debug_table_contents():
     assert math.isclose(rows[0]["avg_pathloss_db"], 101.4, rel_tol=1e-12)
 
 
+def test_debug_table_without_a_surface_has_zero_reflected_gains():
+    users = np.array([[250.0, 250.0], [40.0, 410.0]])
+    with_surface = channel.channel_debug_table(
+        Placement(uav=(250.0, 250.0, 100.0), irs=(100.0, 100.0)), users, CFG)
+    without = channel.channel_debug_table(Placement(uav=(250.0, 250.0, 100.0), irs=None),
+                                          users, CFG)
+    assert [row["irs_gain"] for row in without] == [0.0, 0.0]
+    assert all(row["irs_gain"] > 0.0 for row in with_surface)
+    for row, other in zip(without, with_surface):
+        assert {**row, "irs_gain": None} == {**other, "irs_gain": None}
+
+
 def test_workspace_keeps_a_role_until_a_call_needs_more_room_or_another_dtype():
     ws = channel.Workspace()
     first = ws.take("role", (2, 3))

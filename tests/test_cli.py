@@ -19,11 +19,11 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from mirsim import channel, cli, mobility, optimizer, scenario
+from mirsim import channel, cli, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.scenario import ConfigError
 
-from testutil import config_yaml, slot_result, small_config
+from testutil import config_yaml, small_config
 
 
 def _read_csv(path):
@@ -166,7 +166,7 @@ def test_user_rows_format():
     assert [row[:3] for row in rows] == [[s, "M-IRS-NOMA", u] for s in (0, 1) for u in range(4)]
     for slot, entry in enumerate(report.trajectories["M-IRS-NOMA"]):
         placement = Placement(uav=tuple(entry["uav"]), irs=tuple(entry["irs"]))
-        result = slot_result(placement, trace.positions[slot], cfg)
+        result = noma.SlotResult.of(placement, trace.positions[slot], cfg, "noma")
         for user, row in enumerate(rows[4 * slot:4 * slot + 4]):
             _, _, _, pair_id, alpha, sinr_db, rate = row
             assert (pair_id, alpha, rate) == (result.pair_id[user], result.alpha[user],
@@ -177,8 +177,8 @@ def test_user_rows_format():
 def test_user_rows_match_the_per_element_oracle():
     cfg = small_config(num_users=5)
     trace = mobility.generate_trace(cfg, scenario.stream(3, scenario.MOBILITY_STREAM))
-    result = slot_result(Placement(uav=(100.0, 100.0, 50.0), irs=(20.0, 30.0)),
-                         trace.positions[0], cfg)
+    result = noma.SlotResult.of(Placement(uav=(100.0, 100.0, 50.0), irs=(20.0, 30.0)),
+                                trace.positions[0], cfg, "noma")
     # validate() keeps every SINR > 0: the least a float allows, and a vanishing one
     result.sinr[[0, 3]] = [5e-324, 1e-300]
     record = optimizer.GaRunRecord(Placement(uav=(100.0, 100.0, 50.0), irs=None), [0.0], [0.0],
@@ -405,6 +405,9 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, key, value):
      "num_slots: 2\nmax_iterations: 3\npopulation_size: 8\n", ["uav_alt_max_m"]),
     ("irs_height_m: 1.0e+200\nlos_slope: 0.001\nnlos_slope: 0.001\n"
      "num_slots: 2\nmax_iterations: 3\npopulation_size: 8\n", ["irs_height_m"]),
+    # a sigmoid exponent of 10 x 70.99 = 709.9 at the horizon, past exp's 709.78 limit
+    ("los_model: sigmoid\nsigmoid_alpha: 10\nsigmoid_beta: 70.99\n",
+     ["sigmoid_alpha", "sigmoid_beta"]),
 ])
 def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, doc, keys):
     bad = tmp_path / "bad.yaml"
@@ -737,13 +740,14 @@ def test_cli_converge(tmp_path):
     assert len(rows) == 1 + small_config().max_iterations + 1
 
 
-@pytest.mark.parametrize("name", ["S-IRS-NOMA", "No-IRS-NOMA"])
+@pytest.mark.parametrize("name", ["S-IRS-NOMA", "No-IRS-NOMA", "M-IRS-OMA"])
 def test_cli_one_scenario_reproduces_its_rows_of_the_full_run(tmp_path, name):
     # A job's results do not depend on which jobs share the GA stack, nor on
     # where the full run lists its scenario: the stack holds its jobs in access
     # order, so an OMA-first list is reordered inside it.  A lone No-IRS-NOMA
     # stack passes link_gains no surface at all, and reproduces the rows that
-    # the mixed stack scores with zeroed reflected gains.
+    # the mixed stack scores with zeroed reflected gains.  A lone M-IRS-OMA
+    # stack has one access mode and a surface.
     cfg_path = _write_small_config(tmp_path, num_users=5, num_slots=3,
                                    max_slot_displacement_m=40.0)
     common = ["run", "--config", str(cfg_path), "--seeds", "2", "--seed", "3"]

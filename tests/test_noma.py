@@ -10,7 +10,7 @@ from mirsim import channel, noma
 from mirsim.channel import Placement
 from mirsim.scenario import ScenarioConfig, db_to_linear
 
-from testutil import make_config, slot_result
+from testutil import make_config
 
 
 @dataclass
@@ -208,7 +208,7 @@ def test_slot_sum_rate_matches_scalar_composition():
     cfg = make_config(num_users=2)
     placement = Placement(uav=(30.0, 40.0, 100.0), irs=(20.0, 20.0))
     users = np.array([[10.0, 10.0], [200.0, 250.0]])
-    result = slot_result(placement, users, cfg)
+    result = noma.SlotResult.of(placement, users, cfg, "noma")
 
     uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users, cfg)
     heff = uav_gain + irs_gain
@@ -237,7 +237,7 @@ def test_slot_result_pair_bookkeeping():
     placement = Placement(uav=(100.0, 100.0, 120.0), irs=(60.0, 60.0))
     users = np.array([[30.0, 30.0], [60.0, 60.0], [90.0, 120.0],
                       [300.0, 300.0], [450.0, 80.0]])
-    result = slot_result(placement, users, cfg)
+    result = noma.SlotResult.of(placement, users, cfg, "noma")
     assert result.weak.shape == result.strong.shape == (2,)
     assert result.alpha[result.mid] == 1.0
     assert result.pair_id[result.mid] == 2
@@ -252,13 +252,38 @@ def test_slot_result_pair_bookkeeping():
         *zip(result.weak.tolist(), result.strong.tolist()), (result.mid, None)]
 
 
+@pytest.mark.parametrize("access", ["noma", "oma"])
+@pytest.mark.parametrize("num_users", [1, 2, 7, 301])
+@pytest.mark.parametrize("surface", ["moving", "none", "dead"])
+def test_slot_result_of_a_placement_is_its_row_of_a_batch(access, num_users, surface):
+    # The GA scores candidates in batches and evaluates its winner alone, so the
+    # one-placement evaluation must give the bits of the winner's batch row.
+    cfg = make_config(num_users=num_users,
+                      irs_reflection_coeff=0.0 if surface == "dead" else 1.0)
+    rng = np.random.default_rng(num_users)
+    users = rng.uniform(0.0, 500.0, (num_users, 2))
+    uav = np.concatenate([rng.uniform(0.0, 500.0, (5, 2)), rng.uniform(100.0, 300.0, (5, 1))],
+                         axis=1)
+    irs = None if surface == "none" else rng.uniform(0.0, 500.0, (5, 2))
+    ev = noma.evaluate_batch(*channel.link_gains(uav, irs, users, cfg), cfg, access)
+    for k in range(len(uav)):
+        placement = Placement(tuple(uav[k].tolist()),
+                              None if irs is None else tuple(irs[k].tolist()))
+        result = noma.SlotResult.of(placement, users, cfg, access)
+        for key in ("sinr", "rate", "alpha", "feasible", "weak", "strong"):
+            got, want = getattr(result, key), ev[key][k]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, key)
+        assert np.float64(result.sum_rate).tobytes() == ev["sum_rate"][k].tobytes()
+        assert result.mid == (None if ev["mid"] is None else ev["mid"][k])
+
+
 def test_no_irs_kind_equals_zero_reflection():
     cfg = make_config()
     dead = make_config(irs_reflection_coeff=0.0)
     placement = Placement(uav=(100.0, 100.0, 150.0), irs=(50.0, 50.0))
     users = np.array([[20.0, 30.0], [120.0, 80.0], [340.0, 420.0], [60.0, 250.0]])
-    a = slot_result(replace(placement, irs=None), users, cfg)
-    b = slot_result(placement, users, dead)
+    a = noma.SlotResult.of(replace(placement, irs=None), users, cfg, "noma")
+    b = noma.SlotResult.of(placement, users, dead, "noma")
     assert np.array_equal(a.sinr, b.sinr)
     assert a.sum_rate == b.sum_rate
 
@@ -312,7 +337,7 @@ def test_oma_symmetric_users_get_equal_rates():
     cfg = make_config(num_users=2)
     placement = Placement(uav=(250.0, 250.0, 100.0), irs=(250.0, 250.0))
     users = np.array([[200.0, 250.0], [300.0, 250.0]])  # mirror images
-    result = slot_result(placement, users, cfg, "oma")
+    result = noma.SlotResult.of(placement, users, cfg, "oma")
     assert math.isclose(result.rate[0], result.rate[1], rel_tol=1e-12)
     assert np.all(result.alpha == 1.0)
 

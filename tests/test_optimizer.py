@@ -12,7 +12,7 @@ from mirsim import channel, cli, mobility, noma, optimizer, scenario
 from mirsim.channel import Placement
 from mirsim.optimizer import Variant
 
-from testutil import config_yaml, make_config, optimize_trajectory, slot_result, small_config
+from testutil import config_yaml, make_config, optimize_trajectory, small_config
 
 MOBILE = Variant("mobile", "noma")
 
@@ -81,6 +81,14 @@ def oracle_fitness_batch(genomes, users_xy, cfg, variant, fixed_irs=None,
     return fit, uav, irs, ev
 
 
+def oracle_row(ev, row):
+    """Oracle: row `row` of an evaluate_batch result as a SlotResult, copied out."""
+    arrays = ("sinr", "rate", "alpha", "feasible", "weak", "strong")
+    return noma.SlotResult(**{key: ev[key][row].copy() for key in arrays},
+                           sum_rate=float(ev["sum_rate"][row]),
+                           mid=None if ev["mid"] is None else int(ev["mid"][row]))
+
+
 def tournament_select(population, fitnesses, tournament_size, count, rng):
     """Oracle: count tournaments of tournament_size distinct genomes each.
 
@@ -145,7 +153,7 @@ def optimize_slot(users_xy, cfg, rng, variant=MOBILE, *, fixed_irs=None,
                           irs=None if irs is None else tuple(irs[best].tolist()))
     record = optimizer.GaRunRecord(
         placement=placement, best_fitness=best_per_gen, mean_fitness=mean_per_gen,
-        result=noma.SlotResult.from_batch(ev, best))
+        result=oracle_row(ev, best))
     return record, population[best].copy()
 
 
@@ -243,7 +251,7 @@ def test_fitness_equals_sum_rate_when_feasible():
     genome = encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
                     bounds, 8)
     fit = _fitness(genome, users, cfg)[0]
-    result = slot_result(decode(genome, bounds, 8), users, cfg)
+    result = noma.SlotResult.of(decode(genome, bounds, 8), users, cfg, "noma")
     assert fit == result.sum_rate
 
 
@@ -253,7 +261,7 @@ def test_fitness_boundary_threshold_costs_nothing():
     users = np.array([[30.0, 30.0], [60.0, 10.0], [200.0, 300.0], [400.0, 100.0]])
     genome = encode(Placement(uav=(100.0, 100.0, 100.0), irs=(50.0, 50.0)),
                     bounds, 8)
-    result = slot_result(decode(genome, bounds, 8), users, cfg)
+    result = noma.SlotResult.of(decode(genome, bounds, 8), users, cfg, "noma")
     at_boundary = make_config(
         num_users=4, bits_per_coordinate=8,
         snr_threshold_db=float(scenario.linear_to_db(result.sinr.min())))

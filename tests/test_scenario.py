@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirsim import scenario
+from mirsim import noma, scenario
 from mirsim.channel import Placement
 from mirsim.scenario import ConfigError, db_to_linear, linear_to_db
 
-from testutil import config_yaml, make_config, slot_result
+from testutil import config_yaml, make_config
 
 
 def test_minimal_document_takes_reference_defaults():
@@ -263,8 +263,8 @@ def test_a_pair_just_inside_the_ftpa_ratio_bound_splits_finitely(favor_strong):
             _ratio_config(refused, ftpa_favor_strong=True)
     cfg = _ratio_config(slope, ftpa_favor_strong=favor_strong)
     for irs in ((0.0, 0.0), None):
-        result = slot_result(Placement((0.0, 0.0, 100.0), irs), [[0.0, 0.0], [500.0, 500.0]],
-                             cfg)
+        result = noma.SlotResult.of(Placement((0.0, 0.0, 100.0), irs),
+                                    [[0.0, 0.0], [500.0, 500.0]], cfg, "noma")
         assert np.isfinite([*result.sinr, *result.rate, *result.alpha, result.sum_rate]).all()
         assert (result.sinr > 0.0).all()
         assert (result.alpha[0] > result.alpha[1]) == favor_strong  # user 0 is the strong one

@@ -4,7 +4,7 @@ import dataclasses
 
 import yaml
 
-from mirsim import channel, noma, optimizer, scenario
+from mirsim import optimizer, scenario
 from mirsim.optimizer import Variant
 
 
@@ -24,13 +24,6 @@ def small_config(**overrides) -> scenario.ScenarioConfig:
 def config_yaml(cfg: scenario.ScenarioConfig) -> str:
     """The config document of cfg, keys in field order."""
     return yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False)
-
-
-def slot_result(placement, users_xy, cfg: scenario.ScenarioConfig,
-                access: str = "noma") -> noma.SlotResult:
-    """Score one placement as the GA scores a candidate: a one-row batch."""
-    uav_gain, irs_gain = channel.link_gains(placement.uav, placement.irs, users_xy, cfg)
-    return noma.SlotResult.from_batch(noma.evaluate_batch(uav_gain, irs_gain, cfg, access), 0)
 
 
 def optimize_trajectory(trace, cfg: scenario.ScenarioConfig, master_seed: int,
